@@ -2,9 +2,8 @@
 //!
 //! Four questions, all at 100k providers:
 //!
-//! 1. **Single-thread speedup** — the per-profile compiled-plan path (PR 2's
-//!    fastest leg, kept as `run_per_profile`) versus one pass over a
-//!    pre-built [`CompiledPopulation`], full-report and counts-only.
+//! 1. **Single-thread cost** — one pass over a pre-built
+//!    [`CompiledPopulation`], full-report and counts-only.
 //! 2. **Build cost** — what compiling the population once actually costs,
 //!    the denominator of every amortization claim.
 //! 3. **Thread sweep** — `par_audit_compiled` over the shared population
@@ -47,15 +46,6 @@ fn bench_single_thread(c: &mut Criterion) {
     let mut group = c.benchmark_group("pop");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
-    // PR 2's fastest single-threaded leg: compiled plan, per-profile
-    // indexing, witnesses allocated per violation.
-    group.bench_function("per_profile", |b| {
-        b.iter(|| {
-            let report = engine.run_per_profile(black_box(&population.profiles));
-            assert_eq!(report.total_violations, oracle.total_violations);
-            black_box(report)
-        });
-    });
     // One pass over the pre-built population, full report.
     group.bench_function("compiled_full", |b| {
         b.iter(|| {

@@ -150,7 +150,7 @@ fn bench_live_index(c: &mut Criterion) {
     let cold_build_ns = start.elapsed().as_nanos() as f64;
     c.record_metric("live_index/providers", n as f64, "providers");
     c.record_metric("live_index/cold_build_ns", cold_build_ns, "ns");
-    assert!(index.violated_count() > 0, "fixture must violate");
+    assert!(index.outcome().violated > 0, "fixture must violate");
 
     // A prefix-stable churn stream chopped so each timed iteration gets a
     // fresh k-op delta (state evolves — that is the workload).

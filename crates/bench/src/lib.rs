@@ -13,10 +13,8 @@
 //! | `exp_alpha_ppdb` | E4 — Definitions 2/3/5 at population scale |
 //! | `violation_throughput` | P1 — model evaluation throughput |
 //! | `reldb_primitives` | P2 — storage-engine primitives |
-//! | `incremental` | A1 — incremental vs full audit |
 //! | `purpose_lattice` | A2 — flat vs lattice purpose matching |
 //! | `audit_storage` | A3 — indexed vs scanned metadata access |
-//! | `delta_audit` | P10 — delta maintenance vs full rebuild |
 
 use std::path::PathBuf;
 

@@ -13,17 +13,14 @@
 //! carry freelist holes between live ranges) byte-identically to a fresh
 //! compile of the same logical population.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use qpv_policy::{HousePolicy, ProviderId};
 
-use crate::default_model::DefaultThresholds;
-use crate::plan::{CompiledAuditPlan, PlanScratch};
+use crate::plan::CompiledAuditPlan;
 use crate::probability::census_fraction;
 use crate::profile::{assemble, ProviderProfile};
-use crate::sensitivity::{AttributeSensitivities, DatumSensitivity, SensitivityModel};
+use crate::sensitivity::{AttributeSensitivities, SensitivityModel};
 use crate::violation::{witnesses, ViolationWitness};
 
 /// The audit outcome for one provider.
@@ -150,31 +147,6 @@ impl AuditEngine {
         self.audit_compiled(&crate::pop::CompiledPopulation::from_profiles(profiles))
     }
 
-    /// The PR 2 audit path: one [`CompiledAuditPlan`], but providers
-    /// re-indexed from their array-of-structs profiles per audit, with
-    /// datums and thresholds resolved through [`PopulationIndex`]. Kept
-    /// as the baseline leg of `benches/compiled_population.rs` (what the
-    /// SoA population is measured against) and as the host of the
-    /// duplicate-id fallback contract. Output is bitwise-identical to
-    /// [`Self::run`].
-    pub fn run_per_profile(&self, profiles: &[ProviderProfile]) -> AuditReport {
-        let plan = self.compile_house();
-        let index = PopulationIndex::build(profiles, &self.attribute_weights);
-        let mut scratch = PlanScratch::new();
-        let mut providers = Vec::with_capacity(profiles.len());
-        let mut total: u128 = 0;
-        for profile in profiles {
-            let (datums, threshold) = index.resolve(profile);
-            let audit = plan.audit_profile(profile, datums, threshold, &mut scratch);
-            total += audit.score as u128;
-            providers.push(audit);
-        }
-        AuditReport {
-            providers,
-            total_violations: total,
-        }
-    }
-
     /// Audit a population through the original string-resolving path —
     /// the direct transcription of the paper's definitions. Kept as the
     /// oracle the compiled plan is property-tested against, and as the
@@ -226,8 +198,8 @@ impl AuditEngine {
     }
 
     /// Audit one provider by resolving strings directly (the reference
-    /// path). The production sequential and parallel paths now go through
-    /// [`CompiledAuditPlan::audit_profile`]; this stays as the oracle.
+    /// path). The production paths go through the compiled plan over a
+    /// [`crate::pop::CompiledPopulation`]; this stays as the oracle.
     pub(crate) fn audit_profile(
         &self,
         profile: &ProviderProfile,
@@ -286,53 +258,6 @@ impl AuditEngine {
             lattice: self.lattice.clone(),
         };
         alt.run(profiles)
-    }
-}
-
-/// Resolves per-provider datum sensitivities and thresholds for the
-/// compiled audit path.
-///
-/// The reference path routes every datum lookup through the structures
-/// [`assemble`] builds, whose semantics for a provider id occurring more
-/// than once are *merge with last-wins* — so every occurrence of the id
-/// sees the same merged view. When ids are unique (checked in one cheap
-/// pass), each profile's own `sensitivities`/`threshold` ARE that view, so
-/// the expensive population-wide assembly (cloning every provider's
-/// sensitivity map) is skipped entirely. Duplicate ids fall back to the
-/// real assembly, keeping results bitwise-identical either way.
-pub(crate) enum PopulationIndex {
-    /// Unique provider ids: read straight off each profile.
-    Direct,
-    /// Duplicate ids present: resolve through the assembled structures.
-    Assembled(SensitivityModel, DefaultThresholds),
-}
-
-impl PopulationIndex {
-    pub(crate) fn build(
-        profiles: &[ProviderProfile],
-        attribute_weights: &AttributeSensitivities,
-    ) -> PopulationIndex {
-        let mut seen = std::collections::HashSet::with_capacity(profiles.len());
-        if profiles.iter().all(|p| seen.insert(p.id())) {
-            PopulationIndex::Direct
-        } else {
-            let (sensitivity, thresholds) = assemble(profiles, attribute_weights);
-            PopulationIndex::Assembled(sensitivity, thresholds)
-        }
-    }
-
-    /// The profile's resolved `(datum map, threshold)` pair.
-    pub(crate) fn resolve<'a>(
-        &'a self,
-        profile: &'a ProviderProfile,
-    ) -> (Option<&'a HashMap<String, DatumSensitivity>>, u64) {
-        match self {
-            PopulationIndex::Direct => (Some(&profile.sensitivities), profile.threshold),
-            PopulationIndex::Assembled(sensitivity, thresholds) => (
-                sensitivity.provider_datums(profile.id()),
-                thresholds.get(profile.id()),
-            ),
-        }
     }
 }
 
@@ -498,72 +423,6 @@ mod tests {
             wide_report.providers[0].violated,
             "exceeding consent still violates"
         );
-    }
-
-    #[test]
-    fn population_index_unique_ids_take_the_direct_path() {
-        let (_, profiles) = worked_example();
-        let index = PopulationIndex::build(&profiles, &AttributeSensitivities::new());
-        assert!(matches!(index, PopulationIndex::Direct));
-        let (datums, threshold) = index.resolve(&profiles[1]);
-        assert_eq!(threshold, profiles[1].threshold);
-        assert_eq!(
-            datums.unwrap().get("weight"),
-            profiles[1].sensitivities.get("weight")
-        );
-    }
-
-    #[test]
-    fn population_index_duplicate_ids_fall_back_to_merged_assembly() {
-        let (engine, mut profiles) = worked_example();
-        // Re-register Ted (id 1) with a different sensitivity map and
-        // threshold: the fallback must give *both* occurrences the merged
-        // (last-wins) view, not their own fields.
-        let mut dup = ProviderProfile::new(ProviderId(1), 7);
-        dup.preferences
-            .add("weight", PrivacyTuple::from_point("pr", pt(9, 9, 9)));
-        dup.sensitivities
-            .insert("weight".into(), DatumSensitivity::new(2, 2, 2, 2));
-        dup.sensitivities
-            .insert("age".into(), DatumSensitivity::new(5, 1, 1, 4));
-        profiles.push(dup);
-
-        let index = PopulationIndex::build(&profiles, &engine.attribute_weights);
-        assert!(matches!(index, PopulationIndex::Assembled(..)));
-        for occurrence in [&profiles[1], &profiles[3]] {
-            let (datums, threshold) = index.resolve(occurrence);
-            assert_eq!(threshold, 7, "last-registered threshold wins");
-            let datums = datums.expect("id 1 has datum entries");
-            assert_eq!(
-                datums.get("weight"),
-                Some(&DatumSensitivity::new(2, 2, 2, 2)),
-                "last-registered sensitivity wins for both occurrences"
-            );
-            assert_eq!(datums.get("age"), Some(&DatumSensitivity::new(5, 1, 1, 4)));
-        }
-
-        // End to end: the fallback path agrees with the reference audit,
-        // and with the unique-id fast path on the same population made
-        // unique (distinct ids, identical contents).
-        assert_eq!(
-            engine.run_per_profile(&profiles),
-            engine.run_reference(&profiles)
-        );
-        let mut unique = profiles.clone();
-        unique[3].preferences.provider = ProviderId(99);
-        assert!(matches!(
-            PopulationIndex::build(&unique, &engine.attribute_weights),
-            PopulationIndex::Direct
-        ));
-        // Provider 3's own fields now apply: its merged view above (7,
-        // ⟨2,2,2,2⟩) equals its own fields, so scores at index 3 match.
-        let direct = engine.run_per_profile(&unique);
-        let merged = engine.run_per_profile(&profiles);
-        assert_eq!(direct.providers[3].score, merged.providers[3].score);
-        assert_eq!(direct.providers[3].threshold, merged.providers[3].threshold);
-        // But occurrence 1 (old Ted) diverges: merged resolution replaced
-        // its sensitivities with the duplicate's.
-        assert_ne!(direct.providers[1].score, merged.providers[1].score);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The durable delta log: restartable continuous monitoring (§10).
 //!
-//! PR 5's delta pipeline ([`crate::pop::PopulationDelta`] →
-//! [`crate::incremental::IncrementalAuditor`]) is purely in-memory: a
-//! restarted auditor falls back to a full `O(N)` rescan, and any delta
-//! in flight at crash time is simply gone. This module closes both gaps
-//! with the same machinery the relational engine already trusts:
+//! An in-memory delta pipeline ([`crate::pop::PopulationDelta`] →
+//! [`LiveViolationIndex`]) alone would fall back to a full `O(N)` rescan
+//! on restart, and lose any delta in flight at crash time. This module
+//! closes both gaps with the same machinery the relational engine
+//! already trusts:
 //!
 //! * **[`DeltaLog`]** persists every applied delta as a checksummed
 //!   frame — `[len: u32 LE][crc32(payload): u32 LE][payload]`, the exact
@@ -22,11 +22,12 @@
 //!   speed, with no profile re-assembly and no store rescan.
 //! * **[`Monitor`]** is the §10 service loop on top: ingest deltas (e.g.
 //!   `qpv_synth::workload::churn` batches), keep `P(W)` / `P(Default)` /
-//!   `Violations` live through an [`IncrementalAuditor`], and raise
-//!   α-certification alerts with hysteresis when a delta pushes the
-//!   store out of compliance. The discipline is strictly log-ahead: a
-//!   delta reaches the auditor only after the log has fsynced it, so the
-//!   recovered state can never lag what the live monitor reported.
+//!   `Violations` live through a [`LiveViolationIndex`] (the same
+//!   maintained state SQL queries read), and raise α-certification
+//!   alerts with hysteresis when a delta pushes the store out of
+//!   compliance. The discipline is strictly log-ahead: a delta reaches
+//!   the index only after the log has fsynced it, so the recovered state
+//!   can never lag what the live monitor reported.
 //!
 //! Every durable op routes through the shared
 //! [`qpv_reldb::fault::FaultInjector`] failpoints ([`FaultOp::DeltaSync`],
@@ -50,7 +51,8 @@ use qpv_reldb::fault::{crash_error, FaultDecision, FaultInjector, FaultOp};
 use qpv_reldb::wal::{crc32, get_string, put_string};
 use qpv_taxonomy::{Dim, PrivacyPoint, PrivacyTuple};
 
-use crate::incremental::IncrementalAuditor;
+use crate::audit::AuditEngine;
+use crate::liveindex::LiveViolationIndex;
 use crate::pop::{CompiledPopulation, DeltaOp, PolicyOutcome, PopulationDelta};
 use crate::profile::ProviderProfile;
 use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
@@ -627,7 +629,7 @@ impl DeltaLog {
     /// the publish already committed).
     ///
     /// `pop` must be the population with **every appended delta applied**
-    /// (the [`Monitor`] hands over its live auditor's population); pending
+    /// (the [`Monitor`] hands over its live index's population); pending
     /// frames are synced first so the caller cannot publish a snapshot
     /// ahead of the log.
     pub fn snapshot(&mut self, pop: &CompiledPopulation) -> DbResult<()> {
@@ -685,7 +687,7 @@ pub struct MonitorConfig {
     /// the boundary cannot flap alerts on every delta.
     pub hysteresis: f64,
     /// Deltas buffered per group commit (≥ 1). Larger batches amortise the
-    /// fsync; the auditor (and therefore alerting) only observes deltas
+    /// fsync; the live index (and therefore alerting) only observes deltas
     /// once their batch is durable.
     pub group_commit: u64,
     /// Deltas between population snapshots (0 = never snapshot). Bounds
@@ -729,18 +731,18 @@ pub enum MonitorAlert {
 }
 
 /// The §10 continuous-monitoring service loop: a [`DeltaLog`] for
-/// durability, an [`IncrementalAuditor`] for live `P(W)` / `P(Default)` /
+/// durability, a [`LiveViolationIndex`] for live `P(W)` / `P(Default)` /
 /// `Violations`, and α-certification alerting with hysteresis.
 ///
 /// The discipline is strictly **log-ahead**: [`Monitor::ingest`] buffers
 /// deltas into the log's group-commit batch, and only once a batch is
-/// fsynced does it reach the auditor (whose compiled population is what
+/// fsynced does it reach the index (whose compiled population is what
 /// the next snapshot is cut from). A crash therefore loses at most the
-/// un-synced batch — never anything the auditor already reported — and
+/// un-synced batch — never anything the index already reported — and
 /// [`Monitor::recover`] lands on exactly the durable prefix.
 pub struct Monitor {
     log: DeltaLog,
-    auditor: IncrementalAuditor,
+    index: LiveViolationIndex,
     staged: Vec<PopulationDelta>,
     config: MonitorConfig,
     seq: u64,
@@ -752,8 +754,10 @@ pub struct Monitor {
 impl Monitor {
     /// Start monitoring a fresh population: initialise the delta log at
     /// `dir` (generation-0 snapshot of `initial`) and build the live
-    /// auditor. Fails if `dir` already holds a log — use
-    /// [`Monitor::recover`] for restarts.
+    /// index. Fails if `dir` already holds a log — use
+    /// [`Monitor::recover`] for restarts — and, before writing anything,
+    /// if `initial` repeats a provider id: such a population refuses
+    /// every delta, so its first logged batch could never be replayed.
     pub fn start(
         dir: impl AsRef<Path>,
         initial: Vec<ProviderProfile>,
@@ -776,6 +780,12 @@ impl Monitor {
         injector: Option<FaultInjector>,
     ) -> DbResult<Monitor> {
         let pop = CompiledPopulation::from_profiles(&initial);
+        if let Some(id) = pop.duplicate_id() {
+            return Err(DbError::Schema(format!(
+                "monitored population repeats provider id {}; deltas need one occurrence per id",
+                id.0
+            )));
+        }
         let log = DeltaLog::create_with(dir, &pop, injector)?;
         Ok(Monitor::assemble(
             log, pop, 0, attributes, weights, policy, config,
@@ -783,7 +793,7 @@ impl Monitor {
     }
 
     /// Restart after a crash or shutdown: recover the delta log at `dir`
-    /// (snapshot ⊕ tail replay) and rebuild the live auditor from the
+    /// (snapshot ⊕ tail replay) and rebuild the live index from the
     /// recovered population — `O(population + tail)`, no store rescan.
     pub fn recover(
         dir: impl AsRef<Path>,
@@ -826,10 +836,10 @@ impl Monitor {
         policy: HousePolicy,
         config: MonitorConfig,
     ) -> Monitor {
-        let auditor = IncrementalAuditor::from_population(pop, attributes, weights, policy);
+        let engine = AuditEngine::new(policy, attributes, weights.clone());
         let mut monitor = Monitor {
             log,
-            auditor,
+            index: LiveViolationIndex::new(engine, pop),
             staged: Vec::new(),
             config,
             seq,
@@ -855,7 +865,7 @@ impl Monitor {
         Ok(self.alerts[before..].to_vec())
     }
 
-    /// Force the buffered batch durable and apply it to the live auditor,
+    /// Force the buffered batch durable and apply it to the live index,
     /// then re-check α-certification and cut a snapshot if one is due.
     /// Transient sync faults leave the batch staged — retrying flushes the
     /// complete batch.
@@ -865,15 +875,15 @@ impl Monitor {
         }
         self.log.sync()?;
         for delta in std::mem::take(&mut self.staged) {
-            self.auditor
+            self.index
                 .apply_delta(&delta)
-                .map_err(|e| DbError::Schema(format!("delta refused by live auditor: {e}")))?;
+                .map_err(|e| DbError::Schema(format!("delta refused by live index: {e}")))?;
             self.seq += 1;
             self.since_snapshot += 1;
         }
         self.check_alpha();
         if self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every {
-            self.log.snapshot(self.auditor.compiled())?;
+            self.log.snapshot(self.index.compiled_population())?;
             self.since_snapshot = 0;
         }
         Ok(())
@@ -883,13 +893,13 @@ impl Monitor {
     /// make the next [`Monitor::recover`] tail-free).
     pub fn checkpoint(&mut self) -> DbResult<()> {
         self.flush()?;
-        self.log.snapshot(self.auditor.compiled())?;
+        self.log.snapshot(self.index.compiled_population())?;
         self.since_snapshot = 0;
         Ok(())
     }
 
     fn check_alpha(&mut self) {
-        let p = self.auditor.p_violation();
+        let p = self.index.p_violation();
         if !self.in_breach {
             if p > self.config.alpha {
                 self.in_breach = true;
@@ -912,9 +922,10 @@ impl Monitor {
         }
     }
 
-    /// The live auditor (scores, outcome, compiled population).
-    pub fn auditor(&self) -> &IncrementalAuditor {
-        &self.auditor
+    /// The live index (per-occurrence scores and witness rows, outcome,
+    /// compiled population).
+    pub fn index(&self) -> &LiveViolationIndex {
+        &self.index
     }
 
     /// The underlying delta log.
@@ -940,18 +951,18 @@ impl Monitor {
 
     /// Live `P(W)` (Definition 2) over the durable population.
     pub fn p_violation(&self) -> f64 {
-        self.auditor.p_violation()
+        self.index.p_violation()
     }
 
-    /// Live `P(Default)` (Definition 3).
+    /// Live `P(Default)` (Definition 5).
     pub fn p_default(&self) -> f64 {
-        self.auditor.p_default()
+        self.index.p_default()
     }
 
     /// The full aggregate outcome (population, violated, defaulted,
     /// total violations).
     pub fn outcome(&self) -> PolicyOutcome {
-        self.auditor.outcome()
+        self.index.outcome()
     }
 }
 
@@ -1184,7 +1195,6 @@ fn snapshot_view(monitor: &Monitor, epoch: u64) -> MonitorView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditEngine;
     use qpv_reldb::fault::{FaultKind, FaultPlan};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1416,6 +1426,8 @@ mod tests {
             .unwrap();
         assert!(alerts.is_empty(), "already cleared, no duplicate alert");
         assert_eq!(m.alerts().len(), 2);
+        let engine = AuditEngine::new(tiny_policy(), ["weight"], tiny_weights());
+        assert_eq!(m.outcome(), engine.counts(m.index().compiled_population()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1447,7 +1459,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.log().pending_deltas(), 1);
         let durable_seq = m.seq();
-        let expected = report(m.auditor().compiled());
+        let expected = report(m.index().compiled_population());
         drop(m);
 
         let m2 = Monitor::recover(
@@ -1459,7 +1471,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            report(m2.auditor().compiled()),
+            report(m2.index().compiled_population()),
             expected,
             "durable prefix recovered"
         );
@@ -1474,6 +1486,37 @@ mod tests {
             2.0 / 6.0,
             "two of six providers violating in the durable prefix"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A population repeating a provider id refuses every delta, so any
+    /// batch logged for it would make every later recovery fail on a
+    /// tail the snapshot refuses: `start` rejects it with a typed error
+    /// before writing anything to `dir`.
+    #[test]
+    fn monitor_start_refuses_duplicate_ids_before_writing() {
+        let dir = temp_dir("mon-dup");
+        let initial = vec![
+            mon_profile(0, false),
+            mon_profile(1, true),
+            mon_profile(0, true),
+        ];
+        let err = Monitor::start(
+            &dir,
+            initial,
+            vec!["weight".into()],
+            &tiny_weights(),
+            tiny_policy(),
+            MonitorConfig::default(),
+        )
+        .err()
+        .expect("duplicate ids are refused");
+        assert!(
+            matches!(&err, DbError::Schema(m) if m.contains("repeats provider id 0")),
+            "{err}"
+        );
+        assert!(!current_path(&dir).exists(), "nothing was published");
+        assert!(DeltaLog::recover(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

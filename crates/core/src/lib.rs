@@ -24,13 +24,11 @@
 //!   in `qpv-reldb` tables, making violations auditable against actual
 //!   storage (the paper's §10 "initial prototype of the α-PPDB").
 //! * [`audit`] — the audit engine producing [`audit::AuditReport`]s.
-//! * [`incremental`] — delta-maintained violation scores under policy
-//!   changes (ablation A1 compares this with full recomputation).
 //! * [`intern`] / [`plan`] — the compiled audit path: attributes and
 //!   purposes interned to dense ids, policy tuples pre-resolved to
 //!   [`plan::CompiledAuditPlan`] rows, lattice coverage precomputed — the
 //!   hot loop runs with zero string hashing. [`audit::AuditEngine::run`],
-//!   the parallel path, and the incremental auditor all route through it;
+//!   the parallel path, and the live index all route through it;
 //!   [`audit::AuditEngine::run_reference`] keeps the direct string path as
 //!   the property-tested oracle.
 //! * [`pop`] — the population compiled once into flat structure-of-arrays
@@ -38,6 +36,10 @@
 //!   a flat datum-sensitivity table, and a flat threshold array. Build once,
 //!   audit many policies ([`audit::AuditEngine::audit_many_policies`]) with
 //!   a counts-only fast path that allocates nothing per provider.
+//! * [`liveindex`] — the one maintained audit state: the violation set,
+//!   per-provider scores and default flags, and the Eq. 16 / Definition
+//!   2–5 aggregates, kept current off the delta stream. SQL queries and
+//!   the [`deltalog::Monitor`] both read it.
 //! * [`whatif`] — §10's "what-if scenarios that modify a house's privacy
 //!   policies", evaluated without touching the stored policy.
 //! * [`report`] — plain-text rendering of audit results.
@@ -45,7 +47,6 @@
 pub mod audit;
 pub mod default_model;
 pub mod deltalog;
-pub mod incremental;
 pub mod intern;
 pub mod liveindex;
 mod packed;
@@ -67,7 +68,6 @@ pub use default_model::{defaults, DefaultThresholds};
 pub use deltalog::{
     DeltaLog, Monitor, MonitorAlert, MonitorConfig, MonitorView, Recovery, SharedMonitor,
 };
-pub use incremental::IncrementalAuditor;
 pub use intern::SymbolTable;
 pub use liveindex::LiveViolationIndex;
 pub use par::{

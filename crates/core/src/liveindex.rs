@@ -7,26 +7,31 @@
 //! (§10) calls for: pay `O(changed)` per delta, answer queries in
 //! `O(log n + answer)`, never recompile a snapshot on the query path.
 //!
-//! Three structures are kept in lockstep with the population:
+//! Four structures are kept in lockstep with the population:
 //!
 //! * `rows[i]` — occurrence `i`'s witness rows, exactly what the full
 //!   sweep would emit for it (empty = not in violation). Emission goes
 //!   through the same helper as [`crate::SelectiveAuditor`], so
 //!   byte-identity across access paths holds by construction;
+//! * `scores[i]` / `defaults[i]` — occurrence `i`'s `Violation_i`
+//!   (Eq. 15) and `default_i` (Definition 4), with the population-wide
+//!   counts and the exact `u128` `Violations` total (Eq. 16) adjusted on
+//!   every install, replace and removal — so [`LiveViolationIndex::outcome`]
+//!   answers Definitions 2, 3 and 5 in `O(1)`;
 //! * `by_id` — `(provider id, occurrence)` pairs sorted by id: point and
 //!   range lookups over provider ids in `O(log n + answer)`;
 //! * `attr_postings` — witness attribute → sorted occurrence list:
 //!   point restrictions like `VIOLATES('p', 'attr')` or
 //!   `attr = '...'` prune to the posting instead of sweeping.
 //!
-//! Maintenance replays the same per-occurrence event log
-//! ([`CompiledPopulation::apply_delta`]) the
-//! [`crate::IncrementalAuditor`] consumes: touched and appended
-//! occurrences are marked dirty and re-scored with the compiled plan;
-//! removals mirror the population's `swap_remove` on every parallel
-//! structure. The plan binding is rebuilt after every delta — an upsert
-//! may intern new symbols, which would silently mis-translate through a
-//! stale binding.
+//! Maintenance replays the per-occurrence event log of
+//! [`CompiledPopulation::apply_delta`]: touched and appended occurrences
+//! are marked dirty and re-scored with the compiled plan; removals mirror
+//! the population's `swap_remove` on every parallel structure. The plan
+//! binding is rebuilt after every delta — an upsert may intern new
+//! symbols, which would silently mis-translate through a stale binding.
+//! The same index serves SQL ([`AuditBridge`]) and the §10 monitor
+//! ([`crate::Monitor`]), flat or lattice, whichever the engine compiles.
 //!
 //! Crash recovery composes with [`crate::deltalog`]: rebuild from the
 //! durable snapshot ⊕ tail replay ([`LiveViolationIndex::recover`]), and
@@ -40,10 +45,12 @@ use qpv_reldb::audit_bridge::{provider_in_bounds, AuditBridge, ViolationRow, Vio
 use qpv_reldb::error::{DbError, DbResult};
 use std::ops::Bound;
 
-use crate::audit::AuditEngine;
+use crate::audit::{AuditEngine, ProviderAudit};
 use crate::deltalog::DeltaLog;
 use crate::plan::{CompiledAuditPlan, PlanScratch};
-use crate::pop::{CompiledPopulation, DeltaError, DeltaEvent, PlanBinding, PopulationDelta};
+use crate::pop::{
+    CompiledPopulation, DeltaError, DeltaEvent, PlanBinding, PolicyOutcome, PopulationDelta,
+};
 use crate::selective::push_witness_rows;
 
 /// An incrementally-maintained materialization of the violation set.
@@ -64,6 +71,11 @@ pub struct LiveViolationIndex {
     /// Occurrence `i`'s materialized witness rows (empty = no violation),
     /// parallel to the population.
     rows: Vec<Vec<ViolationRow>>,
+    /// Occurrence `i`'s `Violation_i`, clamped to `u64` like the batch
+    /// engine's per-provider score.
+    scores: Vec<u64>,
+    /// Occurrence `i`'s `default_i`.
+    defaults: Vec<bool>,
     /// Occurrence `i`'s provider id — a mirror of the population's id
     /// column so removals can fix `by_id` without re-asking the (already
     /// mutated) population.
@@ -77,6 +89,10 @@ pub struct LiveViolationIndex {
     attr_postings: HashMap<String, Vec<u32>>,
     /// Occurrences currently in violation (`rows[i]` non-empty).
     violated: usize,
+    /// Occurrences currently defaulting (`defaults[i]`).
+    defaulted: usize,
+    /// Equation 16's `Violations`: the exact sum of `scores`.
+    total_violations: u128,
     /// Total materialized witness rows.
     total_rows: usize,
     /// Deltas applied since the build.
@@ -96,29 +112,29 @@ impl LiveViolationIndex {
             pop,
             scratch: PlanScratch::new(),
             rows: Vec::new(),
+            scores: Vec::new(),
+            defaults: Vec::new(),
             ids: Vec::new(),
             by_id: Vec::new(),
             attr_postings: HashMap::new(),
             violated: 0,
+            defaulted: 0,
+            total_violations: 0,
             total_rows: 0,
             deltas_applied: 0,
         };
         let n = index.pop.len();
         index.rows.reserve(n);
+        index.scores.reserve(n);
+        index.defaults.reserve(n);
         index.ids.reserve(n);
         index.by_id.reserve(n);
         for i in 0..n {
             let id = index.pop.id(i).0 as i64;
             index.ids.push(id);
             index.by_id.push((id, i as u32));
-            let mut out = Vec::new();
-            push_witness_rows(
-                &index
-                    .pop
-                    .audit_provider(&index.plan, &index.binding, i, &mut index.scratch),
-                &mut out,
-            );
-            index.install_rows(i, out);
+            let audit = index.audit(i);
+            index.install(i, &audit);
         }
         index.by_id.sort_unstable();
         index
@@ -138,24 +154,35 @@ impl LiveViolationIndex {
         Ok((log, LiveViolationIndex::new(engine, recovery.population)))
     }
 
-    /// Set `rows[i] = rows` for a fresh occurrence slot (postings and
-    /// counters updated); `self.rows[i]` must not exist yet beyond `i ==
-    /// self.rows.len()`.
-    fn install_rows(&mut self, i: usize, rows: Vec<ViolationRow>) {
+    /// Occurrence `i` through the bound plan.
+    fn audit(&mut self, i: usize) -> ProviderAudit {
+        self.pop
+            .audit_provider(&self.plan, &self.binding, i, &mut self.scratch)
+    }
+
+    /// Install `audit` as the state of fresh occurrence slot `i ==
+    /// self.rows.len()` (postings and aggregates updated).
+    fn install(&mut self, i: usize, audit: &ProviderAudit) {
         debug_assert_eq!(i, self.rows.len());
+        let mut rows = Vec::new();
+        push_witness_rows(audit, &mut rows);
         for attr in distinct_attrs(&rows) {
             posting_insert(self.attr_postings.entry(attr.to_string()).or_default(), i);
         }
-        if !rows.is_empty() {
-            self.violated += 1;
-        }
+        self.violated += usize::from(!rows.is_empty());
+        self.defaulted += usize::from(audit.defaulted);
+        self.total_violations += u128::from(audit.score);
         self.total_rows += rows.len();
         self.rows.push(rows);
+        self.scores.push(audit.score);
+        self.defaults.push(audit.defaulted);
     }
 
-    /// Replace occurrence `i`'s rows with a fresh audit result, diffing
-    /// postings and counters.
-    fn replace_rows(&mut self, i: usize, new_rows: Vec<ViolationRow>) {
+    /// Replace occurrence `i`'s state with a fresh audit result, diffing
+    /// postings and aggregates.
+    fn replace(&mut self, i: usize, audit: &ProviderAudit) {
+        let mut new_rows = Vec::new();
+        push_witness_rows(audit, &mut new_rows);
         let old_rows = &self.rows[i];
         for attr in distinct_attrs(old_rows) {
             if !new_rows.iter().any(|r| r.attribute == *attr) {
@@ -167,13 +194,16 @@ impl LiveViolationIndex {
                 posting_insert(self.attr_postings.entry(attr.to_string()).or_default(), i);
             }
         }
-        match (old_rows.is_empty(), new_rows.is_empty()) {
-            (true, false) => self.violated += 1,
-            (false, true) => self.violated -= 1,
-            _ => {}
-        }
+        self.violated =
+            self.violated + usize::from(!new_rows.is_empty()) - usize::from(!old_rows.is_empty());
+        self.defaulted =
+            self.defaulted + usize::from(audit.defaulted) - usize::from(self.defaults[i]);
+        self.total_violations =
+            self.total_violations + u128::from(audit.score) - u128::from(self.scores[i]);
         self.total_rows = self.total_rows - old_rows.len() + new_rows.len();
         self.rows[i] = new_rows;
+        self.scores[i] = audit.score;
+        self.defaults[i] = audit.defaulted;
     }
 
     /// Apply one delta: mutate the population, replay its event log onto
@@ -199,6 +229,8 @@ impl LiveViolationIndex {
                     let id = id.0 as i64;
                     self.ids.push(id);
                     self.rows.push(Vec::new());
+                    self.scores.push(0);
+                    self.defaults.push(false);
                     by_id_insert(&mut self.by_id, id, i);
                     dirty.push(i);
                 }
@@ -208,14 +240,16 @@ impl LiveViolationIndex {
                     // Mirror the population's swap_remove on every
                     // parallel structure.
                     let old_rows = self.rows.swap_remove(i);
+                    let old_score = self.scores.swap_remove(i);
+                    let old_default = self.defaults.swap_remove(i);
                     self.ids.swap_remove(i);
                     by_id_remove(&mut self.by_id, removed_id, i);
                     for attr in distinct_attrs(&old_rows) {
                         posting_remove_attr(&mut self.attr_postings, attr, i);
                     }
-                    if !old_rows.is_empty() {
-                        self.violated -= 1;
-                    }
+                    self.violated -= usize::from(!old_rows.is_empty());
+                    self.defaulted -= usize::from(old_default);
+                    self.total_violations -= u128::from(old_score);
                     self.total_rows -= old_rows.len();
                     let moved = self.ids.len();
                     if i < moved {
@@ -241,14 +275,8 @@ impl LiveViolationIndex {
         dirty.sort_unstable();
         dirty.dedup();
         for i in dirty {
-            let mut out = Vec::new();
-            push_witness_rows(
-                &self
-                    .pop
-                    .audit_provider(&self.plan, &self.binding, i, &mut self.scratch),
-                &mut out,
-            );
-            self.replace_rows(i, out);
+            let audit = self.audit(i);
+            self.replace(i, &audit);
         }
         self.deltas_applied += 1;
         debug_assert_eq!(self.rows.len(), self.pop.len());
@@ -261,9 +289,40 @@ impl LiveViolationIndex {
         &self.pop
     }
 
-    /// Occurrences currently in violation.
-    pub fn violated_count(&self) -> usize {
-        self.violated
+    /// `Violation_i` (Eq. 15) of occurrence `i`.
+    pub fn score(&self, i: usize) -> u64 {
+        self.scores[i]
+    }
+
+    /// `w_i` (Definition 1) of occurrence `i`.
+    pub fn violated(&self, i: usize) -> bool {
+        !self.rows[i].is_empty()
+    }
+
+    /// `default_i` (Definition 4) of occurrence `i`.
+    pub fn defaulted(&self, i: usize) -> bool {
+        self.defaults[i]
+    }
+
+    /// The maintained aggregates — equal to [`AuditEngine::counts`] over
+    /// the same population, in `O(1)`.
+    pub fn outcome(&self) -> PolicyOutcome {
+        PolicyOutcome {
+            total_violations: self.total_violations,
+            violated: self.violated,
+            defaulted: self.defaulted,
+            population: self.pop.len(),
+        }
+    }
+
+    /// `P(W)` (Definition 2, census form).
+    pub fn p_violation(&self) -> f64 {
+        self.outcome().p_violation()
+    }
+
+    /// `P(Default)` (Definition 5, census form).
+    pub fn p_default(&self) -> f64 {
+        self.outcome().p_default()
     }
 
     /// Total materialized witness rows.
@@ -525,7 +584,7 @@ mod tests {
             index.violations_all(None).unwrap(),
             auditor.violations_all(None).unwrap()
         );
-        assert!(index.violated_count() > 0);
+        assert!(index.outcome().violated > 0);
         assert_eq!(index.row_count(), index.violations_all(None).unwrap().len());
     }
 
@@ -585,7 +644,12 @@ mod tests {
             index.violations_all(None).unwrap(),
             fresh.violations_all(None).unwrap()
         );
-        assert_eq!(index.violated_count(), fresh.violated_count());
+        assert_eq!(index.outcome(), fresh.outcome());
+        assert_eq!(
+            index.outcome(),
+            engine().counts(index.compiled_population()),
+            "maintained aggregates equal a counts pass"
+        );
         assert_eq!(index.stats(), fresh.stats());
         assert_eq!(index.deltas_applied(), 3);
     }
@@ -599,7 +663,7 @@ mod tests {
         assert_eq!(stats.distinct_providers, 30);
         assert_eq!(stats.min_provider, 0);
         assert_eq!(stats.max_provider, 29);
-        assert_eq!(stats.violations, Some(index.violated_count()));
+        assert_eq!(stats.violations, Some(index.outcome().violated));
     }
 
     #[test]

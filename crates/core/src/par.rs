@@ -12,8 +12,7 @@
 //! with 100× the average preference tuples only delays its *chunk*, not a
 //! whole shard — the other workers keep stealing the remaining chunks.
 //! Chunks are merged back in index order, every provider goes through the
-//! same [`crate::plan::CompiledAuditPlan::audit_profile`] hot loop as the
-//! sequential audit, and `u128` addition of per-chunk subtotals in index
+//! same compiled-plan hot loop as the sequential audit, and `u128` addition of per-chunk subtotals in index
 //! order regroups the exact integer sum — so [`AuditEngine::par_audit`]
 //! returns an [`AuditReport`] that compares **equal** to
 //! [`AuditEngine::run`]'s (same scores, same witnesses, same totals, same

@@ -18,7 +18,9 @@
 //!   becomes a few array probes instead of repeated DFS walks;
 //! * each provider's preferences are indexed once per audit into an
 //!   id-keyed dense table (the [`PlanScratch`], epoch-stamped so it is
-//!   reused across providers without clearing).
+//!   reused across providers without clearing) — by
+//!   [`crate::pop::CompiledPopulation`], through a binding of its symbol
+//!   ids to the plan's.
 //!
 //! The inner loop then touches no strings at all: per provider it hashes
 //! each stated preference once to index it, and every policy row after
@@ -31,18 +33,13 @@
 //! [`crate::pop::CompiledPopulation`] interns symbols append-only, so
 //! `apply_delta` never renumbers an id a plan already references — new
 //! attributes simply get fresh ids the plan ignores. Only a *policy* change
-//! requires recompiling the plan, which is why the incremental auditor
-//! re-resolves policy rows per policy edit but not per population delta.
+//! requires recompiling the plan; a population delta only needs a rebind
+//! (see [`crate::LiveViolationIndex::apply_delta`]).
 
-use std::collections::HashMap;
-
-use qpv_policy::{HousePolicy, ProviderPreferences};
+use qpv_policy::HousePolicy;
 use qpv_taxonomy::{AttrName, PrivacyPoint, Purpose, PurposeLattice, ViolationGeometry};
 
-use crate::audit::ProviderAudit;
-use crate::default_model::defaults;
 use crate::intern::SymbolTable;
-use crate::profile::ProviderProfile;
 use crate::sensitivity::{DatumSensitivity, SensitivityModel};
 use crate::severity::conf;
 use crate::violation::ViolationWitness;
@@ -178,49 +175,9 @@ impl CompiledAuditPlan {
         self.lattice_mode
     }
 
-    /// Index one provider's preferences and datum sensitivities into the
-    /// scratch's dense tables. Preference tuples naming attributes or
-    /// purposes the plan never interned are skipped — by construction no
-    /// policy row can match them (in lattice mode every covering purpose
-    /// of every policy purpose *is* interned, so an unknown purpose covers
-    /// nothing).
-    fn index_profile(
-        &self,
-        prefs: &ProviderPreferences,
-        datums: Option<&HashMap<String, DatumSensitivity>>,
-        scratch: &mut PlanScratch,
-    ) {
-        let np = self.purposes.len();
-        let epoch = self.prepare_scratch(scratch);
-        for t in prefs.tuples() {
-            let Some(a) = self.attrs.get(&t.attribute) else {
-                continue;
-            };
-            let Some(p) = self.purposes.get(t.tuple.purpose.name()) else {
-                continue;
-            };
-            let slot = &mut scratch.slots[a as usize * np + p as usize];
-            if slot.epoch != epoch {
-                slot.epoch = epoch;
-                slot.point = t.tuple.point;
-            } else if self.lattice_mode {
-                // Lattice semantics join *all* stated points for a
-                // purpose; flat semantics keep the first stated tuple
-                // (matching `effective_point`'s find-first contract).
-                slot.point = slot.point.join(&t.tuple.point);
-            }
-        }
-        for (a, name) in self.attrs.names().iter().enumerate() {
-            scratch.datums[a] = datums
-                .and_then(|m| m.get(&**name))
-                .copied()
-                .unwrap_or_default();
-        }
-    }
-
     /// Size the scratch for this plan's shape (resizing resets the epoch)
-    /// and open a fresh epoch, returning it. Every indexing path —
-    /// per-profile here, SoA in [`crate::pop`] — starts with this.
+    /// and open a fresh epoch, returning it. Indexing a provider
+    /// ([`crate::pop`]) starts with this.
     pub(crate) fn prepare_scratch(&self, scratch: &mut PlanScratch) -> u64 {
         let need = self.attrs.len() * self.purposes.len();
         if scratch.slots.len() != need || scratch.datums.len() != self.attrs.len() {
@@ -230,34 +187,6 @@ impl CompiledAuditPlan {
         }
         scratch.epoch += 1;
         scratch.epoch
-    }
-
-    /// Audit one provider through the compiled plan. Produces exactly what
-    /// the reference path produces for the same inputs (witness order =
-    /// policy insertion order, identical saturating accumulation order).
-    ///
-    /// `datums` and `threshold` are the provider's resolved sensitivity map
-    /// and default threshold. Callers with unique provider ids pass the
-    /// profile's own fields directly (no population-wide assembly needed);
-    /// [`crate::audit::PopulationIndex`] handles the duplicate-id fallback.
-    pub fn audit_profile(
-        &self,
-        profile: &ProviderProfile,
-        datums: Option<&HashMap<String, DatumSensitivity>>,
-        threshold: u64,
-        scratch: &mut PlanScratch,
-    ) -> ProviderAudit {
-        self.index_profile(&profile.preferences, datums, scratch);
-        let mut wit = Vec::new();
-        let (score, _) = self.eval_scratch(scratch, Some(&mut wit));
-        ProviderAudit {
-            provider: profile.id(),
-            violated: !wit.is_empty(),
-            score,
-            threshold,
-            defaulted: defaults(score, threshold),
-            witnesses: wit,
-        }
     }
 
     /// Run every compiled row against an indexed scratch, returning the
@@ -325,7 +254,8 @@ impl CompiledAuditPlan {
 mod tests {
     use super::*;
     use crate::audit::AuditEngine;
-    use crate::profile::assemble;
+    use crate::pop::CompiledPopulation;
+    use crate::profile::{assemble, ProviderProfile};
     use crate::sensitivity::AttributeSensitivities;
     use qpv_policy::ProviderId;
     use qpv_taxonomy::PrivacyTuple;
@@ -381,13 +311,11 @@ mod tests {
             CompiledAuditPlan::compile(&engine.policy, &engine.attributes, &sensitivity, None);
         assert_eq!(plan.row_count(), 1);
         assert_eq!(plan.symbol_counts(), (1, 1));
+        let pop = CompiledPopulation::from_profiles(&profiles);
+        let binding = pop.bind(&plan);
         let mut scratch = PlanScratch::new();
-        let scores: Vec<u64> = profiles
-            .iter()
-            .map(|p| {
-                plan.audit_profile(p, Some(&p.sensitivities), p.threshold, &mut scratch)
-                    .score
-            })
+        let scores: Vec<u64> = (0..pop.len())
+            .map(|i| pop.audit_provider(&plan, &binding, i, &mut scratch).score)
             .collect();
         assert_eq!(scores, vec![0, 60, 80]);
     }
@@ -478,14 +406,15 @@ mod tests {
         let (sensitivity, _) = assemble(&profiles, &engine.attribute_weights);
         let plan =
             CompiledAuditPlan::compile(&engine.policy, &engine.attributes, &sensitivity, None);
-        let ted = &profiles[1];
+        let pop = CompiledPopulation::from_profiles(&profiles);
+        let ted = 1;
         let mut scratch = PlanScratch::new();
-        let a = plan.audit_profile(ted, Some(&ted.sensitivities), ted.threshold, &mut scratch);
+        let a = pop.audit_provider(&plan, &pop.bind(&plan), ted, &mut scratch);
         // A differently-shaped plan resizes the scratch transparently.
         let wider = engine.policy.widened_uniform(1);
         let plan2 = CompiledAuditPlan::compile(&wider, &engine.attributes, &sensitivity, None);
-        let _ = plan2.audit_profile(ted, Some(&ted.sensitivities), ted.threshold, &mut scratch);
-        let b = plan.audit_profile(ted, Some(&ted.sensitivities), ted.threshold, &mut scratch);
+        let _ = pop.audit_provider(&plan2, &pop.bind(&plan2), ted, &mut scratch);
+        let b = pop.audit_provider(&plan, &pop.bind(&plan), ted, &mut scratch);
         assert_eq!(a, b, "scratch reuse must not leak state");
     }
 }

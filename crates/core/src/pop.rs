@@ -656,11 +656,6 @@ impl CompiledPopulation {
         self.table.datum(self.urow_of[i] as usize, attr)
     }
 
-    /// The population-side symbol tables (attributes, purposes).
-    pub(crate) fn symbols(&self) -> (&SymbolTable, &SymbolTable) {
-        (&self.attrs, &self.purposes)
-    }
-
     /// The unique-row table (packed evaluation reads the lanes directly).
     pub(crate) fn table(&self) -> &RowTable {
         &self.table
@@ -732,9 +727,9 @@ impl CompiledPopulation {
         }
     }
 
-    /// Index occurrence `i` into the plan-shaped scratch: the per-provider
-    /// equivalent of `CompiledAuditPlan::index_profile`, with the string
-    /// hashing replaced by binding-array probes. Semantics are identical:
+    /// Index occurrence `i` into the plan-shaped scratch, translating
+    /// population symbol ids through binding-array probes (no string
+    /// hashing). Semantics match the reference path's preference lookup:
     /// flat mode keeps the first stated tuple per `(attr, purpose)`,
     /// lattice mode joins all of them, rows naming symbols the plan never
     /// interned are skipped, and datum slots for plan attributes the
@@ -829,9 +824,8 @@ impl CompiledPopulation {
 
     /// Apply a delta in place, recycling freed unique-row slots and
     /// preference ranges and bumping the epoch. Returns the
-    /// per-occurrence event log an
-    /// [`crate::incremental::IncrementalAuditor`] replays to patch its
-    /// own state.
+    /// per-occurrence event log a [`crate::LiveViolationIndex`] replays
+    /// to patch its own state.
     ///
     /// Semantics (mirrored exactly by
     /// [`PopulationDelta::apply_to_profiles`], which is the oracle the
@@ -859,8 +853,8 @@ impl CompiledPopulation {
     /// of the paper — one data row per provider — is what makes id-based
     /// addressing well-defined); those stay audit-only.
     pub fn apply_delta(&mut self, delta: &PopulationDelta) -> Result<DeltaOutcome, DeltaError> {
-        if self.index_map().is_none() {
-            return Err(DeltaError::DuplicateOccurrences(self.first_duplicate()));
+        if let Some(id) = self.duplicate_id() {
+            return Err(DeltaError::DuplicateOccurrences(id));
         }
         let mut events = Vec::with_capacity(delta.ops().len());
         let mut skipped = 0u64;
@@ -903,14 +897,14 @@ impl CompiledPopulation {
             .and_then(|ix| ix.get(&id).map(|&i| i as usize))
     }
 
-    fn first_duplicate(&self) -> ProviderId {
-        let mut seen = std::collections::HashSet::new();
-        for &id in &self.ids {
-            if !seen.insert(id) {
-                return id;
-            }
+    /// The first provider id interned more than once, if any — such
+    /// populations are audit-only and refuse every delta.
+    pub(crate) fn duplicate_id(&self) -> Option<ProviderId> {
+        if self.index_map().is_some() {
+            return None;
         }
-        unreachable!("index is None only when an id occurs twice")
+        let mut seen = std::collections::HashSet::new();
+        self.ids.iter().copied().find(|&id| !seen.insert(id))
     }
 
     /// Grow the datum-lane stride to the current attribute count (no-op

@@ -94,7 +94,7 @@ impl PpdbConfig {
 /// *after* the storage transaction commits, so the delta never gets ahead
 /// of durable state. Consumers follow a peek/ack protocol:
 /// [`Ppdb::peek_delta`] exposes the pending ops without consuming them;
-/// once they are safely applied (to an [`crate::IncrementalAuditor`], a
+/// once they are safely applied (to a [`crate::LiveViolationIndex`], a
 /// [`crate::deltalog::DeltaLog`], …) the consumer calls
 /// [`Ppdb::ack_delta`] with the count it handled. A failed apply simply
 /// never acks, so the ops stay pending and replayable — the older
@@ -840,7 +840,7 @@ impl Ppdb {
 
     /// The delta accumulated by write ops since the last
     /// [`Ppdb::ack_delta`] (or since open), without consuming it. Apply
-    /// it (e.g. via [`crate::IncrementalAuditor::apply_delta`] or append
+    /// it (e.g. via [`crate::LiveViolationIndex::apply_delta`] or append
     /// it to a [`crate::deltalog::DeltaLog`]), then acknowledge exactly
     /// the ops you handled with [`Ppdb::ack_delta`]. If the apply fails,
     /// don't ack — the ops stay pending and the next peek returns them
@@ -1163,79 +1163,75 @@ impl Ppdb {
     /// Ensure the cached [`SelectiveAuditor`] snapshot reflects the
     /// current model and store: reuse it when nothing changed since it
     /// was built (keyed by model epoch + delta seq), rebuild otherwise.
-    fn refresh_snapshot(&mut self) -> DbResult<()> {
+    /// Returns the database alongside the refreshed snapshot, so callers
+    /// can query through both.
+    fn refresh_snapshot(&mut self) -> DbResult<(&mut Database, &CachedSnapshot)> {
         let seq = self.deltas.next_seq();
-        let fresh = matches!(
-            &self.snapshot,
-            Some(s) if s.model_epoch == self.model_epoch && s.seq == seq
-        );
-        if !fresh {
-            let auditor = self.selective_auditor()?;
-            let stats = auditor.stats();
-            self.snapshot = Some(CachedSnapshot {
-                auditor,
-                stats,
-                model_epoch: self.model_epoch,
-                seq,
-            });
-            self.snapshot_builds += 1;
-        }
-        Ok(())
+        let snapshot = match self.snapshot.take() {
+            Some(s) if s.model_epoch == self.model_epoch && s.seq == seq => s,
+            _ => {
+                let auditor = self.selective_auditor()?;
+                self.snapshot_builds += 1;
+                CachedSnapshot {
+                    stats: auditor.stats(),
+                    auditor,
+                    model_epoch: self.model_epoch,
+                    seq,
+                }
+            }
+        };
+        Ok((&mut self.db, self.snapshot.insert(snapshot)))
     }
 
     /// Ensure the live index reflects every write so far: replay the
     /// unseen delta tail when the subscription is intact (`O(changed)`),
     /// cold-build from the store when there is no index yet, the model
     /// changed, or another consumer drained ops this index never saw.
-    fn refresh_live(&mut self) -> DbResult<()> {
+    /// Returns the database alongside the refreshed handle.
+    fn refresh_live(&mut self) -> DbResult<(&mut Database, &LiveHandle)> {
         // Seq counters first, never a blanket `peek`: peek clones the
         // whole backlog, which is sized by whatever the *slowest other*
         // consumer hasn't acked — an un-drained queue would make every
         // query O(write history) instead of O(changed since last query).
         let next_seq = self.deltas.next_seq();
-        let reusable = matches!(
-            &self.live,
-            Some(h) if h.model_epoch == self.model_epoch && h.applied_seq <= next_seq
-        );
-        if reusable {
-            let applied = self.live.as_ref().expect("matched Some above").applied_seq;
-            if applied == next_seq {
+        let maintained = match self.live.take() {
+            Some(h) if h.model_epoch == self.model_epoch && h.applied_seq == next_seq => {
                 // Nothing pushed since the last refresh: O(1).
-                return Ok(());
+                Some(h)
             }
-            // Clone only the unseen tail. `tail_seq == applied` iff the
-            // subscription is intact — anything else means another
-            // consumer drained ops this index never applied, and only a
-            // cold rebuild can recover.
-            let (tail_seq, tail) = self.deltas.peek_from(applied);
-            if tail_seq == applied {
-                let h = self.live.as_mut().expect("matched Some above");
-                match h.index.apply_delta(&tail) {
-                    Ok(()) => {
-                        h.applied_seq = tail_seq + tail.len() as u64;
-                        h.stats = h.index.stats();
-                        return Ok(());
-                    }
-                    // Duplicate-occurrence population: fall through to a
-                    // cold rebuild (audits stay correct either way).
-                    Err(_) => self.live = None,
+            Some(mut h) if h.model_epoch == self.model_epoch && h.applied_seq < next_seq => {
+                // Clone only the unseen tail. `tail_seq == applied` iff
+                // the subscription is intact — anything else means another
+                // consumer drained ops this index never applied, and only
+                // a cold rebuild can recover. A duplicate-occurrence
+                // population refuses the delta: rebuild too (audits stay
+                // correct either way).
+                let (tail_seq, tail) = self.deltas.peek_from(h.applied_seq);
+                (tail_seq == h.applied_seq && h.index.apply_delta(&tail).is_ok()).then(|| {
+                    h.applied_seq = tail_seq + tail.len() as u64;
+                    h.stats = h.index.stats();
+                    h
+                })
+            }
+            _ => None,
+        };
+        let handle = match maintained {
+            Some(h) => h,
+            None => {
+                let index =
+                    LiveViolationIndex::new(self.audit_engine()?, self.compiled_population()?);
+                self.live_builds += 1;
+                LiveHandle {
+                    stats: index.stats(),
+                    index,
+                    model_epoch: self.model_epoch,
+                    // The store the population was compiled from already
+                    // reflects every pushed op (txn commits before push).
+                    applied_seq: next_seq,
                 }
             }
-        }
-        let engine = self.audit_engine()?;
-        let pop = self.compiled_population()?;
-        let index = LiveViolationIndex::new(engine, pop);
-        let stats = index.stats();
-        self.live = Some(LiveHandle {
-            index,
-            stats,
-            model_epoch: self.model_epoch,
-            // The store the population was compiled from already
-            // reflects every pushed op (txn commits before push).
-            applied_seq: next_seq,
-        });
-        self.live_builds += 1;
-        Ok(())
+        };
+        Ok((&mut self.db, self.live.insert(handle)))
     }
 
     /// Run a `SELECT` that may use the audit extensions (`VIOLATES(...)`,
@@ -1247,10 +1243,9 @@ impl Ppdb {
     /// provider ranges sweep immediately instead of paying the old
     /// `population/2` index walk first.
     pub fn query_violations(&mut self, sql: &str) -> DbResult<ResultSet> {
-        self.refresh_snapshot()?;
-        let snapshot = self.snapshot.as_ref().expect("refreshed above");
-        self.db.set_violation_stats(Some(snapshot.stats));
-        self.db.query_with(sql, &snapshot.auditor)
+        let (db, snapshot) = self.refresh_snapshot()?;
+        db.set_violation_stats(Some(snapshot.stats));
+        db.query_with(sql, &snapshot.auditor)
     }
 
     /// Run a `SELECT` through the maintained [`LiveViolationIndex`]:
@@ -1259,17 +1254,15 @@ impl Ppdb {
     /// from the materialized postings (`Plan::LiveIndexScan`, chosen by
     /// the registered `indexed` statistics).
     pub fn query_live(&mut self, sql: &str) -> DbResult<ResultSet> {
-        self.refresh_live()?;
-        let live = self.live.as_ref().expect("refreshed above");
-        self.db.set_violation_stats(Some(live.stats));
-        self.db.query_with(sql, &live.index)
+        let (db, live) = self.refresh_live()?;
+        db.set_violation_stats(Some(live.stats));
+        db.query_with(sql, &live.index)
     }
 
     /// The maintained live index, refreshed to the current store (see
     /// [`Ppdb::query_live`]).
     pub fn live_index(&mut self) -> DbResult<&LiveViolationIndex> {
-        self.refresh_live()?;
-        Ok(&self.live.as_ref().expect("refreshed above").index)
+        Ok(&self.refresh_live()?.1.index)
     }
 
     /// How many times the snapshot path compiled a population
@@ -1581,12 +1574,10 @@ mod tests {
         assert_eq!(from_scan, engine.run_reference(&profiles));
     }
 
-    /// Write ops emit deltas; a live auditor fed via peek/ack tracks the
+    /// Write ops emit deltas; a live index fed via peek/ack tracks the
     /// store without ever rescanning it.
     #[test]
-    fn live_auditor_tracks_store_through_deltas() {
-        use crate::incremental::IncrementalAuditor;
-
+    fn live_index_tracks_store_through_deltas() {
         let mut ppdb = fresh();
         ppdb.set_policy(
             &HousePolicy::builder("people")
@@ -1610,14 +1601,12 @@ mod tests {
             ppdb.register_provider(&p, data_row(id)).unwrap();
         }
 
-        // Snapshot the store into a live auditor; drain the registration
+        // Snapshot the store into a live index; drain the registration
         // backlog so it isn't applied twice.
-        let pop = ppdb.compiled_population().unwrap();
-        let attrs = ppdb.attributes().unwrap();
-        let weights = ppdb.attribute_weights().unwrap();
-        let policy = ppdb.house_policy().unwrap();
-        let mut live =
-            IncrementalAuditor::from_population(pop, attrs.clone(), &weights, policy.clone());
+        let mut live = LiveViolationIndex::new(
+            ppdb.audit_engine().unwrap(),
+            ppdb.compiled_population().unwrap(),
+        );
         let backlog = ppdb.peek_delta().len();
         ppdb.ack_delta(backlog);
 
@@ -1642,14 +1631,19 @@ mod tests {
         ppdb.ack_delta(delta.len());
         assert!(ppdb.peek_delta().is_empty());
 
-        // The live auditor now agrees with a from-scratch audit of the
+        // The live index now agrees with a from-scratch audit of the
         // store (order-independent aggregates, then per-id scores).
         let report = ppdb.audit().unwrap();
         let outcome = live.outcome();
         assert_eq!(outcome.population, report.providers.len());
         assert_eq!(outcome.total_violations, report.total_violations);
+        assert_eq!(outcome.p_violation(), report.p_violation());
+        assert_eq!(outcome.p_default(), report.p_default());
         for pa in &report.providers {
-            let i = live.compiled().occurrence_of(pa.provider).unwrap();
+            let i = live
+                .compiled_population()
+                .occurrence_of(pa.provider)
+                .unwrap();
             assert_eq!(live.score(i), pa.score, "provider {:?}", pa.provider);
             assert_eq!(
                 live.defaulted(i),
@@ -1667,8 +1661,6 @@ mod tests {
     /// apply leaves the pending delta intact and replayable.
     #[test]
     fn failed_apply_leaves_delta_replayable() {
-        use crate::incremental::IncrementalAuditor;
-
         let mut ppdb = fresh();
         ppdb.set_policy(
             &HousePolicy::builder("people")
@@ -1682,9 +1674,7 @@ mod tests {
                 .unwrap();
         }
         let base = ppdb.all_profiles().unwrap();
-        let attrs = ppdb.attributes().unwrap();
-        let weights = ppdb.attribute_weights().unwrap();
-        let policy = ppdb.house_policy().unwrap();
+        let engine = ppdb.audit_engine().unwrap();
         let backlog = ppdb.peek_delta().len();
         ppdb.ack_delta(backlog);
 
@@ -1694,11 +1684,12 @@ mod tests {
         let before = ppdb.peek_delta();
         assert_eq!(before.len(), 2);
 
-        // An auditor over a duplicate-occurrence population refuses the
+        // An index over a duplicate-occurrence population refuses the
         // delta — and because nothing was acked, nothing is lost.
         let mut dup = base.clone();
         dup.push(base[0].clone());
-        let mut broken = IncrementalAuditor::new(dup, attrs.clone(), &weights, policy.clone());
+        let mut broken =
+            LiveViolationIndex::new(engine.clone(), CompiledPopulation::from_profiles(&dup));
         assert!(broken.apply_delta(&ppdb.peek_delta()).is_err());
         assert_eq!(
             ppdb.peek_delta(),
@@ -1706,8 +1697,8 @@ mod tests {
             "failed apply must leave the pending delta untouched"
         );
 
-        // A healthy auditor replays the same ops; only then do we ack.
-        let mut live = IncrementalAuditor::new(base, attrs, &weights, policy);
+        // A healthy index replays the same ops; only then do we ack.
+        let mut live = LiveViolationIndex::new(engine, CompiledPopulation::from_profiles(&base));
         live.apply_delta(&ppdb.peek_delta()).unwrap();
         let n = ppdb.peek_delta().len();
         ppdb.ack_delta(n);
@@ -1827,7 +1818,6 @@ mod tests {
     /// begins), and resume cleanly once the consumer drains.
     #[test]
     fn stalled_consumer_backpressure_then_recovery() {
-        use crate::incremental::IncrementalAuditor;
         let mut ppdb = Ppdb::create(
             Database::in_memory(),
             PpdbConfig::new("people", "provider_id").with_delta_capacity(3),
@@ -1868,12 +1858,12 @@ mod tests {
         // delta stream is gapless (4 total ops across the stall).
         let (first_seq, delta) = ppdb.peek_delta_seq();
         assert_eq!(first_seq, 0);
-        let mut live = IncrementalAuditor::from_population(
-            CompiledPopulation::from_profiles(&[]),
-            ppdb.attributes().unwrap(),
-            &AttributeSensitivities::new(),
+        let engine = AuditEngine::new(
             HousePolicy::new("people"),
+            ppdb.attributes().unwrap(),
+            AttributeSensitivities::new(),
         );
+        let mut live = LiveViolationIndex::new(engine, CompiledPopulation::from_profiles(&[]));
         live.apply_delta(&delta).unwrap();
         ppdb.ack_delta_through(first_seq + delta.len() as u64);
         assert_eq!(ppdb.delta_backlog_len(), 0);

@@ -188,17 +188,6 @@ impl SensitivityModel {
             .unwrap_or_default()
     }
 
-    /// The full datum-sensitivity map for a provider, if any were set.
-    /// Lets batch consumers (the compiled audit plan) resolve the provider
-    /// once and probe per-attribute, instead of hashing the provider id
-    /// again for every attribute.
-    pub fn provider_datums(
-        &self,
-        provider: ProviderId,
-    ) -> Option<&HashMap<String, DatumSensitivity>> {
-        self.providers.get(&provider)
-    }
-
     /// All explicitly-set datum sensitivities for a provider.
     pub fn datum_entries(
         &self,

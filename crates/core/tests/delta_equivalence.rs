@@ -1,6 +1,6 @@
 //! Property suite for the delta pipeline: applying a random
-//! [`PopulationDelta`] sequence to a compiled population (and to a live
-//! [`IncrementalAuditor`]) lands **byte-identically** — serialized-JSON
+//! [`PopulationDelta`] sequence to a compiled population (and to a
+//! [`LiveViolationIndex`]) lands **byte-identically** — serialized-JSON
 //! equal — on the state a fresh compile + audit of the mutated profile
 //! list produces, flat and lattice, sequential and parallel.
 //!
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{
-    AuditEngine, CompiledPopulation, DeltaOp, IncrementalAuditor, PopulationDelta, ProviderProfile,
+    AuditEngine, CompiledPopulation, DeltaOp, LiveViolationIndex, PopulationDelta, ProviderProfile,
 };
 use qpv_policy::{HousePolicy, ProviderId};
 use qpv_taxonomy::{PrivacyPoint, PrivacyTuple, PurposeLattice};
@@ -221,59 +221,46 @@ proptest! {
         }
     }
 
-    /// Delta-fed live auditor == fresh auditor over the mutated profiles:
-    /// identical per-provider scores/flags and identical JSON outcome,
-    /// whether the fresh build is sequential or parallel.
+    /// Delta-fed live index == fresh build over the mutated profiles, and
+    /// both equal the reference audit: per-provider scores and flags, and
+    /// the maintained aggregates, flat and lattice.
     #[test]
-    fn delta_fed_auditor_equals_fresh_build(
+    fn delta_fed_index_equals_fresh_build_and_reference(
         seed in 0u64..1_000_000,
         n in 1usize..80,
         level in 0u32..10,
+        with_lattice in 0u32..2,
         ops in proptest::collection::vec((0u32..6, 0u64..200, 0u64..1_000), 1..40),
     ) {
         let profiles = population(n, seed);
         let delta = decode_delta(n, &ops);
+        let mut eng = engine(&policy(level));
+        if with_lattice == 1 {
+            eng = eng.with_lattice(lattice());
+        }
 
-        let mut live = IncrementalAuditor::from_population(
-            CompiledPopulation::from_profiles(&profiles),
-            vec!["weight".into(), "age".into()],
-            &weights(),
-            policy(level),
-        );
+        let mut live =
+            LiveViolationIndex::new(eng.clone(), CompiledPopulation::from_profiles(&profiles));
         live.apply_delta(&delta).unwrap();
 
         let mut mutated = profiles;
         delta.apply_to_profiles(&mut mutated);
-        let fresh = IncrementalAuditor::new(
-            mutated.clone(),
-            vec!["weight".into(), "age".into()],
-            &weights(),
-            policy(level),
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&live.outcome()).unwrap(),
-            serde_json::to_string(&fresh.outcome()).unwrap()
-        );
+        let fresh = LiveViolationIndex::new(eng.clone(), CompiledPopulation::from_profiles(&mutated));
+        prop_assert_eq!(live.outcome(), fresh.outcome());
+
         // Occurrence order may differ (swap-remove vs rebuild), so compare
         // per provider id.
-        prop_assert_eq!(live.population(), mutated.len());
-        for (j, p) in mutated.iter().enumerate() {
-            let i = live.compiled().occurrence_of(p.id()).unwrap();
-            prop_assert_eq!(live.score(i), fresh.score(j), "id {:?}", p.id());
-            prop_assert_eq!(live.violated(i), fresh.violated(j), "id {:?}", p.id());
-            prop_assert_eq!(live.defaulted(i), fresh.defaulted(j), "id {:?}", p.id());
+        let reference = eng.run_reference(&mutated);
+        prop_assert_eq!(live.compiled_population().len(), mutated.len());
+        for audited in &reference.providers {
+            let i = live.compiled_population().occurrence_of(audited.provider).unwrap();
+            prop_assert_eq!(live.score(i), audited.score, "id {:?}", audited.provider);
+            prop_assert_eq!(live.violated(i), audited.violated, "id {:?}", audited.provider);
+            prop_assert_eq!(live.defaulted(i), audited.defaulted, "id {:?}", audited.provider);
         }
-        let par = IncrementalAuditor::new_parallel(
-            mutated,
-            vec!["weight".into(), "age".into()],
-            &weights(),
-            policy(level),
-            NonZeroUsize::new(4).unwrap(),
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&live.outcome()).unwrap(),
-            serde_json::to_string(&par.outcome()).unwrap()
-        );
+        prop_assert_eq!(live.outcome().total_violations, reference.total_violations);
+        prop_assert_eq!(live.p_violation(), reference.p_violation());
+        prop_assert_eq!(live.p_default(), reference.p_default());
     }
 
     /// The compiled path's [`DeltaOutcome::skipped`] counter agrees with

@@ -6,10 +6,13 @@
 //! Four layers, mirroring the delta pipeline's existing guarantees:
 //!
 //! * **Sequential churn** — a seeded [`qpv_synth::churn`] stream (all 5
-//!   [`DeltaOp`] kinds) is applied batch by batch; after *every* batch
-//!   the maintained index equals the `run_reference`-derived witness
-//!   rows of the profile-replay oracle, on the full sweep and on the
-//!   indexed range/attr paths.
+//!   [`DeltaOp`] kinds) is applied batch by batch, flat and lattice;
+//!   after *every* batch the maintained index equals the
+//!   `run_reference`-derived witness rows, per-provider scores and
+//!   aggregates of the profile-replay oracle (and a counts pass over a
+//!   fresh compile), on the full sweep and on the indexed range/attr
+//!   paths — plus a saturating-magnitudes case for the exact `u128`
+//!   total.
 //! * **Two-thread handoff race** — a real writer thread pushes model
 //!   edits through a capacity-squeezed [`qpv_core::DeltaQueue`] while a
 //!   consumer thread maintains the index via peek/ack; the seq tags
@@ -30,8 +33,8 @@ use std::sync::{Arc, Mutex};
 use qpv_core::deltalog::DeltaLog;
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{
-    AuditEngine, CompiledPopulation, LiveViolationIndex, PopulationDelta, Ppdb, PpdbConfig,
-    ProviderProfile,
+    AuditEngine, CompiledPopulation, LiveViolationIndex, PolicyOutcome, PopulationDelta, Ppdb,
+    PpdbConfig, ProviderProfile,
 };
 use qpv_policy::{HousePolicy, ProviderId};
 use qpv_reldb::audit_bridge::{AuditBridge, ViolationRow};
@@ -43,7 +46,7 @@ use qpv_reldb::types::DataType;
 use qpv_reldb::value::Value;
 use qpv_synth::population::AttributeSpec;
 use qpv_synth::{churn_batches, generate_stable, PopulationSpec, SegmentMix};
-use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
+use qpv_taxonomy::{PrivacyPoint, PrivacyTuple, PurposeLattice};
 use std::ops::Bound;
 
 fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
@@ -74,6 +77,44 @@ fn reference_rows(engine: &AuditEngine, profiles: &[ProviderProfile]) -> Vec<Vio
     rows
 }
 
+/// The maintained aggregates and per-provider state against both
+/// oracles: a counts pass over a fresh compile, and `run_reference`.
+fn assert_maintained_state(
+    index: &LiveViolationIndex,
+    engine: &AuditEngine,
+    profiles: &[ProviderProfile],
+    ctx: &str,
+) {
+    let outcome = index.outcome();
+    assert_eq!(
+        outcome,
+        engine.counts(&CompiledPopulation::from_profiles(profiles)),
+        "{ctx}: outcome vs counts"
+    );
+    let report = engine.run_reference(profiles);
+    let reference = PolicyOutcome {
+        total_violations: report.total_violations,
+        violated: report.providers.iter().filter(|p| p.violated).count(),
+        defaulted: report.providers.iter().filter(|p| p.defaulted).count(),
+        population: report.population(),
+    };
+    assert_eq!(outcome, reference, "{ctx}: outcome vs run_reference");
+    for audited in &report.providers {
+        let i = index
+            .compiled_population()
+            .occurrence_of(audited.provider)
+            .unwrap();
+        assert_eq!(
+            index.score(i),
+            audited.score,
+            "{ctx}: {:?}",
+            audited.provider
+        );
+        assert_eq!(index.defaulted(i), audited.defaulted, "{ctx}");
+        assert_eq!(index.violated(i), audited.violated, "{ctx}");
+    }
+}
+
 /// Churn workload spec: two weighted attributes, two purposes, the
 /// Westin segment mix — enough structural variety that upserts flip
 /// violation status both ways.
@@ -96,40 +137,46 @@ fn spec_engine(s: &PopulationSpec) -> AuditEngine {
     )
 }
 
-/// Sequential churn: after every ingested batch the maintained index is
-/// byte-identical to the reference audit of the profile-replay oracle —
-/// full sweep, bounded range, attr posting, and candidate list alike.
+/// research ⊑ service: a consent for service covers research use.
+fn lattice() -> PurposeLattice {
+    let mut l = PurposeLattice::new();
+    l.add_edge("research", "service").unwrap();
+    l
+}
+
+/// Sequential churn, flat and lattice: after every ingested batch the
+/// maintained index is byte-identical to the reference audit of the
+/// profile-replay oracle — full sweep, bounded range, attr posting,
+/// candidate list, per-provider scores and aggregates alike.
 #[test]
 fn churned_index_matches_reference_audit_after_every_batch() {
     let s = spec();
-    for seed in [3u64, 17, 52] {
+    for (seed, with_lattice) in [3u64, 17, 52]
+        .into_iter()
+        .flat_map(|seed| [(seed, false), (seed, true)])
+    {
         let n = 120;
         let mut profiles = generate_stable(&s, n, seed).profiles;
-        let engine = spec_engine(&s);
+        let mut engine = spec_engine(&s);
+        if with_lattice {
+            engine = engine.with_lattice(lattice());
+        }
         let mut index =
             LiveViolationIndex::new(engine.clone(), CompiledPopulation::from_profiles(&profiles));
 
         for (b, batch) in churn_batches(&s, n, 200, 7, seed).into_iter().enumerate() {
             index.apply_delta(&batch).unwrap();
             batch.apply_to_profiles(&mut profiles);
+            let ctx = format!("seed {seed} lattice {with_lattice} batch {b}");
 
             let oracle = reference_rows(&engine, &profiles);
             assert_eq!(
                 index.violations_all(None).unwrap(),
                 oracle,
-                "seed {seed} batch {b}: full sweep diverged"
+                "{ctx}: full sweep diverged"
             );
-            assert_eq!(index.row_count(), oracle.len(), "seed {seed} batch {b}");
-            let violated: std::collections::HashSet<i64> =
-                oracle.iter().map(|r| r.provider).collect();
-            assert_eq!(
-                index.violated_count(),
-                profiles
-                    .iter()
-                    .filter(|p| violated.contains(&(p.id().0 as i64)))
-                    .count(),
-                "seed {seed} batch {b}: violated counter"
-            );
+            assert_eq!(index.row_count(), oracle.len(), "{ctx}");
+            assert_maintained_state(&index, &engine, &profiles, &ctx);
 
             // Indexed range lookup == oracle restricted to the bounds.
             let (lo, hi) = (n as i64 / 4, n as i64 / 2);
@@ -141,7 +188,7 @@ fn churned_index_matches_reference_audit_after_every_batch() {
                 .filter(|r| (lo..hi).contains(&r.provider))
                 .cloned()
                 .collect();
-            assert_eq!(ranged, expect, "seed {seed} batch {b}: range lookup");
+            assert_eq!(ranged, expect, "{ctx}: range lookup");
 
             // Attr posting: exactly the oracle rows of providers with a
             // witness on the attr (whole providers — the documented
@@ -160,7 +207,7 @@ fn churned_index_matches_reference_audit_after_every_batch() {
                     .filter(|r| with_attr.contains(&r.provider))
                     .cloned()
                     .collect();
-                assert_eq!(posted, expect, "seed {seed} batch {b}: posting {attr}");
+                assert_eq!(posted, expect, "{ctx}: posting {attr}");
             }
 
             // Candidate-list path agrees with the restriction semantics.
@@ -172,7 +219,7 @@ fn churned_index_matches_reference_audit_after_every_batch() {
                 .filter(|r| keep.contains(&r.provider))
                 .cloned()
                 .collect();
-            assert_eq!(selected, expect, "seed {seed} batch {b}: candidates");
+            assert_eq!(selected, expect, "{ctx}: candidates");
         }
 
         // The maintained state is indistinguishable from a cold build of
@@ -183,7 +230,64 @@ fn churned_index_matches_reference_audit_after_every_batch() {
             fresh.violations_all(None).unwrap()
         );
         assert_eq!(index.stats(), fresh.stats(), "seed {seed}: stats");
+        assert_eq!(index.outcome(), fresh.outcome(), "seed {seed}: outcome");
     }
+}
+
+/// Saturating magnitudes: providers whose Eq. 15 score pins at
+/// `u64::MAX` push the Eq. 16 total past `u64`, and a `SetSensitivity`
+/// delta that lowers one of them must leave the maintained `u128` total
+/// exact — equal to a counts pass and to `run_reference` — with no
+/// clamping or retraction error on the way down.
+#[test]
+fn saturated_scores_keep_the_u128_total_exact() {
+    let max = DatumSensitivity::new(u32::MAX, u32::MAX, u32::MAX, u32::MAX);
+    let mut w = AttributeSensitivities::new();
+    w.set("a", u32::MAX);
+    w.set("b", 2);
+    let policy = HousePolicy::builder("h")
+        .tuple("a", PrivacyTuple::from_point("pr", pt(9, 9, 9)))
+        .tuple("b", PrivacyTuple::from_point("pr", pt(9, 9, 9)))
+        .build();
+    let engine = AuditEngine::new(policy, ["a", "b"], w);
+    let mut profiles: Vec<ProviderProfile> = (0..4u64)
+        .map(|id| {
+            let mut p = ProviderProfile::new(ProviderId(id), u64::MAX - 1);
+            for attr in ["a", "b"] {
+                p.preferences
+                    .add(attr, PrivacyTuple::from_point("pr", pt(1, 1, 1)));
+            }
+            if id < 3 {
+                p.sensitivities.insert("a".into(), max);
+            }
+            p
+        })
+        .collect();
+    let mut index =
+        LiveViolationIndex::new(engine.clone(), CompiledPopulation::from_profiles(&profiles));
+    let pinned = index
+        .compiled_population()
+        .occurrence_of(ProviderId(0))
+        .unwrap();
+    assert_eq!(index.score(pinned), u64::MAX, "score pins at u64::MAX");
+    assert!(index.defaulted(pinned));
+    assert!(
+        index.outcome().total_violations > u128::from(u64::MAX),
+        "the total needs u128"
+    );
+    assert_maintained_state(&index, &engine, &profiles, "saturated build");
+
+    // Lower provider 0 from the clamp to an exactly-known score.
+    let lower = PopulationDelta::new().set_sensitivity(
+        ProviderId(0),
+        "a",
+        DatumSensitivity::new(1, 1, 1, 1),
+    );
+    index.apply_delta(&lower).unwrap();
+    lower.apply_to_profiles(&mut profiles);
+    assert!(index.score(pinned) < u64::MAX, "provider 0 left the clamp");
+    assert!(!index.defaulted(pinned));
+    assert_maintained_state(&index, &engine, &profiles, "after lowering");
 }
 
 // ---- two-thread handoff race ------------------------------------------

@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green, in the order that fails
 # fastest. Run from the repo root:
 #
-#   scripts/tier1.sh                # gate only (includes the bench smoke)
+#   scripts/tier1.sh                # gate only (includes the bench smoke and
+#                                   #   the end-to-end benchmark smoke)
 #   scripts/tier1.sh --bench        # gate + bench JSONs
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
@@ -20,7 +21,7 @@
 #   scripts/tier1.sh --bench-smoke  # bench smoke stage only
 #
 # The bench step writes BENCH_parallel_audit.json, BENCH_audit_plan.json,
-# BENCH_compiled_population.json, BENCH_delta_audit.json,
+# BENCH_compiled_population.json,
 # BENCH_delta_log.json, BENCH_packed_population.json,
 # BENCH_snapshot_readers.json, BENCH_selective_audit.json, and
 # BENCH_live_index.json at the repo root (median/mean ns plus host
@@ -30,6 +31,13 @@
 # (QPV_BENCH_SMOKE=1, see qpv_bench::bench_n) purely as a correctness
 # check: each sample asserts its reports against the oracle, so a broken
 # fast path fails here in seconds without waiting on full-size benches.
+#
+# The end-to-end benchmark (BENCHMARK.json, crates/bench/src/bin/benchmark)
+# is its own package: the gate runs its unit tests and one smoke-sized run
+# of every workload. Each workload checks its answers against an oracle
+# outside the timed ops — churn_monitor's Monitor P(W)/P(Default) against
+# Ppdb::audit(), recovery's restarted monitor against the pre-crash seq and
+# P(W) — and exits non-zero on any mismatch.
 #
 # The fault step re-runs the crash-torture matrix (crash-stop/torn-write at
 # every I/O op index) and the WAL bit/byte-flip corruption properties under
@@ -136,12 +144,17 @@ cargo test -q --release -p qpv-core --test pop_equivalence
 
 echo "== delta equivalence (release) =="
 # The incremental contract: random delta sequences applied in place (to
-# the compiled population and to a live auditor) land byte-identically on
+# the compiled population and to the live index) land byte-identically on
 # a fresh compile+audit of the mutated profiles, flat and lattice,
 # sequential and parallel.
 cargo test -q --release -p qpv-core --test delta_equivalence
 
 bench_smoke
+
+echo "== end-to-end benchmark: unit tests + smoke run of every workload =="
+BENCH_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
+cargo test -q --manifest-path "$BENCH_MANIFEST"
+cargo run -q --release --offline --manifest-path "$BENCH_MANIFEST" -- --workload all --smoke
 
 if [[ "${1:-}" == "--faults" ]]; then
     # Wall-clock budget: the whole fault stage must finish inside this
@@ -207,9 +220,6 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "== compiled population bench =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_compiled_population.json" \
         cargo bench -p qpv-bench --bench compiled_population
-    echo "== delta audit bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_delta_audit.json" \
-        cargo bench -p qpv-bench --bench delta_audit
     echo "== delta log bench =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_delta_log.json" \
         cargo bench -p qpv-bench --bench delta_log

@@ -1,13 +1,15 @@
 //! Kill-and-recover: the §10 continuous monitor, crashed mid-stream under
 //! churn, must restart from its delta log onto exactly the durable prefix
-//! — and the recovered auditor's JSON report must be **byte-identical** to
-//! a fresh compile + audit of that state. After recovery, re-feeding the
+//! — the recovered population's JSON report must be **byte-identical** to
+//! a fresh compile + audit of that state, and the recovered monitor's
+//! maintained aggregates must equal `run_reference` over the durable
+//! profiles. After recovery, re-feeding the
 //! unacknowledged churn must land the monitor on the same final state a
 //! never-crashed run reaches: the log loses nothing it acknowledged and
 //! invents nothing it didn't.
 
 use qpv_core::deltalog::{DeltaLog, Monitor, MonitorAlert, MonitorConfig};
-use qpv_core::{AuditEngine, CompiledPopulation, ProviderProfile};
+use qpv_core::{AuditEngine, CompiledPopulation, PolicyOutcome, ProviderProfile};
 use qpv_reldb::fault::{FaultInjector, FaultKind, FaultPlan};
 use qpv_synth::{churn_batches, generate_stable, Scenario};
 use std::path::PathBuf;
@@ -28,6 +30,17 @@ fn report_pop(engine: &AuditEngine, pop: &CompiledPopulation) -> String {
 
 fn report_json(engine: &AuditEngine, profiles: &[ProviderProfile]) -> String {
     report_pop(engine, &CompiledPopulation::from_profiles(profiles))
+}
+
+/// The aggregates of the string-path oracle over `profiles`.
+fn reference_outcome(engine: &AuditEngine, profiles: &[ProviderProfile]) -> PolicyOutcome {
+    let report = engine.run_reference(profiles);
+    PolicyOutcome {
+        total_violations: report.total_violations,
+        violated: report.providers.iter().filter(|p| p.violated).count(),
+        defaulted: report.providers.iter().filter(|p| p.defaulted).count(),
+        population: report.population(),
+    }
 }
 
 #[test]
@@ -59,11 +72,14 @@ fn killed_monitor_recovers_byte_identical_and_loses_nothing() {
         Some(dry.clone()),
     )
     .unwrap();
+    let mut final_profiles = initial.clone();
     for batch in &batches {
         m.ingest(batch.clone()).unwrap();
+        batch.apply_to_profiles(&mut final_profiles);
     }
     m.flush().unwrap();
-    let final_report = report_pop(&engine, m.auditor().compiled());
+    let final_report = report_pop(&engine, m.index().compiled_population());
+    assert_eq!(m.outcome(), reference_outcome(&engine, &final_profiles));
     let total_ops = dry.ops_seen();
     drop(m);
     std::fs::remove_dir_all(&dry_dir).unwrap();
@@ -122,7 +138,7 @@ fn killed_monitor_recovers_byte_identical_and_loses_nothing() {
             config.clone(),
         )
         .unwrap_or_else(|e| panic!("crash at op {c}: recovery failed: {e}"));
-        let rec_report = report_pop(&engine, m2.auditor().compiled());
+        let rec_report = report_pop(&engine, m2.index().compiled_population());
         let mut next_profiles = acked_profiles.clone();
         batches[acked].apply_to_profiles(&mut next_profiles);
         let durable = if rec_report == report_json(&engine, &acked_profiles) {
@@ -138,6 +154,12 @@ fn killed_monitor_recovers_byte_identical_and_loses_nothing() {
         // prefix. (Re-feeding from `durable` is safe even on a report
         // collision — every churn op is idempotent under re-apply.)
         assert_eq!(rec_report, report_json(&engine, &acked_profiles));
+        assert_eq!(
+            m2.outcome(),
+            reference_outcome(&engine, &acked_profiles),
+            "crash at op {c}: recovered aggregates diverged from run_reference"
+        );
+        assert_eq!(m2.p_violation(), m2.outcome().p_violation());
 
         // Re-feed everything the crash swallowed: the monitor must land
         // on the never-crashed final state, reports byte-identical.
@@ -145,7 +167,7 @@ fn killed_monitor_recovers_byte_identical_and_loses_nothing() {
             m2.ingest(batch.clone()).unwrap();
         }
         m2.flush().unwrap();
-        let resumed = report_pop(&engine, m2.auditor().compiled());
+        let resumed = report_pop(&engine, m2.index().compiled_population());
         assert_eq!(
             resumed, final_report,
             "crash at op {c}: resumed stream diverged from the never-crashed run"

@@ -1,11 +1,12 @@
 //! The population-scale pipeline: synth → storage → audit → economics.
 //!
 //! Cross-checks every pathway that computes the same quantity: the pure
-//! audit engine, the storage-backed PPDB audit, the incremental auditor,
-//! and the what-if evaluator must all agree on a generated population.
+//! audit engine, the storage-backed PPDB audit, the maintained live
+//! index, and the what-if evaluator must all agree on a generated
+//! population.
 
-use quantifying_privacy_violations::core::incremental::IncrementalAuditor;
 use quantifying_privacy_violations::core::whatif::WhatIf;
+use quantifying_privacy_violations::core::{CompiledPopulation, LiveViolationIndex};
 use quantifying_privacy_violations::economics::EmpiricalDefaultCdf;
 use quantifying_privacy_violations::prelude::*;
 
@@ -56,23 +57,29 @@ fn incremental_and_whatif_agree_across_a_sweep() {
     let scenario = Scenario::social_network(400, 23);
     let engine = scenario.engine();
     let whatif = WhatIf::new(&engine, &scenario.population.profiles);
-    let mut auditor = IncrementalAuditor::new(
-        scenario.population.profiles.clone(),
-        scenario.spec.attribute_names(),
-        &scenario.spec.attribute_weights(),
-        scenario.baseline_policy.clone(),
-    );
+    let pop = CompiledPopulation::from_profiles(&scenario.population.profiles);
     for step in [0u32, 2, 5, 1, 4] {
         let policy = scenario.baseline_policy.widened_uniform(step);
         let outcome = whatif.evaluate(format!("s{step}"), &policy);
-        auditor.apply_policy(policy);
+        // A policy edit rebuilds the maintained index under the new policy.
+        let mut edited = engine.clone();
+        edited.policy = policy;
+        let index = LiveViolationIndex::new(edited.clone(), pop.clone());
+        let reference = edited.run_reference(&scenario.population.profiles);
         assert_eq!(
-            auditor.total_violations(),
+            index.outcome().total_violations,
             outcome.total_violations,
             "step {step}"
         );
-        assert_eq!(auditor.p_violation(), outcome.p_violation, "step {step}");
-        assert_eq!(auditor.p_default(), outcome.p_default, "step {step}");
+        assert_eq!(
+            index.outcome().total_violations,
+            reference.total_violations,
+            "step {step}"
+        );
+        assert_eq!(index.p_violation(), outcome.p_violation, "step {step}");
+        assert_eq!(index.p_violation(), reference.p_violation(), "step {step}");
+        assert_eq!(index.p_default(), outcome.p_default, "step {step}");
+        assert_eq!(index.p_default(), reference.p_default(), "step {step}");
     }
 }
 
