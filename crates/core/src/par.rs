@@ -93,40 +93,54 @@ impl From<qpv_reldb::DbError> for AuditError {
 /// Deterministic panic injection for the parallel audit machinery, used
 /// by the fault-tolerance regression tests. Not part of the public API
 /// contract.
+///
+/// Arming is scoped to the calling thread: only chunk runs started from
+/// that thread (including the worker threads those runs spawn) see the
+/// failpoint, so a test that arms it never poisons an audit another test
+/// runs concurrently in the same process.
 #[doc(hidden)]
 pub mod failpoint {
-    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Arc;
 
-    static CHUNK: AtomicUsize = AtomicUsize::new(usize::MAX);
-    static REMAINING: AtomicI64 = AtomicI64::new(0);
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    /// Serialize failpoint-arming tests: `cargo test` runs tests in one
-    /// process, and the failpoint is global state.
-    pub fn serialize() -> MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// An armed failpoint: chunk `chunk` panics `remaining` more times.
+    pub(crate) struct Armed {
+        chunk: usize,
+        remaining: AtomicI64,
     }
 
-    /// Arm the failpoint: the next `times` executions of `chunk` panic.
-    /// `times = 1` makes the in-place retry succeed; `i64::MAX` makes the
-    /// chunk permanently poisoned.
+    thread_local! {
+        static ARMED: RefCell<Option<Arc<Armed>>> = const { RefCell::new(None) };
+    }
+
+    /// Arm the failpoint for chunk runs started from this thread: the next
+    /// `times` executions of `chunk` panic. `times = 1` makes the in-place
+    /// retry succeed; `i64::MAX` makes the chunk permanently poisoned.
     pub fn arm(chunk: usize, times: i64) {
-        REMAINING.store(times, Ordering::SeqCst);
-        CHUNK.store(chunk, Ordering::SeqCst);
+        let armed = Armed {
+            chunk,
+            remaining: AtomicI64::new(times),
+        };
+        ARMED.with(|a| *a.borrow_mut() = Some(Arc::new(armed)));
     }
 
-    /// Disarm the failpoint.
+    /// Disarm this thread's failpoint.
     pub fn disarm() {
-        CHUNK.store(usize::MAX, Ordering::SeqCst);
-        REMAINING.store(0, Ordering::SeqCst);
+        ARMED.with(|a| *a.borrow_mut() = None);
     }
 
-    pub(crate) fn maybe_panic(chunk: usize) {
-        if CHUNK.load(Ordering::SeqCst) == chunk && REMAINING.fetch_sub(1, Ordering::SeqCst) > 0 {
-            panic!("injected audit worker fault in chunk {chunk}");
+    /// The failpoint armed on this thread, for a chunk run to hand to its
+    /// workers.
+    pub(crate) fn current() -> Option<Arc<Armed>> {
+        ARMED.with(|a| a.borrow().clone())
+    }
+
+    pub(crate) fn maybe_panic(armed: Option<&Armed>, chunk: usize) {
+        if let Some(armed) = armed {
+            if armed.chunk == chunk && armed.remaining.fetch_sub(1, Ordering::SeqCst) > 0 {
+                panic!("injected audit worker fault in chunk {chunk}");
+            }
         }
     }
 }
@@ -185,14 +199,20 @@ pub fn chunk_size(len: usize, threads: usize) -> usize {
 /// one slice of the population) is confined to its chunk, retried once
 /// immediately on the same thread, and only then reported as a structured
 /// [`AuditError::WorkerPanicked`] naming the chunk and its index range.
-fn run_chunk<T, F>(f: &F, i: usize, chunk: usize, len: usize) -> Result<T, AuditError>
+fn run_chunk<T, F>(
+    f: &F,
+    armed: Option<&failpoint::Armed>,
+    i: usize,
+    chunk: usize,
+    len: usize,
+) -> Result<T, AuditError>
 where
     F: Fn(usize, usize) -> T + Sync,
 {
     let start = i * chunk;
     let end = ((i + 1) * chunk).min(len);
     let attempt = || {
-        failpoint::maybe_panic(i);
+        failpoint::maybe_panic(armed, i);
         f(start, end)
     };
     match catch_unwind(AssertUnwindSafe(attempt)) {
@@ -238,10 +258,12 @@ where
     if n_chunks == 0 {
         return Ok(Vec::new());
     }
+    let armed = failpoint::current();
+    let armed = armed.as_deref();
     let workers = threads.max(1).min(n_chunks);
     if workers <= 1 {
         return (0..n_chunks)
-            .map(|i| run_chunk(&f, i, chunk, len))
+            .map(|i| run_chunk(&f, armed, i, chunk, len))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -261,7 +283,7 @@ where
                         if i >= n_chunks {
                             break;
                         }
-                        match run_chunk(f, i, chunk, len) {
+                        match run_chunk(f, armed, i, chunk, len) {
                             Ok(value) => produced.push((i, value)),
                             Err(e) => {
                                 // Confirmed failure (already retried once):
@@ -614,7 +636,6 @@ mod tests {
 
     #[test]
     fn single_worker_panic_is_retried_once_and_absorbed() {
-        let _guard = failpoint::serialize();
         failpoint::arm(2, 1); // chunk 2 panics exactly once
         let got = par_map_chunks(100, 4, 10, |s, e| e - s);
         failpoint::disarm();
@@ -623,7 +644,6 @@ mod tests {
 
     #[test]
     fn permanently_poisoned_chunk_is_reported_not_propagated() {
-        let _guard = failpoint::serialize();
         failpoint::arm(3, i64::MAX); // chunk 3 panics every time
         let got = par_map_chunks(100, 4, 10, |s, e| e - s);
         failpoint::disarm();
@@ -643,7 +663,6 @@ mod tests {
 
     #[test]
     fn sequential_fallback_confines_panics_identically() {
-        let _guard = failpoint::serialize();
         failpoint::arm(0, i64::MAX);
         let got = par_map_chunks(10, 1, 10, |s, e| e - s); // workers <= 1 path
         failpoint::disarm();
@@ -654,8 +673,26 @@ mod tests {
     }
 
     #[test]
+    fn failpoint_is_scoped_to_the_arming_thread() {
+        failpoint::arm(0, i64::MAX);
+        // A run started from another thread (as a concurrently running
+        // test would) never sees this thread's failpoint…
+        let elsewhere = std::thread::spawn(|| par_map_chunks(100, 4, 10, |s, e| e - s))
+            .join()
+            .unwrap();
+        // …while runs started here do, in their worker threads too.
+        let here = par_map_chunks(100, 4, 10, |s, e| e - s);
+        failpoint::disarm();
+        assert_eq!(elsewhere.unwrap(), vec![10; 10]);
+        assert!(matches!(
+            here,
+            Err(AuditError::WorkerPanicked { chunk: 0, .. })
+        ));
+        assert_eq!(par_map_chunks(100, 4, 10, |s, e| e - s).unwrap().len(), 10);
+    }
+
+    #[test]
     fn poisoned_par_audit_returns_err_and_engine_stays_usable() {
-        let _guard = failpoint::serialize();
         let engine = engine();
         let profiles = population(600);
         failpoint::arm(1, i64::MAX);

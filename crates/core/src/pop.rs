@@ -28,6 +28,13 @@
 //! matching [`crate::profile::assemble`]), and so does the datum row each
 //! unique row embeds.
 //!
+//! A population is built by [`PopulationBuilder`], either from profiles
+//! ([`CompiledPopulation::from_profiles`]) or straight from storage
+//! (`Ppdb::compiled_population`). The storage path decodes the companion
+//! tables off their pages without copying, interns names from the
+//! borrowed `&str`s, groups rows per provider, and then pushes each
+//! occurrence exactly once, with its final datums and threshold.
+//!
 //! Everything here is pinned bitwise-equal to
 //! [`AuditEngine::run_reference`] by `tests/pop_equivalence.rs`.
 //!
@@ -837,11 +844,11 @@ impl CompiledPopulation {
     ///   freed slot (O(1), order is deterministic but not stable);
     /// * preference edits replace every tuple naming the attribute,
     ///   appending the new tuples after the untouched ones;
-    /// * ops naming an unknown id are no-ops, like
-    ///   [`PopulationBuilder::set_sensitivity`] on the scan path — but
-    ///   counted into [`DeltaOutcome::skipped`] rather than dropped
-    ///   silently, so callers can tell "applied cleanly" from "some edits
-    ///   bound to nothing".
+    /// * ops naming an unknown id are no-ops, like storage rows for ids
+    ///   absent from the data table on the scan path — but counted into
+    ///   [`DeltaOutcome::skipped`] rather than dropped silently, so
+    ///   callers can tell "applied cleanly" from "some edits bound to
+    ///   nothing".
     ///
     /// Every mutation is intern-new-then-release-old on the unique-row
     /// table: content shared with other providers is never copied or
@@ -1341,14 +1348,13 @@ pub(crate) struct PlanBinding {
 ///   straight into the unique-row table and retains nothing
 ///   per-provider beyond three machine words, so millions-scale
 ///   generators can feed it without a full `Vec` anywhere);
-/// * the scan-oriented [`PopulationBuilder::push_occurrence`] /
-///   [`PopulationBuilder::set_sensitivity`] /
-///   [`PopulationBuilder::set_threshold`] trio — used by
-///   `Ppdb::compiled_population` to build straight off batched table
-///   scans without materializing profiles.
+/// * the scan path, `PopulationBuilder::push_scanned` — used by
+///   `Ppdb::compiled_population`, which interns every attribute and
+///   purpose name during its table scans and then pushes each occurrence
+///   once, in its final state.
 ///
-/// Rows edited *after* their occurrence was interned (duplicate-id
-/// merges, scan-path sensitivity sets) are tracked in a dirty map and
+/// A duplicate id pushed through `push_profile` merges its datums into
+/// rows already interned; those rows are tracked in a dirty map and
 /// re-interned with their final datum state in [`PopulationBuilder::finish`].
 #[derive(Debug, Default)]
 pub struct PopulationBuilder {
@@ -1367,7 +1373,8 @@ pub struct PopulationBuilder {
     /// `ids`); materialized on the first out-of-order or duplicate push.
     id_rows: Option<HashMap<ProviderId, u32>>,
     /// id-rows whose authoritative dense datum state diverged from what
-    /// their occurrences were interned with (fixed up in `finish`).
+    /// their occurrences were interned with by a duplicate-id
+    /// `push_profile` merge (fixed up in `finish`).
     dirty: HashMap<u32, Vec<DatumSensitivity>>,
     pref_buf: Vec<PrefRow>,
     datum_buf: Vec<DatumSensitivity>,
@@ -1387,18 +1394,6 @@ impl PopulationBuilder {
     /// Whether nothing has been pushed.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// The id-row for `id` if it was pushed before.
-    fn lookup_row(&self, id: ProviderId) -> Option<u32> {
-        match &self.id_rows {
-            Some(m) => m.get(&id).copied(),
-            None => self
-                .ids
-                .binary_search_by(|p| p.0.cmp(&id.0))
-                .ok()
-                .map(|i| self.row_of[i]),
-        }
     }
 
     /// The id-row a new occurrence of `id` belongs to, plus whether it is
@@ -1501,68 +1496,53 @@ impl PopulationBuilder {
     }
 
     /// Intern an attribute name (scan path).
-    pub fn intern_attr(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern_attr(&mut self, name: &str) -> u32 {
         self.attrs.intern(name)
     }
 
     /// Intern a purpose name (scan path).
-    pub fn intern_purpose(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern_purpose(&mut self, name: &str) -> u32 {
         self.purposes.intern(name)
     }
 
-    /// Append one provider occurrence whose preference rows are already
-    /// interned `(attr_id, purpose_id, point)` triples (scan path).
-    pub fn push_occurrence(&mut self, id: ProviderId, rows: &[(u32, u32, PrivacyPoint)]) {
+    /// Append one provider occurrence in its final state (scan path): its
+    /// preference rows and its `(attr, sensitivity)` rows with symbols
+    /// already interned (every name must be interned before the first
+    /// push; a later sensitivity row for the same attribute wins), and its
+    /// threshold. Every occurrence of a repeated id must carry the same
+    /// rows — the scan path resolves each id completely before pushing —
+    /// so each occurrence is interned exactly once and `finish` revisits
+    /// nothing.
+    pub(crate) fn push_scanned(
+        &mut self,
+        id: ProviderId,
+        prefs: &[PrefRow],
+        sens: &[(u32, DatumSensitivity)],
+        threshold: u64,
+    ) {
         self.sync_stride();
-        let na = self.attrs.len();
-        self.pref_buf.clear();
-        self.pref_buf
-            .extend(rows.iter().map(|&(attr, purpose, point)| PrefRow {
-                attr,
-                purpose,
-                point,
-            }));
+        self.datum_buf.clear();
+        self.datum_buf
+            .resize(self.attrs.len(), DatumSensitivity::neutral());
+        for &(attr, s) in sens {
+            self.datum_buf[attr as usize] = s;
+        }
         let (row, fresh) = self.id_row(id);
         if fresh {
-            self.thresholds.push(0);
+            self.thresholds.push(threshold);
             self.row_occ.push(self.ids.len() as u32);
-            self.datum_buf.clear();
-            self.datum_buf.resize(na, DatumSensitivity::neutral());
-            let u = self.table.intern(&self.pref_buf, &self.datum_buf);
-            self.ids.push(id);
-            self.urow_of.push(u);
-            self.row_of.push(row);
         } else {
-            let datums = self.current_datums(row);
-            let u = self.table.intern(&self.pref_buf, &datums);
-            self.ids.push(id);
-            self.urow_of.push(u);
-            self.row_of.push(row);
-        }
-    }
-
-    /// Set (overwrite) one datum sensitivity for an already-pushed id.
-    /// Unknown ids are ignored — matching the table scans, where
-    /// sensitivity rows for providers absent from the data table are
-    /// dropped.
-    pub fn set_sensitivity(&mut self, id: ProviderId, attr: u32, s: DatumSensitivity) {
-        let Some(row) = self.lookup_row(id) else {
-            return;
-        };
-        self.sync_stride();
-        let mut datums = self.current_datums(row);
-        if datums[attr as usize] != s {
-            datums[attr as usize] = s;
-            self.dirty.insert(row, datums);
-        }
-    }
-
-    /// Set (overwrite) the threshold for an already-pushed id. Unknown
-    /// ids are ignored, as in [`PopulationBuilder::set_sensitivity`].
-    pub fn set_threshold(&mut self, id: ProviderId, threshold: u64) {
-        if let Some(row) = self.lookup_row(id) {
+            debug_assert_eq!(
+                self.current_datums(row),
+                self.datum_buf,
+                "repeated id {id:?}"
+            );
             self.thresholds[row as usize] = threshold;
         }
+        let u = self.table.intern(prefs, &self.datum_buf);
+        self.ids.push(id);
+        self.urow_of.push(u);
+        self.row_of.push(row);
     }
 
     /// Re-intern occurrences of dirty rows with their final datum state,
@@ -2084,38 +2064,48 @@ mod tests {
 
     #[test]
     fn scan_path_builder_matches_push_profile() {
-        let (_, profiles) = worked_example();
+        // The worked example plus a repeat of Ted (id 1), as a data table
+        // holding his row twice yields: one identical occurrence each.
+        let (engine, mut profiles) = worked_example();
+        profiles.push(profiles[1].clone());
         let via_profiles = CompiledPopulation::from_profiles(&profiles);
+        // Storage order: every name is interned during the scans, before
+        // the first occurrence is pushed.
         let mut b = PopulationBuilder::new();
-        for p in &profiles {
-            let rows: Vec<(u32, u32, PrivacyPoint)> = p
-                .preferences
-                .tuples()
-                .iter()
-                .map(|t| {
-                    (
-                        b.intern_attr(&t.attribute),
-                        b.intern_purpose(t.tuple.purpose.name()),
-                        t.tuple.point,
-                    )
-                })
-                .collect();
-            b.push_occurrence(p.id(), &rows);
+        let prefs: Vec<Vec<PrefRow>> = profiles
+            .iter()
+            .map(|p| {
+                p.preferences
+                    .tuples()
+                    .iter()
+                    .map(|t| PrefRow {
+                        attr: b.intern_attr(&t.attribute),
+                        purpose: b.intern_purpose(t.tuple.purpose.name()),
+                        point: t.tuple.point,
+                    })
+                    .collect()
+            })
+            .collect();
+        let sens: Vec<Vec<(u32, DatumSensitivity)>> = profiles
+            .iter()
+            .map(|p| {
+                p.sensitivities
+                    .iter()
+                    .map(|(attr, s)| (b.intern_attr(attr), *s))
+                    .collect()
+            })
+            .collect();
+        for (i, p) in profiles.iter().enumerate() {
+            b.push_scanned(p.id(), &prefs[i], &sens[i], p.threshold);
         }
-        for p in &profiles {
-            for (attr, s) in &p.sensitivities {
-                let a = b.intern_attr(attr);
-                b.set_sensitivity(p.id(), a, *s);
-            }
-            b.set_threshold(p.id(), p.threshold);
-        }
-        // Unknown ids are silently dropped, like the table scans do.
-        b.set_threshold(ProviderId(999), 1);
-        b.set_sensitivity(ProviderId(999), 0, DatumSensitivity::neutral());
         let via_scans = b.finish();
         assert_eq!(via_scans.len(), via_profiles.len());
         via_scans.debug_validate();
-        let (engine, _) = worked_example();
+        assert_eq!(
+            via_scans.unique_row_count(),
+            via_profiles.unique_row_count(),
+            "the repeat shares its first occurrence's unique row"
+        );
         assert_eq!(
             engine.audit_compiled(&via_scans),
             engine.audit_compiled(&via_profiles)

@@ -29,6 +29,7 @@ use qpv_reldb::row::Row;
 use qpv_reldb::schema::{Schema, SchemaBuilder};
 use qpv_reldb::types::DataType;
 use qpv_reldb::value::Value;
+use qpv_reldb::ValueRef;
 use qpv_taxonomy::{Level, PrivacyPoint, PrivacyTuple};
 
 use qpv_reldb::fault::RetryPolicy;
@@ -36,7 +37,7 @@ use qpv_reldb::fault::RetryPolicy;
 use crate::audit::{AuditEngine, AuditReport};
 use crate::liveindex::LiveViolationIndex;
 use crate::par::AuditError;
-use crate::pop::{CompiledPopulation, DeltaOp, PopulationBuilder, PopulationDelta};
+use crate::pop::{CompiledPopulation, DeltaOp, PopulationBuilder, PopulationDelta, PrefRow};
 use crate::profile::ProviderProfile;
 use crate::selective::SelectiveAuditor;
 use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
@@ -891,19 +892,23 @@ impl Ppdb {
         self.deltas.clone()
     }
 
-    /// All provider ids with data stored, in storage order.
+    /// All provider ids with data stored, in storage order (one borrowed
+    /// pass over the data table).
     pub fn provider_ids(&mut self) -> DbResult<Vec<ProviderId>> {
-        let schema = self.db.schema(&self.config.data_table)?;
-        let pc = schema.require(&self.config.provider_column)?;
-        let rows = self.db.scan(&self.config.data_table)?;
-        rows.into_iter()
-            .map(|(_, row)| {
-                row.get(pc)
-                    .and_then(Value::as_int)
-                    .map(|v| ProviderId(v as u64))
-                    .ok_or_else(|| DbError::Schema("non-integer provider id".into()))
-            })
-            .collect()
+        let pc = self
+            .db
+            .schema(&self.config.data_table)?
+            .require(&self.config.provider_column)?;
+        let mut ids = Vec::new();
+        self.db.scan_each(&self.config.data_table, |row| {
+            let id = row
+                .get(pc)
+                .and_then(ValueRef::as_int)
+                .ok_or_else(|| DbError::Schema("non-integer provider id".into()))?;
+            ids.push(ProviderId(id as u64));
+            Ok(())
+        })?;
+        Ok(ids)
     }
 
     /// Reconstruct one provider's profile from storage.
@@ -990,62 +995,91 @@ impl Ppdb {
     }
 
     /// Compile the stored population straight into flat structure-of-arrays
-    /// form — the same batched single-pass scans as [`Ppdb::all_profiles`],
-    /// but interning preference rows directly into a
-    /// [`CompiledPopulation`] without ever materializing
-    /// [`ProviderProfile`]s. Accumulation order mirrors `all_profiles`
-    /// exactly (preference rows in scan order; later sensitivity /
-    /// threshold rows overwrite earlier ones; duplicate data-table ids
-    /// yield one identical occurrence each), so audits over the result are
-    /// byte-identical to `from_profiles(all_profiles())`.
+    /// form, without ever materializing [`ProviderProfile`]s.
+    ///
+    /// One borrowed pass per table ([`Database::scan_each`]): rows are
+    /// decoded in place off their pages and attribute/purpose names are
+    /// interned from the borrowed `&str`s, in preference-then-sensitivity
+    /// scan order. Preference and sensitivity rows are grouped per
+    /// provider by a stable counting sort, then every occurrence is pushed
+    /// exactly once with its final datums and threshold. Accumulation
+    /// mirrors [`Ppdb::all_profiles`] exactly (preference rows in scan
+    /// order; later sensitivity / threshold rows overwrite earlier ones;
+    /// rows for ids absent from the data table are dropped; duplicate
+    /// data-table ids yield one identical occurrence each), so audits over
+    /// the result are byte-identical to `from_profiles(all_profiles())`.
     pub fn compiled_population(&mut self) -> DbResult<CompiledPopulation> {
         let ids = self.provider_ids()?;
-        let known: std::collections::HashSet<i64> = ids.iter().map(|id| id.0 as i64).collect();
+        // Distinct ids get dense positions; a repeated id shares its first
+        // occurrence's position.
+        let mut positions: HashMap<i64, u32> = HashMap::with_capacity(ids.len());
+        let occurrences: Vec<u32> = ids
+            .iter()
+            .map(|id| {
+                let next = positions.len() as u32;
+                *positions.entry(id.0 as i64).or_insert(next)
+            })
+            .collect();
+        let known = positions.len();
         let mut builder = PopulationBuilder::new();
-        // One scan over the preference table, bucketed per provider id with
-        // symbols interned on the way through.
-        let mut prefs: HashMap<i64, Vec<(u32, u32, PrivacyPoint)>> =
-            HashMap::with_capacity(known.len());
-        for (_, row) in self.db.scan(T_PREFS)? {
-            let provider = int(&row, 0)?;
-            if !known.contains(&provider) {
-                continue;
-            }
-            let attr = builder.intern_attr(&text(&row, 1)?);
-            let purpose = builder.intern_purpose(&text(&row, 2)?);
+
+        let mut prefs: Vec<(u32, PrefRow)> = Vec::new();
+        self.db.scan_each(T_PREFS, |row| {
+            let Some(pos) = positions.get(&int_ref(row, 0)?).copied() else {
+                return Ok(());
+            };
+            let attr = builder.intern_attr(text_ref(row, 1)?);
+            let purpose = builder.intern_purpose(text_ref(row, 2)?);
             let point = PrivacyPoint::from_raw(
-                int(&row, 3)? as u32,
-                int(&row, 4)? as u32,
-                int(&row, 5)? as u32,
+                int_ref(row, 3)? as u32,
+                int_ref(row, 4)? as u32,
+                int_ref(row, 5)? as u32,
             );
-            prefs
-                .entry(provider)
-                .or_default()
-                .push((attr, purpose, point));
-        }
-        static NO_PREFS: &[(u32, u32, PrivacyPoint)] = &[];
-        for &id in &ids {
-            let rows = prefs.get(&(id.0 as i64)).map_or(NO_PREFS, Vec::as_slice);
-            builder.push_occurrence(id, rows);
-        }
-        for (_, row) in self.db.scan(T_SENS)? {
-            let provider_raw = int(&row, 0)?;
-            if !known.contains(&provider_raw) {
-                continue;
-            }
-            let provider = ProviderId(provider_raw as u64);
-            let attr = builder.intern_attr(&text(&row, 1)?);
+            prefs.push((
+                pos,
+                PrefRow {
+                    attr,
+                    purpose,
+                    point,
+                },
+            ));
+            Ok(())
+        })?;
+
+        let mut sens: Vec<(u32, (u32, DatumSensitivity))> = Vec::new();
+        self.db.scan_each(T_SENS, |row| {
+            let Some(pos) = positions.get(&int_ref(row, 0)?).copied() else {
+                return Ok(());
+            };
+            let attr = builder.intern_attr(text_ref(row, 1)?);
             let s = DatumSensitivity::new(
-                int(&row, 2)? as u32,
-                int(&row, 3)? as u32,
-                int(&row, 4)? as u32,
-                int(&row, 5)? as u32,
+                int_ref(row, 2)? as u32,
+                int_ref(row, 3)? as u32,
+                int_ref(row, 4)? as u32,
+                int_ref(row, 5)? as u32,
             );
-            builder.set_sensitivity(provider, attr, s);
-        }
-        for (_, row) in self.db.scan(T_THRESHOLDS)? {
-            let provider = ProviderId(int(&row, 0)? as u64);
-            builder.set_threshold(provider, int(&row, 1)? as u64);
+            sens.push((pos, (attr, s)));
+            Ok(())
+        })?;
+
+        let mut thresholds = vec![0u64; known];
+        self.db.scan_each(T_THRESHOLDS, |row| {
+            if let Some(pos) = positions.get(&int_ref(row, 0)?).copied() {
+                thresholds[pos as usize] = int_ref(row, 1)? as u64;
+            }
+            Ok(())
+        })?;
+
+        let (pref_starts, prefs) = group_by_position(&prefs, known);
+        let (sens_starts, sens) = group_by_position(&sens, known);
+        for (id, pos) in ids.into_iter().zip(occurrences) {
+            let pos = pos as usize;
+            builder.push_scanned(
+                id,
+                &prefs[pref_starts[pos]..pref_starts[pos + 1]],
+                &sens[sens_starts[pos]..sens_starts[pos + 1]],
+                thresholds[pos],
+            );
         }
         Ok(builder.finish())
     }
@@ -1301,10 +1335,46 @@ fn text(row: &Row, idx: usize) -> DbResult<String> {
         .ok_or_else(|| DbError::Schema(format!("expected TEXT at column {idx}")))
 }
 
+/// [`int`] over a row decoded in place.
+fn int_ref(row: &[ValueRef<'_>], idx: usize) -> DbResult<i64> {
+    row.get(idx)
+        .and_then(ValueRef::as_int)
+        .ok_or_else(|| DbError::Schema(format!("expected INT at column {idx}")))
+}
+
+/// [`text`] over a row decoded in place, borrowing from the page.
+fn text_ref<'a>(row: &[ValueRef<'a>], idx: usize) -> DbResult<&'a str> {
+    row.get(idx)
+        .and_then(ValueRef::as_text)
+        .ok_or_else(|| DbError::Schema(format!("expected TEXT at column {idx}")))
+}
+
 fn float(row: &Row, idx: usize) -> DbResult<f64> {
     row.get(idx)
         .and_then(Value::as_float)
         .ok_or_else(|| DbError::Schema(format!("expected FLOAT at column {idx}")))
+}
+
+/// Stable counting sort of `(position, item)` rows: the items grouped by
+/// position, each group in input order, plus the group offsets
+/// (`items[starts[p]..starts[p + 1]]` belong to position `p`).
+fn group_by_position<T: Copy>(rows: &[(u32, T)], positions: usize) -> (Vec<usize>, Vec<T>) {
+    let mut starts = vec![0usize; positions + 1];
+    for &(p, _) in rows {
+        starts[p as usize + 1] += 1;
+    }
+    for p in 0..positions {
+        starts[p + 1] += starts[p];
+    }
+    let mut next = starts.clone();
+    // Every slot is overwritten below; cloning the items just sizes the
+    // vector without a `Default` bound.
+    let mut items: Vec<T> = rows.iter().map(|&(_, item)| item).collect();
+    for &(p, item) in rows {
+        items[next[p as usize]] = item;
+        next[p as usize] += 1;
+    }
+    (starts, items)
 }
 
 /// Decode `(attribute, purpose, vis, gran, ret)` starting at `base`.

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{AuditEngine, CompiledPopulation, ProviderProfile};
 use qpv_policy::{HousePolicy, ProviderId};
-use qpv_taxonomy::{PrivacyPoint, PrivacyTuple, PurposeLattice};
+use qpv_taxonomy::{Level, PrivacyPoint, PrivacyTuple, PurposeLattice};
 
 fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
     PrivacyPoint::from_raw(v, g, r)
@@ -427,9 +427,56 @@ fn saturating_magnitudes_force_fallback_and_match_reference() {
 }
 
 /// A population scanned straight out of a `Ppdb` audits byte-identically
-/// to one compiled from materialized profiles.
+/// to one compiled from materialized profiles, and both to the reference,
+/// flat and lattice — on a clean store and on adversarial store shapes the
+/// write API never produces but a raw table can hold:
+/// duplicate data-table ids, companion rows for ids missing from the data
+/// table, interleaved (non-clustered) provider rows, overwritten
+/// sensitivity and threshold rows (last-wins), and providers with no
+/// threshold row.
 #[test]
 fn ppdb_scan_population_matches_profile_compilation() {
+    for adversarial in [false, true] {
+        let mut ppdb = stored_population(adversarial);
+        let profiles = ppdb.all_profiles().unwrap();
+        let scanned = ppdb.compiled_population().unwrap();
+        scanned.debug_validate();
+        assert_eq!(scanned.len(), profiles.len(), "adversarial={adversarial}");
+        let materialized = CompiledPopulation::from_profiles(&profiles);
+        for with_lattice in [false, true] {
+            let mut eng = engine(&policy(6));
+            if with_lattice {
+                eng = eng.with_lattice(lattice());
+            }
+            let ctx = format!("adversarial={adversarial} lattice={with_lattice}");
+            let report = serde_json::to_string(&eng.audit_compiled(&scanned)).unwrap();
+            assert_eq!(
+                report,
+                serde_json::to_string(&eng.audit_compiled(&materialized)).unwrap(),
+                "{ctx}"
+            );
+            assert_eq!(
+                report,
+                serde_json::to_string(&eng.run_reference(&profiles)).unwrap(),
+                "{ctx}"
+            );
+            assert_eq!(eng.counts(&scanned), eng.counts(&materialized), "{ctx}");
+        }
+        if adversarial {
+            // The shapes really are there: repeated ids, and a provider
+            // audited at the default threshold of 0.
+            let ids: std::collections::HashSet<_> = profiles.iter().map(|p| p.id()).collect();
+            assert!(ids.len() < profiles.len());
+            assert!(profiles.iter().any(|p| p.threshold == 0));
+        }
+    }
+}
+
+/// A `Ppdb` over [`population`]. The clean store goes through
+/// `register_provider`; the adversarial one writes raw rows into the
+/// companion tables in a shuffled order, with the shapes listed on
+/// [`ppdb_scan_population_matches_profile_compilation`].
+fn stored_population(adversarial: bool) -> qpv_core::Ppdb {
     use qpv_core::{Ppdb, PpdbConfig};
     use qpv_reldb::db::Database;
     use qpv_reldb::row::Row;
@@ -449,19 +496,98 @@ fn ppdb_scan_population_matches_profile_compilation() {
         schema,
     )
     .unwrap();
-    for profile in population(30, 99) {
-        let id = profile.id().0;
-        ppdb.register_provider(
-            &profile,
-            Row::from_values([Value::Int(id as i64), Value::Int(70), Value::Int(30)]),
-        )
-        .unwrap();
+    let profiles = population(30, 99);
+    let data = |id: u64| Row::from_values([Value::Int(id as i64), Value::Int(70), Value::Int(30)]);
+    if !adversarial {
+        for profile in &profiles {
+            ppdb.register_provider(profile, data(profile.id().0))
+                .unwrap();
+        }
+        return ppdb;
     }
-    let eng = engine(&policy(6));
-    let scanned = ppdb.compiled_population().unwrap();
-    let materialized = CompiledPopulation::from_profiles(&ppdb.all_profiles().unwrap());
-    assert_eq!(
-        serde_json::to_string(&eng.audit_compiled(&scanned)).unwrap(),
-        serde_json::to_string(&eng.audit_compiled(&materialized)).unwrap()
-    );
+    let int = |v: u64| Value::Int(v as i64);
+    let text = |s: &str| Value::Text(s.to_string());
+    let mut rows: Vec<(&str, Row)> = Vec::new();
+    for p in &profiles {
+        let id = p.id().0;
+        rows.push(("people", data(id)));
+        for t in p.preferences.tuples() {
+            let point = t.tuple.point;
+            rows.push((
+                "_qpv_prefs",
+                Row::from_values([
+                    int(id),
+                    text(&t.attribute),
+                    text(t.tuple.purpose.name()),
+                    int(point.visibility.raw() as u64),
+                    int(point.granularity.raw() as u64),
+                    int(point.retention.raw() as u64),
+                ]),
+            ));
+        }
+        for (attr, s) in &p.sensitivities {
+            rows.push((
+                "_qpv_sens",
+                Row::from_values([
+                    int(id),
+                    text(attr),
+                    int(s.value as u64),
+                    int(s.visibility as u64),
+                    int(s.granularity as u64),
+                    int(s.retention as u64),
+                ]),
+            ));
+        }
+        // Every fifth provider has no threshold row at all.
+        if id % 5 != 0 {
+            rows.push((
+                "_qpv_thresholds",
+                Row::from_values([int(id), int(p.threshold)]),
+            ));
+        }
+    }
+    // Interleave: a deterministic shuffle, so consecutive rows rarely name
+    // the same provider.
+    let mut keyed: Vec<(u64, (&str, Row))> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            (
+                (i as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(17),
+                r,
+            )
+        })
+        .collect();
+    keyed.sort_by_key(|(k, _)| *k);
+    let mut rows: Vec<(&str, Row)> = keyed.into_iter().map(|(_, r)| r).collect();
+    // Appended after the shuffle, so they land last in scan order:
+    // repeated data-table ids…
+    for id in [3u64, 3, 17] {
+        rows.push(("people", data(id)));
+    }
+    // …companion rows for ids the data table never mentions, one naming
+    // an attribute nobody else uses…
+    rows.push((
+        "_qpv_prefs",
+        Row::from_values([int(900), text("orphan"), text("pr"), int(1), int(1), int(1)]),
+    ));
+    rows.push((
+        "_qpv_sens",
+        Row::from_values([int(901), text("weight"), int(9), int(9), int(9), int(9)]),
+    ));
+    rows.push(("_qpv_thresholds", Row::from_values([int(902), int(1)])));
+    // …and later rows overwriting earlier ones (a repeated id included).
+    for id in [3u64, 4, 8] {
+        rows.push((
+            "_qpv_sens",
+            Row::from_values([int(id), text("weight"), int(6), int(2), int(3), int(1)]),
+        ));
+        rows.push(("_qpv_thresholds", Row::from_values([int(id), int(7 + id)])));
+    }
+    for (table, row) in rows {
+        ppdb.db_mut().insert(table, row).unwrap();
+    }
+    ppdb
 }

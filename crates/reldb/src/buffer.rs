@@ -2,10 +2,11 @@
 //!
 //! All page access goes through [`BufferPool`]: pages are loaded into a
 //! bounded set of frames, mutated in place, and written back on eviction or
-//! at a checkpoint ([`BufferPool::flush_all`]). The pool is single-threaded
-//! (`&mut` API) — concurrency is layered above it (see
-//! [`crate::db::SharedDatabase`]), which keeps eviction and borrowing
-//! trivially sound.
+//! at a checkpoint ([`BufferPool::flush_all`]). Recency is an index-linked
+//! list over the frame slots, so hits and evictions are O(1) at any pool
+//! size. The pool is single-threaded (`&mut` API) — concurrency is layered
+//! above it (see [`crate::db::SharedDatabase`]), which keeps eviction and
+//! borrowing trivially sound.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -26,18 +27,36 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
+/// "No neighbour" in the recency list.
+const NIL: usize = usize::MAX;
+
 struct Frame {
+    page_id: u64,
     page: Page,
-    /// LRU clock value of the last access.
-    last_used: u64,
+    /// Recency-list neighbours: the next less / more recently used frame
+    /// slot, or [`NIL`] at the ends.
+    older: usize,
+    newer: usize,
 }
 
 /// A bounded page cache with least-recently-used eviction.
+///
+/// Frames live in a slot vector threaded by an index-linked recency list,
+/// so a hit moves its frame to the most-recent end and a miss takes its
+/// victim from the least-recent end, both in O(1). The order is exactly
+/// the one a per-access clock would give: the victim is always the frame
+/// whose last access is oldest.
 pub struct BufferPool {
     store: Box<dyn PageStore>,
-    frames: HashMap<u64, Frame>,
+    /// Resident frames; a slot is reused in place when its page is
+    /// evicted, so the vector never outgrows `capacity`.
+    frames: Vec<Frame>,
+    /// Page id → slot of its resident frame.
+    index: HashMap<u64, usize>,
+    /// Least and most recently used slots ([`NIL`] while empty).
+    lru: usize,
+    mru: usize,
     capacity: usize,
-    clock: u64,
     next_page_id: u64,
     stats: PoolStats,
     /// Bounded retry for transient store faults. Page reads, writes, and
@@ -67,9 +86,11 @@ impl BufferPool {
         let next_page_id = store.num_pages();
         BufferPool {
             store,
-            frames: HashMap::with_capacity(capacity),
+            frames: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity(capacity),
+            lru: NIL,
+            mru: NIL,
             capacity,
-            clock: 0,
             next_page_id,
             stats: PoolStats::default(),
             retry: RetryPolicy::none(),
@@ -108,9 +129,8 @@ impl BufferPool {
     pub fn publish_batch(&mut self, store: &VersionStore, lsn: u64) -> DbResult<()> {
         let batch = std::mem::take(&mut self.batch);
         for page_id in batch {
-            self.fault_in(page_id)?;
-            let frame = self.frames.get(&page_id).expect("just faulted in");
-            store.publish_page(page_id, lsn, frame.page.as_bytes())?;
+            let slot = self.fault_in(page_id)?;
+            store.publish_page(page_id, lsn, self.frames[slot].page.as_bytes())?;
         }
         Ok(())
     }
@@ -125,7 +145,7 @@ impl BufferPool {
     pub fn allocate(&mut self) -> DbResult<u64> {
         let page_id = self.next_page_id;
         self.next_page_id += 1;
-        self.make_room()?;
+        let slot = self.make_room()?;
         let page = Page::new(page_id);
         // Materialise the page in the store immediately so that page-id
         // space is dense on disk even if this page is evicted clean later.
@@ -137,30 +157,23 @@ impl BufferPool {
         if self.tracking {
             self.batch.insert(page_id);
         }
-        self.clock += 1;
-        self.frames.insert(
-            page_id,
-            Frame {
-                page,
-                last_used: self.clock,
-            },
-        );
+        self.install(slot, page_id, page);
         Ok(page_id)
     }
 
     /// Borrow a page immutably, faulting it in if needed.
     pub fn page(&mut self, page_id: u64) -> DbResult<&Page> {
-        self.fault_in(page_id)?;
-        Ok(&self.frames.get(&page_id).expect("just faulted in").page)
+        let slot = self.fault_in(page_id)?;
+        Ok(&self.frames[slot].page)
     }
 
     /// Borrow a page mutably, faulting it in if needed.
     pub fn page_mut(&mut self, page_id: u64) -> DbResult<&mut Page> {
-        self.fault_in(page_id)?;
+        let slot = self.fault_in(page_id)?;
         if self.tracking {
             self.batch.insert(page_id);
         }
-        Ok(&mut self.frames.get_mut(&page_id).expect("just faulted in").page)
+        Ok(&mut self.frames[slot].page)
     }
 
     /// Write every dirty resident page back to the store and sync it.
@@ -169,17 +182,17 @@ impl BufferPool {
     /// so the store's I/O op stream is identical across runs — the fault
     /// injector's "crash at the Nth op" is meaningless otherwise.
     pub fn flush_all(&mut self) -> DbResult<()> {
-        let mut dirty: Vec<u64> = self
-            .frames
+        let mut dirty: Vec<(u64, usize)> = self
+            .index
             .iter()
-            .filter(|(_, f)| f.page.is_dirty())
-            .map(|(&id, _)| id)
+            .filter(|(_, &slot)| self.frames[slot].page.is_dirty())
+            .map(|(&id, &slot)| (id, slot))
             .collect();
         dirty.sort_unstable();
         let retry = self.retry;
         let sleep = self.sleep_on_retry;
-        for id in dirty {
-            let frame = self.frames.get_mut(&id).expect("id collected above");
+        for (id, slot) in dirty {
+            let frame = &mut self.frames[slot];
             retry_transient_with(retry, sleep, || {
                 self.store.write_page(id, frame.page.as_bytes())
             })?;
@@ -200,15 +213,16 @@ impl BufferPool {
 
     /// Number of currently resident pages (for tests).
     pub fn resident(&self) -> usize {
-        self.frames.len()
+        self.index.len()
     }
 
-    fn fault_in(&mut self, page_id: u64) -> DbResult<()> {
-        self.clock += 1;
-        if let Some(frame) = self.frames.get_mut(&page_id) {
-            frame.last_used = self.clock;
+    /// Make `page_id` resident and most recently used, returning its slot.
+    fn fault_in(&mut self, page_id: u64) -> DbResult<usize> {
+        if let Some(&slot) = self.index.get(&page_id) {
+            self.unlink(slot);
+            self.push_mru(slot);
             self.stats.hits += 1;
-            return Ok(());
+            return Ok(slot);
         }
         self.stats.misses += 1;
         if page_id >= self.next_page_id {
@@ -216,43 +230,89 @@ impl BufferPool {
                 "access to unallocated page {page_id}"
             )));
         }
-        self.make_room()?;
+        let slot = self.make_room()?;
         let mut buf = [0u8; PAGE_SIZE];
         let retry = self.retry;
         let sleep = self.sleep_on_retry;
         retry_transient_with(retry, sleep, || self.store.read_page(page_id, &mut buf))?;
         let page = Page::from_bytes(buf)?;
-        self.frames.insert(
-            page_id,
-            Frame {
-                page,
-                last_used: self.clock,
-            },
-        );
-        Ok(())
+        Ok(self.install(slot, page_id, page))
     }
 
-    /// Evict the least-recently-used frame if the pool is full.
-    fn make_room(&mut self) -> DbResult<()> {
-        if self.frames.len() < self.capacity {
-            return Ok(());
+    /// Place a page as the most recently used frame: in `victim`'s slot
+    /// (evicting its page, already written back by [`Self::make_room`]),
+    /// or in a new slot while the pool is below capacity.
+    fn install(&mut self, victim: Option<usize>, page_id: u64, page: Page) -> usize {
+        let frame = Frame {
+            page_id,
+            page,
+            older: NIL,
+            newer: NIL,
+        };
+        let slot = match victim {
+            Some(slot) => {
+                self.unlink(slot);
+                self.index.remove(&self.frames[slot].page_id);
+                self.frames[slot] = frame;
+                slot
+            }
+            None => {
+                self.frames.push(frame);
+                self.frames.len() - 1
+            }
+        };
+        self.index.insert(page_id, slot);
+        self.push_mru(slot);
+        slot
+    }
+
+    /// Detach `slot` from the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let (older, newer) = (self.frames[slot].older, self.frames[slot].newer);
+        match older {
+            NIL => self.lru = newer,
+            o => self.frames[o].newer = newer,
         }
-        let victim = self
-            .frames
-            .iter()
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(&id, _)| id)
-            .expect("capacity > 0 and pool full implies a frame exists");
-        let frame = self.frames.remove(&victim).expect("victim resident");
+        match newer {
+            NIL => self.mru = older,
+            n => self.frames[n].older = older,
+        }
+    }
+
+    /// Append a detached `slot` at the most recently used end.
+    fn push_mru(&mut self, slot: usize) {
+        self.frames[slot].older = self.mru;
+        self.frames[slot].newer = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.frames[m].newer = slot,
+        }
+        self.mru = slot;
+    }
+
+    /// If the pool is full, pick the least-recently-used frame as the
+    /// victim for the next [`Self::install`] and write it back if dirty.
+    /// The victim stays resident (now clean) until that install, so a
+    /// failed write-back, or a failed read of the incoming page, leaves
+    /// every frame intact.
+    fn make_room(&mut self) -> DbResult<Option<usize>> {
+        if self.frames.len() < self.capacity {
+            return Ok(None);
+        }
+        let slot = self.lru;
+        debug_assert_ne!(slot, NIL, "capacity > 0 and pool full implies a frame");
+        let frame = &mut self.frames[slot];
         if frame.page.is_dirty() {
             let retry = self.retry;
             let sleep = self.sleep_on_retry;
+            let store = &mut self.store;
             retry_transient_with(retry, sleep, || {
-                self.store.write_page(victim, frame.page.as_bytes())
+                store.write_page(frame.page_id, frame.page.as_bytes())
             })?;
+            frame.page.mark_clean();
             self.stats.evictions += 1;
         }
-        Ok(())
+        Ok(Some(slot))
     }
 }
 
@@ -260,7 +320,7 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity)
-            .field("resident", &self.frames.len())
+            .field("resident", &self.index.len())
             .field("num_pages", &self.next_page_id)
             .field("stats", &self.stats)
             .finish()
@@ -325,6 +385,115 @@ mod tests {
         pool.page(a).unwrap();
         let after = pool.stats();
         assert_eq!(after.misses, before.misses, "hot page was evicted");
+    }
+
+    /// The clock-and-min-scan eviction rule the recency list replaced,
+    /// kept as the reference: every access stamps a global clock, and the
+    /// victim is the resident page with the smallest stamp.
+    struct ClockModel {
+        last_used: HashMap<u64, u64>,
+        clock: u64,
+        capacity: usize,
+    }
+
+    impl ClockModel {
+        fn make_room(&mut self) {
+            if self.last_used.len() < self.capacity {
+                return;
+            }
+            let victim = *self
+                .last_used
+                .iter()
+                .min_by_key(|(_, &t)| t)
+                .map(|(id, _)| id)
+                .unwrap();
+            self.last_used.remove(&victim);
+        }
+
+        fn allocate(&mut self, id: u64) {
+            self.make_room();
+            self.clock += 1;
+            self.last_used.insert(id, self.clock);
+        }
+
+        fn access(&mut self, id: u64) {
+            self.clock += 1;
+            if let Some(t) = self.last_used.get_mut(&id) {
+                *t = self.clock;
+                return;
+            }
+            self.make_room();
+            self.last_used.insert(id, self.clock);
+        }
+
+        fn resident(&self) -> Vec<u64> {
+            let mut ids: Vec<u64> = self.last_used.keys().copied().collect();
+            ids.sort_unstable();
+            ids
+        }
+    }
+
+    #[test]
+    fn recency_list_evicts_exactly_what_the_clock_min_scan_would() {
+        // A seeded trace of allocations, reads, writes and flushes. The
+        // resident sets agree after every step, so every eviction picked
+        // the same victim as the reference rule.
+        let capacity = 8;
+        let mut pool = pool(capacity);
+        let mut model = ClockModel {
+            last_used: HashMap::new(),
+            clock: 0,
+            capacity,
+        };
+        let mut state = 0x5eed_u64;
+        for step in 0..5_000u64 {
+            state = crate::fault::splitmix64(state);
+            let pages = pool.num_pages();
+            if pages < 4 || (state.is_multiple_of(16) && pages < 48) {
+                let id = pool.allocate().unwrap();
+                model.allocate(id);
+            } else {
+                // Half the accesses go to the newest quarter of the pages,
+                // so the trace mixes hits with misses.
+                let span = if state & 2 == 0 { pages } else { pages / 4 + 1 };
+                let id = pages - 1 - (state >> 8) % span;
+                if state & 1 == 0 {
+                    pool.page(id).unwrap();
+                } else {
+                    let _ = pool.page_mut(id).unwrap().insert(b"x");
+                }
+                model.access(id);
+            }
+            if step.is_multiple_of(97) {
+                pool.flush_all().unwrap();
+            }
+            let mut resident: Vec<u64> = pool.index.keys().copied().collect();
+            resident.sort_unstable();
+            assert_eq!(resident, model.resident(), "step {step}");
+        }
+        let stats = pool.stats();
+        assert!(stats.misses > 1_000 && stats.hits > 1_000, "{stats:?}");
+        assert!(stats.evictions > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn failed_write_back_keeps_the_victim_resident() {
+        use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultStore};
+        // Op 0 materialises page `a`; op 1 is its eviction write-back.
+        let plan = FaultPlan::fail_at(1, FaultKind::Transient);
+        let store = FaultStore::new(Box::new(MemStore::new()), FaultInjector::new(plan));
+        let mut pool = BufferPool::new(Box::new(store), 1);
+        let a = pool.allocate().unwrap();
+        pool.page_mut(a).unwrap().insert(b"kept").unwrap();
+        assert!(pool.allocate().is_err());
+        let misses = pool.stats().misses;
+        // The dirty page is still resident, not dropped with its update.
+        assert_eq!(pool.page(a).unwrap().get(0).unwrap(), b"kept");
+        assert_eq!(pool.stats().misses, misses);
+        // The retried eviction writes it back, so it survives a refault.
+        let b = pool.allocate().unwrap();
+        assert_eq!(pool.page(a).unwrap().get(0).unwrap(), b"kept");
+        assert!(pool.page(b).is_ok());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::btree::BTreeIndex;
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, IndexId, TableId};
 use crate::disk::{sync_dir, FileStore, MemStore, PageStore};
-use crate::encoding::{decode_row, encode_row};
+use crate::encoding::{decode_row, decode_row_ref, encode_row, ValueRef};
 use crate::error::{DbError, DbResult};
 use crate::exec::{execute, ExecContext, Plan, ResultSet};
 use crate::fault::{jitter_salt, retry_transient_with, FaultInjector, FaultStore, RetryPolicy};
@@ -383,11 +383,11 @@ impl Database {
                 .catalog
                 .table_by_id(meta.table)
                 .ok_or_else(|| DbError::Catalog("index references dropped table".into()))?;
-            let mut cursor = table.heap.cursor();
-            while let Some((rid, bytes)) = cursor.next(&mut self.pool)? {
-                let row = decode_row(&bytes)?;
+            table.heap.for_each(&mut self.pool, |rid, bytes| {
+                let row = decode_row(bytes)?;
                 btree.insert(index_key_checked(&meta.columns, &row)?, rid);
-            }
+                Ok(())
+            })?;
             self.indexes.insert(meta.id, btree);
         }
         Ok(())
@@ -664,11 +664,11 @@ impl Database {
             .expect("just looked up")
             .heap;
         let mut btree = BTreeIndex::new();
-        let mut cursor = heap.cursor();
-        while let Some((rid, bytes)) = cursor.next(&mut self.pool)? {
-            let row = decode_row(&bytes)?;
+        heap.for_each(&mut self.pool, |rid, bytes| {
+            let row = decode_row(bytes)?;
             btree.insert(index_key(&col_idxs, &row), rid);
-        }
+            Ok(())
+        })?;
         self.indexes.insert(id, btree);
         self.wal.append(&WalRecord::CreateIndex {
             name: name.to_string(),
@@ -750,12 +750,33 @@ impl Database {
     /// All `(address, row)` pairs of a table, in heap order.
     pub fn scan(&mut self, table: &str) -> DbResult<Vec<(RowId, Row)>> {
         let heap = self.catalog.require_table(table)?.heap;
-        let mut cursor = heap.cursor();
         let mut out = Vec::new();
-        while let Some((rid, bytes)) = cursor.next(&mut self.pool)? {
-            out.push((rid, decode_row(&bytes)?));
-        }
+        heap.for_each(&mut self.pool, |rid, bytes| {
+            out.push((rid, decode_row(bytes)?));
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    /// Visit every row of a table in heap order without materializing it:
+    /// each record is decoded in place off its resident page
+    /// ([`decode_row_ref`]) and lent to `f`, whose error stops the scan and
+    /// is returned. The same walk as [`Database::scan`], minus the record
+    /// copy, the owned [`Row`], and a `String` per text cell.
+    pub fn scan_each(
+        &mut self,
+        table: &str,
+        mut f: impl FnMut(&[ValueRef<'_>]) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let heap = self.catalog.require_table(table)?.heap;
+        let mut spare: Vec<ValueRef<'static>> = Vec::new();
+        heap.for_each(&mut self.pool, |_, bytes| {
+            let mut values = recycle(std::mem::take(&mut spare));
+            decode_row_ref(bytes, &mut values)?;
+            f(&values)?;
+            spare = recycle(values);
+            Ok(())
+        })
     }
 
     /// The schema of a table.
@@ -794,17 +815,16 @@ impl Database {
         let table_id = meta.id;
         let old_heap = meta.heap;
         // Copy all live rows out, then rewrite into a fresh chain.
-        let mut cursor = old_heap.cursor();
-        let mut rows: Vec<Vec<u8>> = Vec::new();
-        while let Some((_, bytes)) = cursor.next(&mut self.pool)? {
-            rows.push(bytes);
-        }
+        let mut rows: Vec<(RowId, Vec<u8>)> = Vec::new();
+        old_heap.for_each(&mut self.pool, |rid, bytes| {
+            rows.push((rid, bytes.to_vec()));
+            Ok(())
+        })?;
         let mut new_heap = TableHeap::create(&mut self.pool)?;
         let txn_id = self.txn.autocommit_id();
         self.wal.append(&WalRecord::Begin { txn: txn_id });
         // Log as delete-all + reinsert: replay reproduces the rewrite.
-        let mut old_cursor = old_heap.cursor();
-        while let Some((rid, _)) = old_cursor.next(&mut self.pool)? {
+        for &(rid, _) in &rows {
             self.wal.append(&WalRecord::Delete {
                 txn: txn_id,
                 table: table_id.0,
@@ -812,7 +832,7 @@ impl Database {
             });
         }
         let n = rows.len();
-        for bytes in rows {
+        for (_, bytes) in rows {
             let rid = new_heap.insert(&mut self.pool, &bytes)?;
             self.wal.append(&WalRecord::Insert {
                 txn: txn_id,
@@ -844,11 +864,11 @@ impl Database {
             .heap;
         for meta in metas {
             let mut btree = BTreeIndex::new();
-            let mut cursor = heap.cursor();
-            while let Some((rid, bytes)) = cursor.next(&mut self.pool)? {
-                let row = decode_row(&bytes)?;
+            heap.for_each(&mut self.pool, |rid, bytes| {
+                let row = decode_row(bytes)?;
                 btree.insert(index_key_checked(&meta.columns, &row)?, rid);
-            }
+                Ok(())
+            })?;
             self.indexes.insert(meta.id, btree);
         }
         Ok(())
@@ -957,10 +977,9 @@ impl Database {
             .table_by_id(table)
             .ok_or_else(|| DbError::Catalog("unknown table id".into()))?
             .heap;
-        let mut cursor = heap.cursor();
         let mut out = Vec::new();
-        while let Some((rid, bytes)) = cursor.next(&mut self.pool)? {
-            let row = decode_row(&bytes)?;
+        heap.for_each(&mut self.pool, |rid, bytes| {
+            let row = decode_row(bytes)?;
             let keep = match predicate {
                 Some(p) => p.matches(&row)?,
                 None => true,
@@ -968,7 +987,8 @@ impl Database {
             if keep {
                 out.push((rid, row));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -1253,6 +1273,16 @@ impl SharedDatabase {
     }
 }
 
+/// Empty `values` and hand its allocation back under a fresh borrow
+/// lifetime, so one buffer serves every record of a scan even though each
+/// record borrows from a different page (collecting an emptied iterator
+/// into a same-layout `Vec` reuses the allocation in place — a std
+/// optimization, not a guarantee, so a unit test pins it).
+fn recycle<'b>(mut values: Vec<ValueRef<'_>>) -> Vec<ValueRef<'b>> {
+    values.clear();
+    values.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// The composite index key of `row` under an index over `columns`.
 /// Columns are trusted in-range (hot path: every index-maintaining write).
 fn index_key(columns: &[usize], row: &Row) -> Vec<Value> {
@@ -1433,6 +1463,21 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    #[test]
+    fn recycle_keeps_the_value_buffer() {
+        // `scan_each` relies on this to decode every record into one
+        // allocation: a regression here would silently cost one
+        // allocation per row.
+        let text = String::from("page bytes");
+        let mut values = Vec::with_capacity(16);
+        values.extend([ValueRef::Int(7), ValueRef::Text(&text)]);
+        let (ptr, cap) = (values.as_ptr() as usize, values.capacity());
+        let recycled: Vec<ValueRef<'static>> = recycle(values);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.as_ptr() as usize, ptr, "allocation reused");
+        assert_eq!(recycled.capacity(), cap);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! varints; floats are fixed 8-byte little-endian; strings and byte arrays
 //! are length-prefixed.
 //!
+//! Decoding has one implementation with two outputs: [`decode_row_ref`]
+//! borrows text and bytes straight out of the record (the zero-copy path
+//! bulk scans use, see [`crate::db::Database::scan_each`]), and
+//! [`decode_row`] converts the same values to an owned [`Row`]. Both apply
+//! the same checks: column-count cap, truncation, unknown tags, UTF-8, and
+//! trailing bytes.
+//!
 //! Layout of an encoded row:
 //!
 //! ```text
@@ -98,42 +105,91 @@ pub fn encode_value(buf: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Read one value.
-pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
+/// One decoded value borrowed from the encoded bytes: the zero-copy view
+/// of a [`Value`], with text and byte cells pointing into the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 text (validated).
+    Text(&'a str),
+    /// Raw bytes.
+    Bytes(&'a [u8]),
+}
+
+impl<'a> ValueRef<'a> {
+    /// View as integer if the value is an `Int`.
+    pub fn as_int(&self) -> Option<i64> {
+        match self {
+            ValueRef::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+
+    /// View as text if the value is `Text`.
+    pub fn as_text(&self) -> Option<&'a str> {
+        match self {
+            ValueRef::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Value {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+        }
+    }
+}
+
+/// Split `len` bytes off the front of `buf`.
+fn take_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> DbResult<&'a [u8]> {
+    if buf.len() < len {
+        return Err(DbError::Corruption(format!("truncated {what}")));
+    }
+    let (head, tail) = buf.split_at(len);
+    *buf = tail;
+    Ok(head)
+}
+
+/// Read one value, borrowing text and bytes from `buf`.
+fn decode_value_ref<'a>(buf: &mut &'a [u8]) -> DbResult<ValueRef<'a>> {
     if !buf.has_remaining() {
         return Err(DbError::Corruption("truncated value tag".into()));
     }
     let tag = buf.get_u8();
     match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(zigzag_decode(get_varint(buf)?))),
+        TAG_NULL => Ok(ValueRef::Null),
+        TAG_FALSE => Ok(ValueRef::Bool(false)),
+        TAG_TRUE => Ok(ValueRef::Bool(true)),
+        TAG_INT => Ok(ValueRef::Int(zigzag_decode(get_varint(buf)?))),
         TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(DbError::Corruption("truncated float".into()));
-            }
-            Ok(Value::Float(buf.get_f64_le()))
+            let bytes = take_bytes(buf, 8, "float")?;
+            Ok(ValueRef::Float(f64::from_le_bytes(
+                bytes.try_into().expect("took 8 bytes"),
+            )))
         }
         TAG_TEXT => {
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(DbError::Corruption("truncated text".into()));
-            }
-            let bytes = buf[..len].to_vec();
-            buf.advance(len);
-            String::from_utf8(bytes)
-                .map(Value::Text)
+            std::str::from_utf8(take_bytes(buf, len, "text")?)
+                .map(ValueRef::Text)
                 .map_err(|_| DbError::Corruption("invalid utf-8 in text value".into()))
         }
         TAG_BYTES => {
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(DbError::Corruption("truncated bytes".into()));
-            }
-            let bytes = buf[..len].to_vec();
-            buf.advance(len);
-            Ok(Value::Bytes(bytes))
+            Ok(ValueRef::Bytes(take_bytes(buf, len, "bytes")?))
         }
         other => Err(DbError::Corruption(format!("unknown value tag {other}"))),
     }
@@ -149,8 +205,14 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
     buf
 }
 
-/// Decode a whole row, requiring the buffer to be fully consumed.
-pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
+/// The one row decoder: validate `bytes` as a whole row and append its
+/// values to the cleared `out`, converted to `T`. The buffer must be fully
+/// consumed.
+fn decode_row_into<'a, T: From<ValueRef<'a>>>(
+    mut bytes: &'a [u8],
+    out: &mut Vec<T>,
+) -> DbResult<()> {
+    out.clear();
     let count = get_varint(&mut bytes)? as usize;
     // Cap pathological counts before allocating (a corrupt varint could
     // claim 2^60 columns).
@@ -160,9 +222,9 @@ pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
             bytes.len()
         )));
     }
-    let mut values = Vec::with_capacity(count);
+    out.reserve(count);
     for _ in 0..count {
-        values.push(decode_value(&mut bytes)?);
+        out.push(decode_value_ref(&mut bytes)?.into());
     }
     if bytes.has_remaining() {
         return Err(DbError::Corruption(format!(
@@ -170,6 +232,22 @@ pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
             bytes.remaining()
         )));
     }
+    Ok(())
+}
+
+/// Decode a whole row without copying: `out` is cleared and refilled with
+/// values borrowing from `bytes`, so a caller that reuses `out` decodes a
+/// scan with no per-row allocation. Rejects exactly what [`decode_row`]
+/// rejects.
+pub fn decode_row_ref<'a>(bytes: &'a [u8], out: &mut Vec<ValueRef<'a>>) -> DbResult<()> {
+    decode_row_into(bytes, out)
+}
+
+/// Decode a whole row into owned values, requiring the buffer to be fully
+/// consumed.
+pub fn decode_row(bytes: &[u8]) -> DbResult<Row> {
+    let mut values = Vec::new();
+    decode_row_into(bytes, &mut values)?;
     Ok(Row::new(values))
 }
 
@@ -296,6 +374,43 @@ mod tests {
         #[test]
         fn prop_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_row(&bytes); // must not panic
+        }
+
+        #[test]
+        fn prop_borrowed_decoder_agrees_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            assert_decoders_agree(&bytes);
+        }
+
+        #[test]
+        fn prop_borrowed_decoder_agrees_on_truncated_and_flipped_rows(
+            values in proptest::collection::vec(arb_value(), 0..16),
+            flip_at in any::<u16>(),
+            flip_mask in 1u8..=255,
+        ) {
+            let bytes = encode_row(&Row::new(values));
+            for cut in 0..=bytes.len() {
+                assert_decoders_agree(&bytes[..cut]);
+            }
+            let mut flipped = bytes.clone();
+            let at = flip_at as usize % flipped.len();
+            flipped[at] ^= flip_mask;
+            assert_decoders_agree(&flipped);
+        }
+    }
+
+    /// [`decode_row_ref`] and [`decode_row`] accept exactly the same inputs,
+    /// decode them to the same values (compared by `Debug`, which tells
+    /// `Int(2)` from `Float(2.0)` and prints NaN), and fail with the same
+    /// error.
+    fn assert_decoders_agree(bytes: &[u8]) {
+        let mut borrowed = vec![ValueRef::Null; 3]; // stale contents must be cleared
+        match (decode_row(bytes), decode_row_ref(bytes, &mut borrowed)) {
+            (Ok(row), Ok(())) => {
+                let owned: Vec<Value> = borrowed.into_iter().map(Value::from).collect();
+                assert_eq!(format!("{:?}", row.values), format!("{owned:?}"));
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+            (owned, borrowed) => panic!("decoders disagree: {owned:?} vs {borrowed:?}"),
         }
     }
 }

@@ -277,11 +277,11 @@ pub fn execute(plan: &Plan, ctx: &mut ExecContext<'_>) -> DbResult<ResultSet> {
                 .table_by_id(*table)
                 .ok_or_else(|| DbError::Catalog(format!("no table with id {}", table.0)))?;
             let columns = column_names(ctx.catalog, *table)?;
-            let mut cursor = meta.heap.cursor();
             let mut rows = Vec::new();
-            while let Some((_, bytes)) = cursor.next(ctx.pool)? {
-                rows.push(decode_row(&bytes)?);
-            }
+            meta.heap.for_each(ctx.pool, |_, bytes| {
+                rows.push(decode_row(bytes)?);
+                Ok(())
+            })?;
             Ok(ResultSet { columns, rows })
         }
         Plan::IndexScan {

@@ -1,8 +1,10 @@
 //! Table heaps: unordered record storage across a chain of pages.
 //!
 //! A [`TableHeap`] owns a singly-linked chain of slotted pages. Inserts go to
-//! the tail page (allocating and linking a new page when the tail is full);
-//! scans walk the chain in order with a resumable [`HeapCursor`]. Records are
+//! the tail page (allocating and linking a new page when the tail is full).
+//! Scans walk the chain in order with [`TableHeap::for_each`], which
+//! fetches each page from the pool once and lends every live record's
+//! bytes to a closure without copying them. Records are
 //! addressed by [`RowId`] — `(page, slot)` — which stays stable except for
 //! updates that outgrow their page (those return the record's new id).
 
@@ -93,55 +95,35 @@ impl TableHeap {
         }
     }
 
-    /// Start a scan over the whole heap.
-    pub fn cursor(&self) -> HeapCursor {
-        HeapCursor {
-            next_page: Some(self.first_page),
-            slot: 0,
+    /// Visit every live record in chain order, borrowing its bytes straight
+    /// from the resident page. Each page is fetched from the pool once, and
+    /// `f` may stop the walk early by returning an error.
+    pub fn for_each(
+        &self,
+        pool: &mut BufferPool,
+        mut f: impl FnMut(RowId, &[u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let mut next = Some(self.first_page);
+        while let Some(page_id) = next {
+            let page = pool.page(page_id)?;
+            for slot in 0..page.slot_count() {
+                if let Some(record) = page.get(slot) {
+                    f(RowId::new(page_id, slot), record)?;
+                }
+            }
+            next = page.next_page();
         }
+        Ok(())
     }
 
     /// Count live records (walks the chain).
     pub fn count(&self, pool: &mut BufferPool) -> DbResult<usize> {
-        let mut cursor = self.cursor();
         let mut n = 0;
-        while cursor.next(pool)?.is_some() {
+        self.for_each(pool, |_, _| {
             n += 1;
-        }
+            Ok(())
+        })?;
         Ok(n)
-    }
-}
-
-/// A resumable position in a heap scan.
-///
-/// The cursor holds no page borrows between calls, so scans interleave
-/// freely with other pool traffic (at the cost of refetching the current
-/// page from the pool on each step — a hash lookup when resident).
-#[derive(Debug, Clone)]
-pub struct HeapCursor {
-    next_page: Option<u64>,
-    slot: u16,
-}
-
-impl HeapCursor {
-    /// The next live record, or `None` at end of heap.
-    pub fn next(&mut self, pool: &mut BufferPool) -> DbResult<Option<(RowId, Vec<u8>)>> {
-        loop {
-            let page_id = match self.next_page {
-                Some(id) => id,
-                None => return Ok(None),
-            };
-            let page = pool.page(page_id)?;
-            while self.slot < page.slot_count() {
-                let slot = self.slot;
-                self.slot += 1;
-                if let Some(record) = page.get(slot) {
-                    return Ok(Some((RowId::new(page_id, slot), record.to_vec())));
-                }
-            }
-            self.next_page = page.next_page();
-            self.slot = 0;
-        }
     }
 }
 
@@ -155,11 +137,12 @@ mod tests {
     }
 
     fn collect(heap: &TableHeap, pool: &mut BufferPool) -> Vec<(RowId, Vec<u8>)> {
-        let mut cursor = heap.cursor();
         let mut out = Vec::new();
-        while let Some(item) = cursor.next(pool).unwrap() {
-            out.push(item);
-        }
+        heap.for_each(pool, |rid, bytes| {
+            out.push((rid, bytes.to_vec()));
+            Ok(())
+        })
+        .unwrap();
         out
     }
 

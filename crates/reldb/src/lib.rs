@@ -80,6 +80,7 @@ pub use audit_bridge::{
     VIOLATIONS_TABLE,
 };
 pub use db::{Database, SharedDatabase};
+pub use encoding::ValueRef;
 pub use error::{DbError, DbResult};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStore, RetryPolicy};
 pub use row::{Row, RowId};

@@ -142,6 +142,12 @@ echo "== population equivalence (release) =="
 # the string-path oracle.
 cargo test -q --release -p qpv-core --test pop_equivalence
 
+echo "== row decoding (release) =="
+# The borrowed decoder the population scans run on must accept, decode,
+# and reject exactly what the owned decoder does, garbage and truncated
+# rows included, under the optimizer that builds the scan path.
+cargo test -q --release -p qpv-reldb encoding
+
 echo "== delta equivalence (release) =="
 # The incremental contract: random delta sequences applied in place (to
 # the compiled population and to the live index) land byte-identically on

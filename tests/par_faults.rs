@@ -45,7 +45,6 @@ fn seeded_ppdb() -> Ppdb {
 
 #[test]
 fn transient_worker_panic_is_retried_and_the_report_is_unchanged() {
-    let _guard = failpoint::serialize();
     let mut ppdb = seeded_ppdb();
     let sequential = ppdb.audit().unwrap();
 
@@ -59,7 +58,6 @@ fn transient_worker_panic_is_retried_and_the_report_is_unchanged() {
 
 #[test]
 fn poisoned_chunk_surfaces_as_a_structured_error_naming_the_chunk() {
-    let _guard = failpoint::serialize();
     let mut ppdb = seeded_ppdb();
     let sequential = ppdb.audit().unwrap();
 

@@ -7,7 +7,9 @@
 //! refuses to open.
 
 use quantifying_privacy_violations::prelude::*;
-use quantifying_privacy_violations::reldb::db::{catalog_snap_path, pages_snap_path, wal_path};
+use quantifying_privacy_violations::reldb::db::{
+    catalog_snap_path, pages_snap_path, read_current, wal_path,
+};
 use quantifying_privacy_violations::reldb::DbError;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -143,6 +145,61 @@ fn zeroed_page_in_snapshot_is_detected_on_access() {
             assert!(matches!(err, DbError::Corruption(_)), "{err}");
         }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn corrupted_prefs_record_fails_the_audit_with_corruption() {
+    // The audit decodes preference rows in place off their pages; a
+    // damaged record must come back as a typed error from `Ppdb::audit`,
+    // never as a panic or a silently shorter preference list.
+    let dir = temp_dir("ppdb-bad-prefs");
+    let scenario = Scenario::healthcare(40, 3);
+    let marker = "zz_corrupt_me";
+    {
+        let db = Database::open(&dir).unwrap();
+        let mut ppdb = Ppdb::create(
+            db,
+            PpdbConfig::new("patients", "provider_id"),
+            scenario.data_schema(),
+        )
+        .unwrap();
+        ppdb.set_policy(&scenario.baseline_policy).unwrap();
+        for (profile, row) in scenario
+            .population
+            .profiles
+            .iter()
+            .zip(&scenario.population.data_rows)
+        {
+            ppdb.register_provider(profile, row.clone()).unwrap();
+        }
+        let id = scenario.population.profiles[0].id();
+        let tuple = PrivacyTuple::from_point("pr", PrivacyPoint::from_raw(1, 1, 1));
+        ppdb.set_preferences(id, marker, vec![tuple]).unwrap();
+        // Without its index the prefs table is not decoded while the
+        // store reopens, so the damage first meets the audit's scan.
+        ppdb.db_mut()
+            .drop_index("_qpv_prefs_provider_attr")
+            .unwrap();
+        ppdb.db_mut().checkpoint().unwrap();
+    }
+    // Break the marker text's UTF-8 wherever it sits in the page snapshot.
+    let snap = pages_snap_path(&dir, read_current(&dir).unwrap());
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let mut hits = 0;
+    for at in 0..bytes.len() - marker.len() {
+        if &bytes[at..at + marker.len()] == marker.as_bytes() {
+            bytes[at] = 0xff;
+            hits += 1;
+        }
+    }
+    assert!(hits > 0, "marker not found in the page snapshot");
+    std::fs::write(&snap, bytes).unwrap();
+
+    let db = Database::open(&dir).unwrap();
+    let mut ppdb = Ppdb::open(db, PpdbConfig::new("patients", "provider_id")).unwrap();
+    let err = ppdb.audit().unwrap_err();
+    assert!(matches!(err, DbError::Corruption(_)), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
