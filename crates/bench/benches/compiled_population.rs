@@ -9,10 +9,12 @@
 //! 3. **Thread sweep** — `par_audit_compiled` over the shared population
 //!    with pooled scratches.
 //! 4. **K-policy amortization** — a what-if sweep over K candidate policies
-//!    as K independent full audits versus one compile + K counts-only
-//!    passes (`audit_many_policies`, the Eq. 31 sweep shape). The compiled
-//!    leg re-builds the population inside the timed region, so the curve
-//!    shows the build amortizing away as K grows.
+//!    as K independent full audits versus one compile + one fused
+//!    counts-only pass over all K (`audit_many_policies`, the Eq. 31 sweep
+//!    shape: each unique row's preference lanes are filled once, and every
+//!    policy is swept over them). The compiled leg re-builds the population
+//!    inside the timed region, so the curve shows the build amortizing
+//!    away as K grows.
 //!
 //! Every sample asserts its report/counts against the string-path oracle.
 //!
@@ -136,8 +138,8 @@ fn bench_policy_sweep(c: &mut Criterion) {
                 }
             });
         });
-        // One population compile (inside the timed region) + K counts-only
-        // passes.
+        // One population compile (inside the timed region) + one fused
+        // counts-only pass over the K policies.
         group.bench_with_input(BenchmarkId::new("compiled", k), &k, |b, &k| {
             b.iter(|| {
                 let pop = CompiledPopulation::from_profiles(black_box(&population.profiles));

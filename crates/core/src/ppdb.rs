@@ -531,8 +531,12 @@ impl Ppdb {
     /// audit state (weights do not flow through the delta stream).
     pub fn set_attribute_weight(&mut self, attribute: &str, weight: u32) -> DbResult<()> {
         self.model_epoch += 1;
+        // The name is a SQL string literal here: double its quotes so a
+        // name like `o'brien` neither breaks the parse nor widens the
+        // predicate to other attributes' rows.
+        let literal = attribute.replace('\'', "''");
         self.db.execute(&format!(
-            "DELETE FROM {T_ATTR_SENS} WHERE attribute = '{attribute}'"
+            "DELETE FROM {T_ATTR_SENS} WHERE attribute = '{literal}'"
         ))?;
         self.db.insert(
             T_ATTR_SENS,
@@ -1475,6 +1479,27 @@ mod tests {
         // Replacing overwrites.
         ppdb.set_policy(&HousePolicy::new("empty")).unwrap();
         assert!(ppdb.house_policy().unwrap().is_empty());
+    }
+
+    #[test]
+    fn attribute_weights_with_quotes_replace_only_their_own_row() {
+        let mut ppdb = fresh();
+        ppdb.set_attribute_weight("age", 3).unwrap();
+        ppdb.set_attribute_weight("weight", 4).unwrap();
+        let hostile = "x' OR attribute <> 'y";
+        for (name, w) in [("o'brien", 7), (hostile, 1), ("o'brien", 8), (hostile, 2)] {
+            ppdb.set_attribute_weight(name, w).unwrap();
+        }
+        let weights = ppdb.attribute_weights().unwrap();
+        assert_eq!(weights.get("age"), 3);
+        assert_eq!(weights.get("weight"), 4);
+        assert_eq!(weights.get("o'brien"), 8);
+        assert_eq!(weights.get(hostile), 2);
+        assert_eq!(
+            ppdb.db_mut().scan(T_ATTR_SENS).unwrap().len(),
+            4,
+            "one row per name"
+        );
     }
 
     #[test]

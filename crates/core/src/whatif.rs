@@ -9,9 +9,10 @@
 //! compliance target.
 //!
 //! Scenario sweeps are where [`crate::pop::CompiledPopulation`] pays off:
-//! the population is compiled once at construction, and every candidate
-//! policy after that is one counts-only pass over the flat preference rows —
-//! no profile re-indexing, no witness allocation.
+//! the population is compiled once at construction, and a batch of
+//! candidate policies is priced in one counts-only pass over the packed
+//! preference lanes — filled once per unique row, swept once per policy,
+//! with no profile re-indexing and no witness allocation.
 
 use serde::{Deserialize, Serialize};
 
@@ -89,7 +90,8 @@ impl<'a> WhatIf<'a> {
     }
 
     /// Evaluate a batch of labelled candidates, in order — one compiled
-    /// population, K cheap passes ([`AuditEngine::audit_many_policies`]).
+    /// population, one fused pass for all K candidates
+    /// ([`AuditEngine::audit_many_policies`]).
     pub fn evaluate_all(&self, scenarios: &[(String, HousePolicy)]) -> Vec<ScenarioOutcome> {
         let policies: Vec<HousePolicy> = scenarios.iter().map(|(_, p)| p.clone()).collect();
         self.engine

@@ -51,9 +51,9 @@ pub struct ExpansionRow {
 /// Sweep runner.
 ///
 /// The population is compiled once into flat structure-of-arrays form at
-/// construction ([`CompiledPopulation`]); every widening step after that is
-/// one counts-only pass, so a K-step sweep costs one compile + K cheap
-/// passes instead of K full audits.
+/// construction ([`CompiledPopulation`]); a K-step sweep after that is one
+/// counts-only pass that fills each unique row's preference lanes once and
+/// sweeps all K policies over them, instead of K full audits.
 #[derive(Debug)]
 pub struct ExpansionSweep<'a> {
     engine: &'a AuditEngine,
@@ -143,7 +143,7 @@ impl<'a> ExpansionSweep<'a> {
         self.row(step, label, &counts)
     }
 
-    /// Run a uniform-widening sweep of `max_steps` steps: one batched
+    /// Run a uniform-widening sweep of `max_steps` steps: one fused
     /// multi-policy pass over the compiled population (Eq. 31's sweep).
     pub fn run_uniform(&self, base: &HousePolicy, max_steps: u32) -> Vec<ExpansionRow> {
         let policies: Vec<HousePolicy> = (0..=max_steps).map(|s| base.widened_uniform(s)).collect();

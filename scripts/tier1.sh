@@ -10,7 +10,9 @@
 #   scripts/tier1.sh --concurrency  # gate + snapshot-reader / delta-handoff
 #                                   #   concurrency suites (release)
 #   scripts/tier1.sh --packed       # packed-layout stage only (release
-#                                   #   equivalence suites + packed bench smoke)
+#                                   #   equivalence suites, packed and
+#                                   #   K-policy sweep bench smokes, and the
+#                                   #   economics tests)
 #   scripts/tier1.sh --sql          # SQL / selective-audit stage only
 #                                   #   (shadow + crash-torture + Ppdb-level
 #                                   #   suites in release, selective bench
@@ -65,13 +67,21 @@ if [[ "${1:-}" == "--packed" ]]; then
     # layout (PR 7): the equivalence suites that pin the packed counts /
     # sweep / delta paths byte-identical to `run_reference`, under the
     # release optimizer, plus the packed bench in smoke mode (every
-    # sample asserts its aggregates against the string-path oracle).
+    # sample asserts its aggregates against the string-path oracle). The
+    # fused K-policy kernel is checked the same way: the compiled
+    # population bench's K-policy sweep asserts every total against the
+    # naive per-policy path, and the economics tests drive the Eq. 31
+    # sweep through it.
     echo "== packed: population equivalence (release) =="
     cargo test -q --release -p qpv-core --test pop_equivalence
     echo "== packed: delta equivalence (release) =="
     cargo test -q --release -p qpv-core --test delta_equivalence
     echo "== packed: bench smoke (oracle-asserted) =="
     QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench packed_population
+    echo "== packed: K-policy sweep bench smoke (oracle-asserted) =="
+    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench compiled_population
+    echo "== packed: economics (release) =="
+    cargo test -q --release -p qpv-economics
     echo "tier-1 packed: OK"
     exit 0
 fi
