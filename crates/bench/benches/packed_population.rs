@@ -11,10 +11,11 @@
 //!    throughput as JSON metrics. Acceptance: < 64 bytes/provider.
 //! 2. **Counts throughput** — the branch-free packed counts pass over
 //!    10M providers (each unique row scored once, aggregated by
-//!    multiplicity; the only O(N) leg is the per-occurrence threshold
-//!    compare).
+//!    multiplicity; each provider's threshold is then compared with its
+//!    unique row's score).
 //! 3. **K-policy sweep** — `audit_many_policies` at 10M, the Eq. 31
-//!    what-if shape, sharing one packed scratch across 8 policies.
+//!    what-if shape: one call prices all 8 policies, filling each unique
+//!    row once and reading each threshold from memory once.
 //!
 //! Correctness: in smoke mode the whole (small) population is pinned
 //! against `run_reference`; at full size a 100k-provider prefix of the
