@@ -167,20 +167,9 @@ impl AuditEngine {
         }
     }
 
-    /// Compile this engine's configuration against a sensitivity model.
-    /// The parallel path compiles once and shares the plan across workers.
-    pub fn compile(&self, sensitivity: &SensitivityModel) -> CompiledAuditPlan {
-        CompiledAuditPlan::compile(
-            &self.policy,
-            &self.attributes,
-            sensitivity,
-            self.lattice.as_ref(),
-        )
-    }
-
-    /// [`Self::compile`] against the engine's own attribute weights —
-    /// plan compilation only reads `Σ^a`, so no per-provider assembly is
-    /// needed to build the plan.
+    /// Compile the house policy against the engine's own attribute
+    /// weights — plan compilation only reads `Σ^a`, so no per-provider
+    /// assembly is needed to build the plan.
     pub(crate) fn compile_house(&self) -> CompiledAuditPlan {
         self.compile_policy(&self.policy)
     }
@@ -251,13 +240,18 @@ impl AuditEngine {
         profiles: &[ProviderProfile],
         policy: &HousePolicy,
     ) -> AuditReport {
-        let alt = AuditEngine {
+        self.with_policy(policy).run(profiles)
+    }
+
+    /// This engine's attributes, weights and lattice over a different
+    /// policy: the engine the what-if paths audit with.
+    pub(crate) fn with_policy(&self, policy: &HousePolicy) -> AuditEngine {
+        AuditEngine {
             policy: policy.clone(),
             attributes: self.attributes.clone(),
             attribute_weights: self.attribute_weights.clone(),
             lattice: self.lattice.clone(),
-        };
-        alt.run(profiles)
+        }
     }
 }
 

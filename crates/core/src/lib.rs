@@ -24,21 +24,23 @@
 //!   in `qpv-reldb` tables, making violations auditable against actual
 //!   storage (the paper's §10 "initial prototype of the α-PPDB").
 //! * [`audit`] — the audit engine producing [`audit::AuditReport`]s.
-//! * [`intern`] / [`plan`] — the compiled audit path: attributes and
+//! * [`intern`] / [`plan`] — the compiled house side: attributes and
 //!   purposes interned to dense ids, policy tuples pre-resolved to
-//!   [`plan::CompiledAuditPlan`] rows, lattice coverage precomputed — the
-//!   hot loop runs with zero string hashing. [`audit::AuditEngine::run`],
-//!   the parallel path, and the live index all route through it;
-//!   [`audit::AuditEngine::run_reference`] keeps the direct string path as
-//!   the property-tested oracle.
+//!   [`plan::CompiledAuditPlan`] rows, lattice coverage precomputed.
 //! * [`pop`] — the population compiled once into flat structure-of-arrays
-//!   storage ([`pop::CompiledPopulation`]): dense interned preference rows,
-//!   a flat datum-sensitivity table, and a flat threshold array. Build once,
-//!   then price many policies in one counts-only pass
-//!   ([`audit::AuditEngine::audit_many_policies`]): each unique row's
-//!   preferences are filled into lanes once and every policy is swept over
-//!   them, with scratch memory bounded independently of the number of
-//!   policies.
+//!   storage ([`pop::CompiledPopulation`]): deduplicated unique rows of
+//!   interned preferences and datum sensitivities, with per-occurrence
+//!   ids and thresholds.
+//! * `packed` — the one compiled evaluator of Definition 1 and Eq. 15:
+//!   prepared once per (population, plans), it walks blocks of unique
+//!   rows branch-free with zero string hashing. A walk either prices many
+//!   policies at once as counts
+//!   ([`audit::AuditEngine::audit_many_policies`], with scratch memory
+//!   bounded independently of the number of policies) or records one
+//!   plan's scores and witnesses — what [`audit::AuditEngine::run`], the
+//!   parallel path, the live index and the SQL bridge read.
+//!   [`audit::AuditEngine::run_reference`] keeps the direct string path
+//!   as the property-tested oracle.
 //! * [`liveindex`] — the one maintained audit state: the violation set,
 //!   per-provider scores and default flags, and the Eq. 16 / Definition
 //!   2–5 aggregates, kept current off the delta stream. SQL queries and
@@ -76,7 +78,7 @@ pub use liveindex::LiveViolationIndex;
 pub use par::{
     chunk_size, default_threads, par_map_chunks, shard_bounds, AuditError, PAR_THRESHOLD,
 };
-pub use plan::{CompiledAuditPlan, PlanScratch};
+pub use plan::CompiledAuditPlan;
 pub use pop::{
     CompiledPopulation, DeltaError, DeltaOp, DeltaOutcome, PolicyOutcome, PopulationBuilder,
     PopulationDelta,

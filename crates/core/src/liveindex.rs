@@ -26,10 +26,10 @@
 //!
 //! Maintenance replays the per-occurrence event log of
 //! [`CompiledPopulation::apply_delta`]: touched and appended occurrences
-//! are marked dirty and re-scored with the compiled plan; removals mirror
-//! the population's `swap_remove` on every parallel structure. The plan
-//! binding is rebuilt after every delta — an upsert may intern new
-//! symbols, which would silently mis-translate through a stale binding.
+//! are marked dirty and re-scored in one call of the scoring kernel
+//! (`crate::packed`); removals mirror the population's `swap_remove` on
+//! every parallel structure. The kernel is re-prepared after any delta
+//! that interns a symbol — its lanes would not route it.
 //! The same index serves SQL ([`AuditBridge`]) and the §10 monitor
 //! ([`crate::Monitor`]), flat or lattice, whichever the engine compiles.
 //!
@@ -42,16 +42,15 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use qpv_reldb::audit_bridge::{provider_in_bounds, AuditBridge, ViolationRow, ViolationStats};
-use qpv_reldb::error::{DbError, DbResult};
+use qpv_reldb::error::DbResult;
 use std::ops::Bound;
 
-use crate::audit::{AuditEngine, ProviderAudit};
+use crate::audit::AuditEngine;
+use crate::default_model::defaults;
 use crate::deltalog::DeltaLog;
-use crate::plan::{CompiledAuditPlan, PlanScratch};
-use crate::pop::{
-    CompiledPopulation, DeltaError, DeltaEvent, PlanBinding, PolicyOutcome, PopulationDelta,
-};
-use crate::selective::push_witness_rows;
+use crate::packed::{Buffers, Kernel, RowAudit};
+use crate::pop::{CompiledPopulation, DeltaError, DeltaEvent, PolicyOutcome, PopulationDelta};
+use crate::selective::{check_policy, id_stats, occurrences_of, push_witness_rows};
 
 /// An incrementally-maintained materialization of the violation set.
 ///
@@ -64,10 +63,11 @@ use crate::selective::push_witness_rows;
 /// is what makes the planner choose `LiveIndexScan`.
 pub struct LiveViolationIndex {
     engine: AuditEngine,
-    plan: CompiledAuditPlan,
-    binding: PlanBinding,
+    /// The house plan's kernel, re-prepared when a delta interns a symbol.
+    kernel: Kernel,
+    /// The kernel's block buffers, kept across deltas.
+    bufs: Buffers,
     pop: CompiledPopulation,
-    scratch: PlanScratch,
     /// Occurrence `i`'s materialized witness rows (empty = no violation),
     /// parallel to the population.
     rows: Vec<Vec<ViolationRow>>,
@@ -100,22 +100,29 @@ pub struct LiveViolationIndex {
 }
 
 impl LiveViolationIndex {
-    /// Compile `engine`'s house policy, bind `pop`, and score every
-    /// occurrence once — the cold build, `O(N · cost(score))`.
+    /// Compile `engine`'s house policy, prepare the kernel for `pop`, and
+    /// score every unique row once — the cold build, `O(unique rows ·
+    /// cost(score) + N)`.
     pub fn new(engine: AuditEngine, pop: CompiledPopulation) -> LiveViolationIndex {
-        let plan = engine.compile_house();
-        let binding = pop.bind(&plan);
+        let kernel = Kernel::new(&pop, vec![engine.compile_house()]);
+        let mut bufs = Buffers::default();
+        let audits = kernel.audit_all(&pop, &mut bufs);
+        let n = pop.len();
+        let ids: Vec<i64> = (0..n).map(|i| pop.id(i).0 as i64).collect();
+        let mut by_id: Vec<(i64, u32)> = ids.iter().zip(0..).map(|(&id, i)| (id, i)).collect();
+        by_id.sort_unstable();
+        // Every occurrence starts out clean and takes its audit like a
+        // delta-touched one.
         let mut index = LiveViolationIndex {
             engine,
-            plan,
-            binding,
+            kernel,
+            bufs,
             pop,
-            scratch: PlanScratch::new(),
-            rows: Vec::new(),
-            scores: Vec::new(),
-            defaults: Vec::new(),
-            ids: Vec::new(),
-            by_id: Vec::new(),
+            rows: vec![Vec::new(); n],
+            scores: vec![0; n],
+            defaults: vec![false; n],
+            ids,
+            by_id,
             attr_postings: HashMap::new(),
             violated: 0,
             defaulted: 0,
@@ -123,20 +130,10 @@ impl LiveViolationIndex {
             total_rows: 0,
             deltas_applied: 0,
         };
-        let n = index.pop.len();
-        index.rows.reserve(n);
-        index.scores.reserve(n);
-        index.defaults.reserve(n);
-        index.ids.reserve(n);
-        index.by_id.reserve(n);
         for i in 0..n {
-            let id = index.pop.id(i).0 as i64;
-            index.ids.push(id);
-            index.by_id.push((id, i as u32));
-            let audit = index.audit(i);
-            index.install(i, &audit);
+            let u = index.pop.urows()[i] as usize;
+            index.replace(i, &audits[u]);
         }
-        index.by_id.sort_unstable();
         index
     }
 
@@ -154,35 +151,18 @@ impl LiveViolationIndex {
         Ok((log, LiveViolationIndex::new(engine, recovery.population)))
     }
 
-    /// Occurrence `i` through the bound plan.
-    fn audit(&mut self, i: usize) -> ProviderAudit {
-        self.pop
-            .audit_provider(&self.plan, &self.binding, i, &mut self.scratch)
-    }
-
-    /// Install `audit` as the state of fresh occurrence slot `i ==
-    /// self.rows.len()` (postings and aggregates updated).
-    fn install(&mut self, i: usize, audit: &ProviderAudit) {
-        debug_assert_eq!(i, self.rows.len());
+    /// Occurrence `i`'s witness rows and `default_i` from its unique
+    /// row's kernel output.
+    fn occurrence_state(&self, i: usize, audit: &RowAudit) -> (Vec<ViolationRow>, bool) {
         let mut rows = Vec::new();
-        push_witness_rows(audit, &mut rows);
-        for attr in distinct_attrs(&rows) {
-            posting_insert(self.attr_postings.entry(attr.to_string()).or_default(), i);
-        }
-        self.violated += usize::from(!rows.is_empty());
-        self.defaulted += usize::from(audit.defaulted);
-        self.total_violations += u128::from(audit.score);
-        self.total_rows += rows.len();
-        self.rows.push(rows);
-        self.scores.push(audit.score);
-        self.defaults.push(audit.defaulted);
+        push_witness_rows(self.pop.id(i).0 as i64, audit, &mut rows);
+        (rows, defaults(audit.score, self.pop.threshold_of(i)))
     }
 
     /// Replace occurrence `i`'s state with a fresh audit result, diffing
     /// postings and aggregates.
-    fn replace(&mut self, i: usize, audit: &ProviderAudit) {
-        let mut new_rows = Vec::new();
-        push_witness_rows(audit, &mut new_rows);
+    fn replace(&mut self, i: usize, audit: &RowAudit) {
+        let (new_rows, defaulted) = self.occurrence_state(i, audit);
         let old_rows = &self.rows[i];
         for attr in distinct_attrs(old_rows) {
             if !new_rows.iter().any(|r| r.attribute == *attr) {
@@ -196,14 +176,13 @@ impl LiveViolationIndex {
         }
         self.violated =
             self.violated + usize::from(!new_rows.is_empty()) - usize::from(!old_rows.is_empty());
-        self.defaulted =
-            self.defaulted + usize::from(audit.defaulted) - usize::from(self.defaults[i]);
+        self.defaulted = self.defaulted + usize::from(defaulted) - usize::from(self.defaults[i]);
         self.total_violations =
             self.total_violations + u128::from(audit.score) - u128::from(self.scores[i]);
         self.total_rows = self.total_rows - old_rows.len() + new_rows.len();
         self.rows[i] = new_rows;
         self.scores[i] = audit.score;
-        self.defaults[i] = audit.defaulted;
+        self.defaults[i] = defaulted;
     }
 
     /// Apply one delta: mutate the population, replay its event log onto
@@ -213,9 +192,9 @@ impl LiveViolationIndex {
     /// [`CompiledPopulation::apply_delta`].
     pub fn apply_delta(&mut self, delta: &PopulationDelta) -> Result<(), DeltaError> {
         let outcome = self.pop.apply_delta(delta)?;
-        // MANDATORY rebind: the delta may have interned new attribute or
-        // purpose symbols, leaving the old translation arrays short.
-        self.binding = self.pop.bind(&self.plan);
+        // The delta may have interned attribute or purpose symbols the
+        // kernel's lanes do not route.
+        self.kernel.reprepare(&self.pop);
         let mut dirty: Vec<usize> = Vec::new();
         for event in outcome.events() {
             match *event {
@@ -274,9 +253,11 @@ impl LiveViolationIndex {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        for i in dirty {
-            let audit = self.audit(i);
-            self.replace(i, &audit);
+        let urows = self.pop.urows();
+        let rows: Vec<u32> = dirty.iter().map(|&i| urows[i]).collect();
+        let audits = self.kernel.audit_rows(&self.pop, &rows, &mut self.bufs);
+        for (i, audit) in dirty.into_iter().zip(&audits) {
+            self.replace(i, audit);
         }
         self.deltas_applied += 1;
         debug_assert_eq!(self.rows.len(), self.pop.len());
@@ -339,44 +320,7 @@ impl LiveViolationIndex {
     /// `O(n)` for the distinct-id scan — callers cache the result per
     /// delta batch (see `Ppdb`), queries never pay it.
     pub fn stats(&self) -> ViolationStats {
-        let mut distinct = 0usize;
-        let mut prev: Option<i64> = None;
-        for &(id, _) in &self.by_id {
-            if prev != Some(id) {
-                distinct += 1;
-                prev = Some(id);
-            }
-        }
-        ViolationStats {
-            population: self.pop.len(),
-            distinct_providers: distinct,
-            min_provider: self.by_id.first().map(|&(id, _)| id).unwrap_or(0),
-            max_provider: self.by_id.last().map(|&(id, _)| id).unwrap_or(0),
-            violations: Some(self.violated),
-            indexed: true,
-        }
-    }
-
-    /// Reject policy names other than the engine's house policy (same
-    /// contract as [`crate::SelectiveAuditor`]).
-    fn check_policy(&self, policy: Option<&str>) -> DbResult<()> {
-        match policy {
-            None => Ok(()),
-            Some(name) if name == self.engine.policy.name => Ok(()),
-            Some(name) => Err(DbError::Eval(format!(
-                "unknown policy {name:?} (this audit snapshot holds {:?})",
-                self.engine.policy.name
-            ))),
-        }
-    }
-
-    /// Occurrences whose provider id is `id`, ascending.
-    fn occurrences_of(&self, id: i64) -> impl Iterator<Item = usize> + '_ {
-        let start = self.by_id.partition_point(|&(pid, _)| pid < id);
-        self.by_id[start..]
-            .iter()
-            .take_while(move |&&(pid, _)| pid == id)
-            .map(|&(_, occ)| occ as usize)
+        id_stats(&self.by_id, Some(self.violated), true)
     }
 
     /// Emit the materialized rows of `occs` in ascending occurrence
@@ -403,16 +347,15 @@ impl AuditBridge for LiveViolationIndex {
         policy: Option<&str>,
         attribute: Option<&str>,
     ) -> DbResult<bool> {
-        self.check_policy(policy)?;
-        // All occurrences of one id share a profile; the first decides.
-        let Some(i) = self.occurrences_of(provider).next() else {
-            return Ok(false);
-        };
-        let rows = &self.rows[i];
-        Ok(match attribute {
-            None => !rows.is_empty(),
-            Some(attr) => rows.iter().any(|r| r.attribute == attr),
-        })
+        check_policy(&self.engine, policy)?;
+        // Occurrences of one id may state different preferences: the id
+        // violates if any of them does.
+        Ok(
+            occurrences_of(&self.by_id, provider).any(|i| match attribute {
+                None => !self.rows[i].is_empty(),
+                Some(attr) => self.rows[i].iter().any(|r| r.attribute == attr),
+            }),
+        )
     }
 
     fn violations_for(
@@ -420,17 +363,17 @@ impl AuditBridge for LiveViolationIndex {
         providers: &[i64],
         policy: Option<&str>,
     ) -> DbResult<Vec<ViolationRow>> {
-        self.check_policy(policy)?;
+        check_policy(&self.engine, policy)?;
         let occs: Vec<u32> = providers
             .iter()
-            .flat_map(|&p| self.occurrences_of(p))
+            .flat_map(|&p| occurrences_of(&self.by_id, p))
             .map(|i| i as u32)
             .collect();
         Ok(self.emit(occs))
     }
 
     fn violations_all(&self, policy: Option<&str>) -> DbResult<Vec<ViolationRow>> {
-        self.check_policy(policy)?;
+        check_policy(&self.engine, policy)?;
         let mut out = Vec::with_capacity(self.total_rows);
         for rows in &self.rows {
             out.extend_from_slice(rows);
@@ -445,7 +388,7 @@ impl AuditBridge for LiveViolationIndex {
         attribute: Option<&str>,
         policy: Option<&str>,
     ) -> DbResult<Vec<ViolationRow>> {
-        self.check_policy(policy)?;
+        check_policy(&self.engine, policy)?;
         let occs: Vec<u32> = match attribute.and_then(|a| self.attr_postings.get(a)) {
             // Attribute posting: O(posting). Rows of a posted occurrence
             // may witness other attributes too — emitting them whole is
@@ -664,6 +607,23 @@ mod tests {
         assert_eq!(stats.min_provider, 0);
         assert_eq!(stats.max_provider, 29);
         assert_eq!(stats.violations, Some(index.outcome().violated));
+    }
+
+    #[test]
+    fn violates_answers_for_any_occurrence_of_a_duplicate_id() {
+        // Two occurrences of id 7 with different preferences: a permissive
+        // one first, a strict one second. The strict one violates.
+        let profiles = vec![profile(7, false), profile(7, true)];
+        let live = LiveViolationIndex::new(engine(), CompiledPopulation::from_profiles(&profiles));
+        let snapshot =
+            SelectiveAuditor::new(engine(), CompiledPopulation::from_profiles(&profiles));
+        for bridge in [&live as &dyn AuditBridge, &snapshot] {
+            assert_eq!(bridge.violations_all(None).unwrap().len(), 1);
+            assert!(bridge.violates(7, None, None).unwrap());
+            assert!(bridge.violates(7, None, Some("weight")).unwrap());
+            assert!(!bridge.violates(7, None, Some("age")).unwrap());
+            assert!(!bridge.violates(8, None, None).unwrap());
+        }
     }
 
     #[test]

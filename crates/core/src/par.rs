@@ -27,10 +27,9 @@
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::audit::{AuditEngine, AuditReport, ProviderAudit};
-use crate::plan::PlanScratch;
+use crate::packed::{Buffers, Kernel};
 use crate::pop::CompiledPopulation;
 use crate::profile::ProviderProfile;
 
@@ -340,52 +339,16 @@ where
     }
 }
 
-/// One chunk's worth of audit output.
-struct ChunkResult {
-    audits: Vec<ProviderAudit>,
-    subtotal: u128,
-}
-
-/// A lock-guarded free list of [`PlanScratch`]es shared by the chunk
-/// workers: a worker pops one (or starts fresh) per chunk and returns it
-/// afterwards, so a run allocates at most one scratch per *worker* instead
-/// of one per chunk. The lock is held only for the pop/push, never while
-/// auditing.
-struct ScratchPool(Mutex<Vec<PlanScratch>>);
-
-impl ScratchPool {
-    fn new() -> ScratchPool {
-        ScratchPool(Mutex::new(Vec::new()))
-    }
-
-    fn take(&self) -> PlanScratch {
-        self.lock().pop().unwrap_or_default()
-    }
-
-    fn put(&self, scratch: PlanScratch) {
-        self.lock().push(scratch);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<PlanScratch>> {
-        // The lock is only ever held across a Vec pop/push, which cannot
-        // panic meaningfully; if a poisoned worker still managed to poison
-        // it, the free list itself is always valid to reuse.
-        self.0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
 impl AuditEngine {
     /// Audit a population across `threads` worker threads.
     ///
     /// Compiles the audit plan *and* the SoA population
-    /// ([`CompiledPopulation`]) once; workers claim fixed index chunks
-    /// dynamically ([`par_map_chunks`]) and audit string-free, drawing
-    /// reusable [`PlanScratch`]es from a shared pool (one allocation per
-    /// worker, not per chunk). Produces a report equal to
-    /// [`AuditEngine::run`]'s for any thread count and any per-provider
-    /// cost skew. Small populations (below [`PAR_THRESHOLD`]) and
+    /// ([`CompiledPopulation`]) once, and prepares the scoring kernel
+    /// once; workers claim fixed index chunks dynamically
+    /// ([`par_map_chunks`]) and hand each chunk's occurrences to the
+    /// shared kernel, each chunk with its own block buffers. Produces a
+    /// report equal to [`AuditEngine::run`]'s for any thread count and any
+    /// per-provider cost skew. Small populations (below [`PAR_THRESHOLD`]) and
     /// single-thread requests run sequentially.
     ///
     /// A worker panic (after one in-place retry of the offending chunk) is
@@ -413,37 +376,24 @@ impl AuditEngine {
         if threads.get() == 1 || pop.len() < PAR_THRESHOLD {
             return Ok(self.audit_compiled(pop));
         }
-        // Plan compilation and the population→plan binding are one pass
-        // each; workers share both read-only.
-        let plan = self.compile_house();
-        let binding = pop.bind(&plan);
-        let pool = ScratchPool::new();
+        // Plan compilation and kernel preparation are one pass each;
+        // workers share the kernel read-only.
+        let kernel = Kernel::new(pop, vec![self.compile_house()]);
         let chunk = chunk_size(pop.len(), threads.get());
         let chunks = par_map_chunks(pop.len(), threads.get(), chunk, |start, end| {
-            let mut scratch = pool.take();
-            let mut subtotal: u128 = 0;
-            let audits = (start..end)
-                .map(|i| {
-                    let audit = pop.audit_provider(&plan, &binding, i, &mut scratch);
-                    subtotal += audit.score as u128;
-                    audit
-                })
-                .collect();
-            pool.put(scratch);
-            ChunkResult { audits, subtotal }
+            let rows = kernel.audit_rows(pop, &pop.urows()[start..end], &mut Buffers::default());
+            (start..end)
+                .zip(rows)
+                .map(|(i, row)| pop.occurrence_audit(i, row.score, row.witnesses))
+                .collect::<Vec<ProviderAudit>>()
         })?;
-
-        // Merge in chunk index order: provider order and the u128 total
-        // regroup exactly as the sequential pass computes them.
-        let mut providers = Vec::with_capacity(pop.len());
-        let mut total: u128 = 0;
-        for chunk in chunks {
-            total += chunk.subtotal;
-            providers.extend(chunk.audits);
-        }
+        // Merge in chunk index order: provider order is the sequential
+        // pass's, and the u128 total is exact in any order.
+        let providers: Vec<ProviderAudit> = chunks.into_iter().flatten().collect();
+        let total_violations = providers.iter().map(|p| u128::from(p.score)).sum();
         Ok(AuditReport {
             providers,
-            total_violations: total,
+            total_violations,
         })
     }
 
@@ -454,13 +404,7 @@ impl AuditEngine {
         policy: &qpv_policy::HousePolicy,
         threads: NonZeroUsize,
     ) -> Result<AuditReport, AuditError> {
-        let alt = AuditEngine {
-            policy: policy.clone(),
-            attributes: self.attributes.clone(),
-            attribute_weights: self.attribute_weights.clone(),
-            lattice: self.lattice.clone(),
-        };
-        alt.par_audit(profiles, threads)
+        self.with_policy(policy).par_audit(profiles, threads)
     }
 }
 

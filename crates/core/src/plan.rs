@@ -1,4 +1,4 @@
-//! Compiled audit plans: the string-free hot path.
+//! Compiled audit plans: the house side of the audit, string-free.
 //!
 //! The reference implementation re-resolves attribute and purpose strings
 //! for every `(provider, policy tuple)` pair: `attributes.contains(..)` per
@@ -9,40 +9,36 @@
 //!
 //! * attributes and purposes are interned to dense `u32` ids once
 //!   ([`crate::intern::SymbolTable`]);
-//! * every policy tuple becomes a [`PlanRow`] `(attr_id, purpose_id,
+//! * every policy tuple becomes a `PlanRow` `(attr_id, purpose_id,
 //!   point, weight)` with the attribute filter applied and the per-purpose
 //!   `Σ^a` weight pre-resolved;
 //! * under lattice semantics, each policy purpose's *coverage set* (every
 //!   purpose whose stated consent dominates it — the ancestor closure) is
 //!   precomputed to a list of purpose ids, so `effective_point_lattice`
-//!   becomes a few array probes instead of repeated DFS walks;
-//! * each provider's preferences are indexed once per audit into an
-//!   id-keyed dense table (the [`PlanScratch`], epoch-stamped so it is
-//!   reused across providers without clearing) — by
-//!   [`crate::pop::CompiledPopulation`], through a binding of its symbol
-//!   ids to the plan's.
+//!   becomes a few array probes instead of repeated DFS walks.
 //!
-//! The inner loop then touches no strings at all: per provider it hashes
-//! each stated preference once to index it, and every policy row after
-//! that is integer arithmetic. The property suite
-//! (`crates/core/tests/plan_equivalence.rs`) pins the compiled results
-//! bitwise-equal to the reference path — same witnesses in the same order,
-//! same saturating score accumulation order, same totals.
+//! A plan is evaluated by one compiled kernel, `crate::packed`: it
+//! resolves the plan's rows to lanes of a [`crate::pop::CompiledPopulation`]
+//! once, then scores blocks of unique rows branch-free, producing counts
+//! or, for a single plan, each row's score and witnesses. Witnesses resolve
+//! their names through the plan's symbol tables (reference-count bumps, no
+//! string copies). The property suites (`crates/core/tests/plan_equivalence.rs`,
+//! `pop_equivalence.rs`) pin the compiled results bitwise-equal to the
+//! reference path — same witnesses in the same order, same saturating
+//! score accumulation, same totals.
 //!
 //! Plans stay valid across population deltas: a
 //! [`crate::pop::CompiledPopulation`] interns symbols append-only, so
-//! `apply_delta` never renumbers an id a plan already references — new
-//! attributes simply get fresh ids the plan ignores. Only a *policy* change
-//! requires recompiling the plan; a population delta only needs a rebind
-//! (see [`crate::LiveViolationIndex::apply_delta`]).
+//! `apply_delta` never renumbers an id a plan already references. Only a
+//! *policy* change requires recompiling the plan; a population delta only
+//! needs the kernel re-prepared against the new symbols (see
+//! [`crate::LiveViolationIndex::apply_delta`]).
 
 use qpv_policy::HousePolicy;
-use qpv_taxonomy::{AttrName, PrivacyPoint, Purpose, PurposeLattice, ViolationGeometry};
+use qpv_taxonomy::{PrivacyPoint, PurposeLattice};
 
 use crate::intern::SymbolTable;
-use crate::sensitivity::{DatumSensitivity, SensitivityModel};
-use crate::severity::conf;
-use crate::violation::ViolationWitness;
+use crate::sensitivity::SensitivityModel;
 
 /// One pre-resolved policy tuple. Rows keep the policy's insertion order
 /// (filtered to stored attributes), which is what makes compiled witness
@@ -78,33 +74,6 @@ pub struct CompiledAuditPlan {
     /// including the purpose itself). Empty in flat mode.
     pub(crate) covers: Vec<Vec<u32>>,
     pub(crate) lattice_mode: bool,
-}
-
-/// Reusable per-worker working memory for [`CompiledAuditPlan`] audits:
-/// the id-keyed dense preference table and per-attribute datum
-/// sensitivities for the provider currently being audited. Epoch-stamped,
-/// so moving to the next provider is one counter increment, not a clear.
-#[derive(Debug, Clone, Default)]
-pub struct PlanScratch {
-    pub(crate) epoch: u64,
-    /// `attrs.len() × purposes.len()` slots, row-major by attribute.
-    pub(crate) slots: Vec<PrefSlot>,
-    /// One datum sensitivity per interned attribute.
-    pub(crate) datums: Vec<DatumSensitivity>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PrefSlot {
-    /// Slot is live iff this equals the scratch epoch.
-    pub(crate) epoch: u64,
-    pub(crate) point: PrivacyPoint,
-}
-
-impl PlanScratch {
-    /// Fresh, empty scratch (sized lazily by the first audit).
-    pub fn new() -> PlanScratch {
-        PlanScratch::default()
-    }
 }
 
 impl CompiledAuditPlan {
@@ -169,85 +138,6 @@ impl CompiledAuditPlan {
     pub fn symbol_counts(&self) -> (usize, usize) {
         (self.attrs.len(), self.purposes.len())
     }
-
-    /// Whether the plan was compiled for lattice purpose semantics.
-    pub fn is_lattice(&self) -> bool {
-        self.lattice_mode
-    }
-
-    /// Size the scratch for this plan's shape (resizing resets the epoch)
-    /// and open a fresh epoch, returning it. Indexing a provider
-    /// ([`crate::pop`]) starts with this.
-    pub(crate) fn prepare_scratch(&self, scratch: &mut PlanScratch) -> u64 {
-        let need = self.attrs.len() * self.purposes.len();
-        if scratch.slots.len() != need || scratch.datums.len() != self.attrs.len() {
-            scratch.slots = vec![PrefSlot::default(); need];
-            scratch.datums = vec![DatumSensitivity::neutral(); self.attrs.len()];
-            scratch.epoch = 0;
-        }
-        scratch.epoch += 1;
-        scratch.epoch
-    }
-
-    /// Run every compiled row against an indexed scratch, returning the
-    /// saturating violation score and the number of violating rows. With
-    /// `witnesses: None` this is the counts-only fast path: it touches no
-    /// strings and allocates nothing. With `Some`, each violating row
-    /// pushes a witness whose attribute/purpose are resolved from the
-    /// symbol tables (reference-count bumps, not copies) — identical,
-    /// field for field, to what the reference path produces.
-    pub(crate) fn eval_scratch(
-        &self,
-        scratch: &PlanScratch,
-        mut witnesses: Option<&mut Vec<ViolationWitness>>,
-    ) -> (u64, u32) {
-        let epoch = scratch.epoch;
-        let np = self.purposes.len();
-        let mut score: u64 = 0;
-        let mut violations: u32 = 0;
-        for row in &self.rows {
-            let (preference, implicit) = if self.lattice_mode {
-                let mut point = PrivacyPoint::ZERO;
-                let mut covered = false;
-                for &p in &self.covers[row.covers as usize] {
-                    let slot = &scratch.slots[row.attr as usize * np + p as usize];
-                    if slot.epoch == epoch {
-                        point = point.join(&slot.point);
-                        covered = true;
-                    }
-                }
-                (point, !covered)
-            } else {
-                let slot = &scratch.slots[row.attr as usize * np + row.purpose as usize];
-                if slot.epoch == epoch {
-                    (slot.point, false)
-                } else {
-                    (PrivacyPoint::ZERO, true)
-                }
-            };
-            let geometry = ViolationGeometry::compare(&preference, &row.point);
-            if geometry.is_violation() {
-                violations += 1;
-                if let Some(wit) = witnesses.as_deref_mut() {
-                    wit.push(ViolationWitness {
-                        attribute: AttrName::from(self.attrs.resolve_shared(row.attr)),
-                        purpose: Purpose::from(self.purposes.resolve_shared(row.purpose)),
-                        preference,
-                        implicit_preference: implicit,
-                        policy: row.point,
-                        geometry,
-                    });
-                }
-            }
-            score = score.saturating_add(conf(
-                &preference,
-                &row.point,
-                row.weight,
-                scratch.datums[row.attr as usize],
-            ));
-        }
-        (score, violations)
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +146,7 @@ mod tests {
     use crate::audit::AuditEngine;
     use crate::pop::CompiledPopulation;
     use crate::profile::{assemble, ProviderProfile};
-    use crate::sensitivity::AttributeSensitivities;
+    use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
     use qpv_policy::ProviderId;
     use qpv_taxonomy::PrivacyTuple;
 
@@ -312,12 +202,12 @@ mod tests {
         assert_eq!(plan.row_count(), 1);
         assert_eq!(plan.symbol_counts(), (1, 1));
         let pop = CompiledPopulation::from_profiles(&profiles);
-        let binding = pop.bind(&plan);
-        let mut scratch = PlanScratch::new();
-        let scores: Vec<u64> = (0..pop.len())
-            .map(|i| pop.audit_provider(&plan, &binding, i, &mut scratch).score)
-            .collect();
+        let report = engine.audit_compiled(&pop);
+        let scores: Vec<u64> = report.providers.iter().map(|p| p.score).collect();
         assert_eq!(scores, vec![0, 60, 80]);
+        let violated: Vec<bool> = report.providers.iter().map(|p| p.violated).collect();
+        assert_eq!(violated, vec![false, true, true]);
+        assert_eq!(report.total_violations, 140);
     }
 
     #[test]
@@ -398,23 +288,5 @@ mod tests {
         // The ghost policy row was dropped at compile time; "mystery" and
         // "other" never matched anything: implicit deny-all violation.
         assert!(compiled.providers[0].witnesses[0].implicit_preference);
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_plans() {
-        let (engine, profiles) = worked_example();
-        let (sensitivity, _) = assemble(&profiles, &engine.attribute_weights);
-        let plan =
-            CompiledAuditPlan::compile(&engine.policy, &engine.attributes, &sensitivity, None);
-        let pop = CompiledPopulation::from_profiles(&profiles);
-        let ted = 1;
-        let mut scratch = PlanScratch::new();
-        let a = pop.audit_provider(&plan, &pop.bind(&plan), ted, &mut scratch);
-        // A differently-shaped plan resizes the scratch transparently.
-        let wider = engine.policy.widened_uniform(1);
-        let plan2 = CompiledAuditPlan::compile(&wider, &engine.attributes, &sensitivity, None);
-        let _ = pop.audit_provider(&plan2, &pop.bind(&plan2), ted, &mut scratch);
-        let b = pop.audit_provider(&plan, &pop.bind(&plan), ted, &mut scratch);
-        assert_eq!(a, b, "scratch reuse must not leak state");
     }
 }

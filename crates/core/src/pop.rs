@@ -14,12 +14,12 @@
 //!   refcounts as multiplicities. Segment-clustered populations shrink
 //!   the scanned table ~#segments/N, and 10M+ providers fit hot in
 //!   cache;
-//! * the counts hot path ([`AuditEngine::counts`],
-//!   [`AuditEngine::audit_many_policies`]) no longer walks per-provider
-//!   `(attr, purpose, point)` structs: preference coordinates live in
-//!   contiguous u32 *lanes* (`p_vis`/`p_gran`/`p_ret`, and a
-//!   `slots × attrs` datum-lane table), which `crate::packed` evaluates
-//!   branch-free over whole blocks — see `crate::packed`.
+//! * the compiled audits ([`AuditEngine::counts`],
+//!   [`AuditEngine::audit_many_policies`], [`AuditEngine::audit_compiled`])
+//!   never walk per-provider `(attr, purpose, point)` structs: preference
+//!   coordinates live in contiguous u32 *lanes* (`p_vis`/`p_gran`/`p_ret`,
+//!   and a `slots × attrs` datum-lane table), which the one scoring kernel
+//!   evaluates branch-free over whole blocks — see `crate::packed`.
 //!
 //! Per-occurrence state is three u32/u64 arrays (`urow_of` — the interned
 //! unique-row slot, `row_of` — the merged id-row for thresholds, and the
@@ -61,8 +61,7 @@ use qpv_taxonomy::{Dim, PrivacyPoint};
 use crate::audit::{AuditEngine, AuditReport, ProviderAudit};
 use crate::default_model::defaults;
 use crate::intern::{HashIndex, SigHasher, SymbolTable};
-use crate::packed;
-use crate::plan::{CompiledAuditPlan, PlanScratch};
+use crate::packed::{Buffers, Kernel};
 use crate::probability::census_fraction;
 use crate::profile::ProviderProfile;
 use crate::sensitivity::DatumSensitivity;
@@ -188,17 +187,6 @@ impl RowTable {
             purpose: self.p_purpose[j],
             point: PrivacyPoint::from_raw(self.p_vis[j], self.p_gran[j], self.p_ret[j]),
         })
-    }
-
-    /// The datum sensitivity of slot `u` for a population attribute id.
-    pub(crate) fn datum(&self, u: usize, attr: u32) -> DatumSensitivity {
-        let d = u * self.stride + attr as usize;
-        DatumSensitivity::new(
-            self.d_value[d],
-            self.d_vis[d],
-            self.d_gran[d],
-            self.d_ret[d],
-        )
     }
 
     /// Copy slot `u`'s dense datum row into `out` (resized to `stride`).
@@ -657,12 +645,6 @@ impl CompiledPopulation {
         self.table.pref_rows(self.urow_of[i] as usize)
     }
 
-    /// The merged datum sensitivity of occurrence `i` for a population
-    /// attribute id.
-    pub(crate) fn datum(&self, i: usize, attr: u32) -> DatumSensitivity {
-        self.table.datum(self.urow_of[i] as usize, attr)
-    }
-
     /// The unique-row table (packed evaluation reads the lanes directly).
     pub(crate) fn table(&self) -> &RowTable {
         &self.table
@@ -708,93 +690,27 @@ impl CompiledPopulation {
         self.table.validate(self.attrs.len(), self.purposes.len());
     }
 
-    /// Translate this population's symbol ids to a plan's. Two array
-    /// probes replace two hash lookups per preference row in the hot
-    /// loop; build once per (population, plan) pair.
-    pub(crate) fn bind(&self, plan: &CompiledAuditPlan) -> PlanBinding {
-        PlanBinding {
-            attr_to_plan: self
-                .attrs
-                .names()
-                .iter()
-                .map(|n| plan.attrs.get(n).unwrap_or(u32::MAX))
-                .collect(),
-            purpose_to_plan: self
-                .purposes
-                .names()
-                .iter()
-                .map(|n| plan.purposes.get(n).unwrap_or(u32::MAX))
-                .collect(),
-            plan_attr_to_pop: plan
-                .attrs
-                .names()
-                .iter()
-                .map(|n| self.attrs.get(n))
-                .collect(),
-        }
+    /// The interned attribute and purpose names.
+    pub(crate) fn symbols(&self) -> (&SymbolTable, &SymbolTable) {
+        (&self.attrs, &self.purposes)
     }
 
-    /// Index occurrence `i` into the plan-shaped scratch, translating
-    /// population symbol ids through binding-array probes (no string
-    /// hashing). Semantics match the reference path's preference lookup:
-    /// flat mode keeps the first stated tuple per `(attr, purpose)`,
-    /// lattice mode joins all of them, rows naming symbols the plan never
-    /// interned are skipped, and datum slots for plan attributes the
-    /// population never saw stay neutral (no provider can have set them).
-    fn index_provider(
+    /// Occurrence `i`'s audit from its unique row's score and witnesses,
+    /// with its own id, threshold and `default_i`.
+    pub(crate) fn occurrence_audit(
         &self,
-        plan: &CompiledAuditPlan,
-        binding: &PlanBinding,
         i: usize,
-        scratch: &mut PlanScratch,
-    ) {
-        let np = plan.purposes.len();
-        let epoch = plan.prepare_scratch(scratch);
-        for row in self.pref_rows_of(i) {
-            let a = binding.attr_to_plan[row.attr as usize];
-            if a == u32::MAX {
-                continue;
-            }
-            let p = binding.purpose_to_plan[row.purpose as usize];
-            if p == u32::MAX {
-                continue;
-            }
-            let slot = &mut scratch.slots[a as usize * np + p as usize];
-            if slot.epoch != epoch {
-                slot.epoch = epoch;
-                slot.point = row.point;
-            } else if plan.lattice_mode {
-                slot.point = slot.point.join(&row.point);
-            }
-        }
-        for (a, pop_attr) in binding.plan_attr_to_pop.iter().enumerate() {
-            scratch.datums[a] = match pop_attr {
-                Some(pa) => self.datum(i, *pa),
-                None => DatumSensitivity::neutral(),
-            };
-        }
-    }
-
-    /// Fully audit occurrence `i` (witnesses resolved from the symbol
-    /// tables).
-    pub(crate) fn audit_provider(
-        &self,
-        plan: &CompiledAuditPlan,
-        binding: &PlanBinding,
-        i: usize,
-        scratch: &mut PlanScratch,
+        score: u64,
+        witnesses: Vec<crate::violation::ViolationWitness>,
     ) -> ProviderAudit {
-        self.index_provider(plan, binding, i, scratch);
-        let mut wit = Vec::new();
-        let (score, _) = plan.eval_scratch(scratch, Some(&mut wit));
         let threshold = self.threshold_of(i);
         ProviderAudit {
             provider: self.ids[i],
-            violated: !wit.is_empty(),
+            violated: !witnesses.is_empty(),
             score,
             threshold,
             defaulted: defaults(score, threshold),
-            witnesses: wit,
+            witnesses,
         }
     }
 
@@ -1328,18 +1244,6 @@ impl DeltaOutcome {
     }
 }
 
-/// Population → plan symbol-id translation arrays. `u32::MAX` marks a
-/// population symbol the plan never interned (no policy row can match it).
-#[derive(Debug, Clone)]
-pub(crate) struct PlanBinding {
-    pub(crate) attr_to_plan: Vec<u32>,
-    pub(crate) purpose_to_plan: Vec<u32>,
-    /// Plan attribute id → population attribute id, for datum loads.
-    /// `None` means no provider ever stated a preference or sensitivity
-    /// for that attribute, so its datum is neutral for everyone.
-    pub(crate) plan_attr_to_pop: Vec<Option<u32>>,
-}
-
 /// Incrementally interns providers into a [`CompiledPopulation`].
 ///
 /// Two entry styles:
@@ -1618,24 +1522,35 @@ impl PolicyOutcome {
 impl AuditEngine {
     /// Audit a compiled population, producing the same full
     /// [`AuditReport`] as [`AuditEngine::run`] — bitwise-identical, in
-    /// fact: `run` routes through this. This is the full/severity path
-    /// (per-provider witnesses); counts-only callers should prefer
-    /// [`AuditEngine::counts`], which runs branch-free over the packed
-    /// unique-row lanes.
+    /// fact: `run` routes through this. The kernel scores each unique row
+    /// once, with its witnesses; each occurrence then gets its own id,
+    /// threshold and `default_i`. Counts-only callers should prefer
+    /// [`AuditEngine::counts`], which builds no witnesses.
     pub fn audit_compiled(&self, pop: &CompiledPopulation) -> AuditReport {
-        let plan = self.compile_house();
-        let binding = pop.bind(&plan);
-        let mut scratch = PlanScratch::new();
-        let mut providers = Vec::with_capacity(pop.len());
-        let mut total: u128 = 0;
-        for i in 0..pop.len() {
-            let audit = pop.audit_provider(&plan, &binding, i, &mut scratch);
-            total += audit.score as u128;
-            providers.push(audit);
-        }
+        let kernel = Kernel::new(pop, vec![self.compile_house()]);
+        let mut rows = kernel.audit_all(pop, &mut Buffers::default());
+        // Occurrences still to assemble per unique row: the last one takes
+        // the row's witnesses, the others clone them.
+        let mut left = pop.table().refs_slice().to_vec();
+        let providers: Vec<ProviderAudit> = pop
+            .urows()
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                let (row, left) = (&mut rows[u as usize], &mut left[u as usize]);
+                *left -= 1;
+                let witnesses = if *left == 0 {
+                    std::mem::take(&mut row.witnesses)
+                } else {
+                    row.witnesses.clone()
+                };
+                pop.occurrence_audit(i, row.score, witnesses)
+            })
+            .collect();
+        let total_violations = providers.iter().map(|p| u128::from(p.score)).sum();
         AuditReport {
             providers,
-            total_violations: total,
+            total_violations,
         }
     }
 
@@ -1670,9 +1585,8 @@ impl AuditEngine {
         pop: &CompiledPopulation,
         policies: &[HousePolicy],
     ) -> Vec<PolicyOutcome> {
-        let plans: Vec<CompiledAuditPlan> =
-            policies.iter().map(|p| self.compile_policy(p)).collect();
-        packed::pass_many(pop, &plans)
+        let plans = policies.iter().map(|p| self.compile_policy(p)).collect();
+        Kernel::new(pop, plans).counts(pop)
     }
 }
 
@@ -1908,6 +1822,14 @@ mod tests {
         PrivacyPoint::from_raw(v, g, r)
     }
 
+    /// The merged datum sensitivity of occurrence `i` for a population
+    /// attribute id, read off the datum lanes.
+    fn datum(pop: &CompiledPopulation, i: usize, attr: u32) -> DatumSensitivity {
+        let (value, vis, gran, ret) = pop.table().datum_lanes();
+        let d = pop.urows()[i] as usize * pop.table().stride() + attr as usize;
+        DatumSensitivity::new(value[d], vis[d], gran[d], ret[d])
+    }
+
     fn worked_example() -> (AuditEngine, Vec<ProviderProfile>) {
         let (v, g, r) = (5u32, 5u32, 5u32);
         let policy = HousePolicy::builder("house")
@@ -2055,8 +1977,8 @@ mod tests {
         assert_eq!(pop.threshold_of(1), 7);
         assert_eq!(pop.threshold_of(3), 7);
         let a = pop.attrs.get("weight").unwrap();
-        assert_eq!(pop.datum(1, a), DatumSensitivity::new(2, 2, 2, 2));
-        assert_eq!(pop.datum(3, a), DatumSensitivity::new(2, 2, 2, 2));
+        assert_eq!(datum(&pop, 1, a), DatumSensitivity::new(2, 2, 2, 2));
+        assert_eq!(datum(&pop, 3, a), DatumSensitivity::new(2, 2, 2, 2));
     }
 
     #[test]
@@ -2212,9 +2134,9 @@ mod tests {
         pop.debug_validate();
         let h = pop.attrs.get("height").expect("interned by the delta");
         let w = pop.attrs.get("weight").expect("still interned");
-        assert_eq!(pop.datum(0, h), DatumSensitivity::new(9, 9, 9, 9));
-        assert_eq!(pop.datum(1, h), DatumSensitivity::neutral());
-        assert_eq!(pop.datum(1, w), DatumSensitivity::new(3, 1, 5, 2));
+        assert_eq!(datum(&pop, 0, h), DatumSensitivity::new(9, 9, 9, 9));
+        assert_eq!(datum(&pop, 1, h), DatumSensitivity::neutral());
+        assert_eq!(datum(&pop, 1, w), DatumSensitivity::new(3, 1, 5, 2));
         // Audit with an engine that covers the new attribute.
         let policy = HousePolicy::builder("h2")
             .tuple("height", PrivacyTuple::from_point("pr", pt(5, 5, 5)))

@@ -679,9 +679,10 @@ impl Ppdb {
         if !self.provider_ids()?.contains(&id) {
             return Ok(());
         }
-        // The SQL layer only takes single-predicate DELETEs, so rewrite the
-        // provider's whole preference set: keep rows for other attributes
-        // (in scan order), then append the replacements.
+        // Rewrite the provider's whole preference set: the other
+        // attributes' rows must keep their stored order, with the
+        // replacements after them, so that the stored rows mirror
+        // `DeltaOp::SetAttributePrefs` on the compiled population.
         let mut keep: Vec<(String, PrivacyTuple)> = Vec::new();
         for (_, row) in self.db.scan(T_PREFS)? {
             if int(&row, 0)? == n {

@@ -2,24 +2,25 @@
 //! through.
 //!
 //! A [`SelectiveAuditor`] snapshots one `(policy, population)` pair —
-//! house plan compiled once, population bound once — and answers the
-//! three bridge questions the executor asks:
+//! house plan compiled and the scoring kernel (`crate::packed`) prepared
+//! once — and answers the three bridge questions the executor asks:
 //!
 //! * [`AuditBridge::violates`] — point probe for `VIOLATES(...)`
-//!   predicates, memoised per occurrence (a filter re-asks for every row
-//!   of a multi-row provider);
-//! * [`AuditBridge::violations_for`] — the *selective counts kernel*:
-//!   candidate provider ids (from a secondary-index range scan) are
-//!   mapped to occurrence indices and scored in sorted occurrence order,
+//!   predicates: true if any occurrence of the id violates, memoised per
+//!   unique row (a filter re-asks for every row of a multi-row provider);
+//! * [`AuditBridge::violations_for`] — the *selective* path: candidate
+//!   provider ids (from a secondary-index range scan) are mapped to
+//!   occurrences, and their unique rows are scored in one kernel call,
 //!   `O(candidates · cost(score))` instead of `O(N · cost(score))`;
 //! * [`AuditBridge::violations_all`] — the full sweep, the oracle the
 //!   selective path must match byte for byte.
 //!
-//! Byte-identity holds by construction: both paths score occurrences with
-//! the same compiled plan and emit rows in ascending occurrence
-//! (population) order, so the selective output is exactly the full
-//! output restricted to the candidate set — the access-path choice can
-//! never change query results.
+//! Byte-identity holds by construction: both paths score unique rows with
+//! the same kernel and emit rows in ascending occurrence (population)
+//! order, so the selective output is exactly the full output restricted to
+//! the candidate set — the access-path choice can never change query
+//! results. The helpers both bridges share (policy check, id index,
+//! planner statistics, row emission) live here too.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,9 +28,10 @@ use std::collections::HashMap;
 use qpv_reldb::audit_bridge::{AuditBridge, ViolationRow, ViolationStats};
 use qpv_reldb::error::{DbError, DbResult};
 
-use crate::audit::{AuditEngine, ProviderAudit};
-use crate::plan::{CompiledAuditPlan, PlanScratch};
-use crate::pop::{CompiledPopulation, PlanBinding};
+use crate::audit::AuditEngine;
+use crate::packed::{Buffers, Kernel, RowAudit};
+use crate::pop::CompiledPopulation;
+use crate::violation::ViolationWitness;
 
 /// An owned audit snapshot implementing [`AuditBridge`].
 ///
@@ -38,38 +40,32 @@ use crate::pop::{CompiledPopulation, PlanBinding};
 /// not affect it; take a fresh one per query batch.
 pub struct SelectiveAuditor {
     engine: AuditEngine,
-    plan: CompiledAuditPlan,
-    binding: PlanBinding,
+    kernel: Kernel,
     pop: CompiledPopulation,
-    /// Provider id → occurrence indices, ascending (duplicate data-table
+    /// `(provider id, occurrence)` sorted ascending (duplicate data-table
     /// ids audit once per occurrence, like the full sweep).
-    occurrences: HashMap<i64, Vec<u32>>,
-    /// Occurrence-keyed memo for [`AuditBridge::violates`] probes.
-    memo: RefCell<HashMap<usize, ProviderAudit>>,
-    /// Reused hot-loop scratch (epoch-stamped, reset per provider).
-    scratch: RefCell<PlanScratch>,
+    by_id: Vec<(i64, u32)>,
+    /// Unique-row-keyed witness memo for [`AuditBridge::violates`] probes.
+    memo: RefCell<HashMap<u32, Vec<ViolationWitness>>>,
+    /// The kernel's block buffers, kept across calls.
+    bufs: RefCell<Buffers>,
 }
 
 impl SelectiveAuditor {
-    /// Compile `engine`'s house policy and bind `pop` against it.
+    /// Compile `engine`'s house policy and prepare the kernel for `pop`.
     pub fn new(engine: AuditEngine, pop: CompiledPopulation) -> SelectiveAuditor {
-        let plan = engine.compile_house();
-        let binding = pop.bind(&plan);
-        let mut occurrences: HashMap<i64, Vec<u32>> = HashMap::with_capacity(pop.len());
-        for i in 0..pop.len() {
-            occurrences
-                .entry(pop.id(i).0 as i64)
-                .or_default()
-                .push(i as u32);
-        }
+        let kernel = Kernel::new(&pop, vec![engine.compile_house()]);
+        let mut by_id: Vec<(i64, u32)> = (0..pop.len())
+            .map(|i| (pop.id(i).0 as i64, i as u32))
+            .collect();
+        by_id.sort_unstable();
         SelectiveAuditor {
             engine,
-            plan,
-            binding,
+            kernel,
             pop,
-            occurrences,
+            by_id,
             memo: RefCell::new(HashMap::new()),
-            scratch: RefCell::new(PlanScratch::new()),
+            bufs: RefCell::new(Buffers::default()),
         }
     }
 
@@ -78,68 +74,72 @@ impl SelectiveAuditor {
         &self.pop
     }
 
-    /// Reject policy names other than the snapshot's house policy. The
-    /// bridge carries one compiled plan; auditing a different policy is a
-    /// different snapshot, not a different argument.
-    fn check_policy(&self, policy: Option<&str>) -> DbResult<()> {
-        match policy {
-            None => Ok(()),
-            Some(name) if name == self.engine.policy.name => Ok(()),
-            Some(name) => Err(DbError::Eval(format!(
-                "unknown policy {name:?} (this audit snapshot holds {:?})",
-                self.engine.policy.name
-            ))),
-        }
-    }
-
-    /// Score occurrence `i` with the compiled plan.
-    fn audit_occurrence(&self, i: usize) -> ProviderAudit {
-        self.pop
-            .audit_provider(&self.plan, &self.binding, i, &mut self.scratch.borrow_mut())
-    }
-
     /// Planner statistics for this snapshot: population shape only
     /// (`violations: None` — counting them would cost a full sweep), not
     /// index-backed.
     pub fn stats(&self) -> ViolationStats {
-        population_stats(&self.pop, None, false)
+        id_stats(&self.by_id, None, false)
+    }
+
+    /// Score the listed unique rows with their witnesses, in list order.
+    fn audit_rows(&self, rows: &[u32]) -> Vec<RowAudit> {
+        self.kernel
+            .audit_rows(&self.pop, rows, &mut self.bufs.borrow_mut())
     }
 }
 
-/// Planner statistics computed from a compiled population's id column.
+/// Reject policy names other than `engine`'s house policy. A bridge
+/// carries one compiled plan; auditing a different policy is a different
+/// snapshot, not a different argument.
+pub(crate) fn check_policy(engine: &AuditEngine, policy: Option<&str>) -> DbResult<()> {
+    match policy {
+        None => Ok(()),
+        Some(name) if name == engine.policy.name => Ok(()),
+        Some(name) => Err(DbError::Eval(format!(
+            "unknown policy {name:?} (this audit snapshot holds {:?})",
+            engine.policy.name
+        ))),
+    }
+}
+
+/// Occurrences whose provider id is `id`, ascending, from a sorted
+/// `(provider id, occurrence)` index.
+pub(crate) fn occurrences_of(by_id: &[(i64, u32)], id: i64) -> impl Iterator<Item = usize> + '_ {
+    let start = by_id.partition_point(|&(pid, _)| pid < id);
+    by_id[start..]
+        .iter()
+        .take_while(move |&&(pid, _)| pid == id)
+        .map(|&(_, occ)| occ as usize)
+}
+
+/// Planner statistics from a sorted `(provider id, occurrence)` index.
 /// Shared by the snapshot auditor (`indexed: false`, unknown violation
 /// count) and the live index (`indexed: true`, maintained count).
-pub(crate) fn population_stats(
-    pop: &CompiledPopulation,
+pub(crate) fn id_stats(
+    by_id: &[(i64, u32)],
     violations: Option<usize>,
     indexed: bool,
 ) -> ViolationStats {
-    let mut ids: Vec<i64> = (0..pop.len()).map(|i| pop.id(i).0 as i64).collect();
-    ids.sort_unstable();
-    ids.dedup();
     ViolationStats {
-        population: pop.len(),
-        distinct_providers: ids.len(),
-        min_provider: ids.first().copied().unwrap_or(0),
-        max_provider: ids.last().copied().unwrap_or(0),
+        population: by_id.len(),
+        distinct_providers: by_id.chunk_by(|a, b| a.0 == b.0).count(),
+        min_provider: by_id.first().map_or(0, |&(id, _)| id),
+        max_provider: by_id.last().map_or(0, |&(id, _)| id),
         violations,
         indexed,
     }
 }
 
-/// Append `audit`'s witness rows (one per witness, severity = the
-/// provider's total `Violation_i` score) to `out`. This is THE row
-/// emission for every `_qpv_violations` access path — the selective
-/// auditor and the live index both call it, so byte-identity across
-/// paths holds by construction.
-pub(crate) fn push_witness_rows(audit: &ProviderAudit, out: &mut Vec<ViolationRow>) {
-    if !audit.violated {
-        return;
-    }
-    let severity = i64::try_from(audit.score).unwrap_or(i64::MAX);
-    for w in &audit.witnesses {
+/// Append one occurrence's witness rows (one per witness, severity = its
+/// total `Violation_i` score) to `out`. This is THE row emission for
+/// every `_qpv_violations` access path — the selective auditor and the
+/// live index both call it, so byte-identity across paths holds by
+/// construction.
+pub(crate) fn push_witness_rows(provider: i64, row: &RowAudit, out: &mut Vec<ViolationRow>) {
+    let severity = i64::try_from(row.score).unwrap_or(i64::MAX);
+    for w in &row.witnesses {
         out.push(ViolationRow {
-            provider: audit.provider.0 as i64,
+            provider,
             attribute: w.attribute.as_str().to_string(),
             purpose: w.purpose.name().to_string(),
             severity,
@@ -158,20 +158,20 @@ impl AuditBridge for SelectiveAuditor {
         policy: Option<&str>,
         attribute: Option<&str>,
     ) -> DbResult<bool> {
-        self.check_policy(policy)?;
-        let Some(occs) = self.occurrences.get(&provider) else {
-            return Ok(false); // absent providers do not violate
-        };
-        // All occurrences of one id share a profile; the first decides.
-        let i = occs[0] as usize;
+        check_policy(&self.engine, policy)?;
+        // Occurrences of one id may state different preferences: the id
+        // violates if any of them does. Absent providers do not violate.
         let mut memo = self.memo.borrow_mut();
-        let audit = memo.entry(i).or_insert_with(|| self.audit_occurrence(i));
-        Ok(match attribute {
-            None => audit.violated,
-            Some(attr) => {
-                audit.violated && audit.witnesses.iter().any(|w| w.attribute.as_str() == attr)
+        Ok(occurrences_of(&self.by_id, provider).any(|i| {
+            let u = self.pop.urows()[i];
+            let witnesses = memo
+                .entry(u)
+                .or_insert_with(|| self.audit_rows(&[u]).swap_remove(0).witnesses);
+            match attribute {
+                None => !witnesses.is_empty(),
+                Some(attr) => witnesses.iter().any(|w| w.attribute.as_str() == attr),
             }
-        })
+        }))
     }
 
     fn violations_for(
@@ -179,29 +179,37 @@ impl AuditBridge for SelectiveAuditor {
         providers: &[i64],
         policy: Option<&str>,
     ) -> DbResult<Vec<ViolationRow>> {
-        self.check_policy(policy)?;
-        let mut occs: Vec<u32> = providers
+        check_policy(&self.engine, policy)?;
+        let mut occs: Vec<usize> = providers
             .iter()
-            .filter_map(|p| self.occurrences.get(p))
-            .flatten()
-            .copied()
+            .flat_map(|&p| occurrences_of(&self.by_id, p))
             .collect();
         // Ascending occurrence order *is* population order, so this emits
         // exactly `violations_all`'s rows restricted to the candidates.
         occs.sort_unstable();
         occs.dedup();
+        // One kernel call scores each candidate unique row once.
+        let urows = self.pop.urows();
+        let mut rows: Vec<u32> = occs.iter().map(|&i| urows[i]).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let audits = self.audit_rows(&rows);
         let mut out = Vec::new();
-        for &i in &occs {
-            push_witness_rows(&self.audit_occurrence(i as usize), &mut out);
+        for i in occs {
+            let at = rows.binary_search(&urows[i]).expect("row scored");
+            push_witness_rows(self.pop.id(i).0 as i64, &audits[at], &mut out);
         }
         Ok(out)
     }
 
     fn violations_all(&self, policy: Option<&str>) -> DbResult<Vec<ViolationRow>> {
-        self.check_policy(policy)?;
+        check_policy(&self.engine, policy)?;
+        let audits = self
+            .kernel
+            .audit_all(&self.pop, &mut self.bufs.borrow_mut());
         let mut out = Vec::new();
-        for i in 0..self.pop.len() {
-            push_witness_rows(&self.audit_occurrence(i), &mut out);
+        for (i, &u) in self.pop.urows().iter().enumerate() {
+            push_witness_rows(self.pop.id(i).0 as i64, &audits[u as usize], &mut out);
         }
         Ok(out)
     }
@@ -214,6 +222,7 @@ impl AuditBridge for SelectiveAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pop::PopulationDelta;
     use crate::profile::ProviderProfile;
     use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
     use qpv_policy::{HousePolicy, ProviderId};
@@ -250,26 +259,51 @@ mod tests {
         CompiledPopulation::from_profiles(&profiles)
     }
 
+    /// `population(50)` plus a provider with a unique row, then two
+    /// removals: the unique row's slot dies, and a swap-remove moves the
+    /// last occurrence, so occurrences no longer follow slot order.
+    fn clustered_with_dead_slot() -> CompiledPopulation {
+        let mut pop = population(50);
+        let mut odd = ProviderProfile::new(ProviderId(50), 0);
+        odd.preferences
+            .add("weight", PrivacyTuple::from_point("pr", pt(2, 2, 2)));
+        odd.sensitivities
+            .insert("weight".into(), DatumSensitivity::new(9, 9, 9, 9));
+        let delta = PopulationDelta::new()
+            .upsert(odd)
+            .remove(ProviderId(50))
+            .remove(ProviderId(12));
+        pop.apply_delta(&delta).unwrap();
+        assert!(
+            pop.unique_row_count() < pop.table().slot_count(),
+            "a dead slot"
+        );
+        assert!(pop.dedup_ratio() > 1.0, "shared rows");
+        pop
+    }
+
     #[test]
     fn selective_restriction_is_byte_identical_to_full_sweep() {
-        let auditor = SelectiveAuditor::new(engine(), population(50));
-        let all = auditor.violations_all(None).unwrap();
-        assert!(!all.is_empty());
-        // Every-other-provider candidate set, deliberately unsorted and
-        // with repeats and absentees.
-        let mut candidates: Vec<i64> = (0..50).rev().filter(|i| i % 2 == 0).collect();
-        candidates.push(4);
-        candidates.push(9999);
-        let selected = auditor.violations_for(&candidates, None).unwrap();
-        let expected: Vec<ViolationRow> = all
-            .iter()
-            .filter(|r| r.provider % 2 == 0)
-            .cloned()
-            .collect();
-        assert_eq!(selected, expected);
-        // Full candidate set reproduces the sweep exactly.
-        let everyone: Vec<i64> = (0..50).collect();
-        assert_eq!(auditor.violations_for(&everyone, None).unwrap(), all);
+        for pop in [population(50), clustered_with_dead_slot()] {
+            let auditor = SelectiveAuditor::new(engine(), pop);
+            let all = auditor.violations_all(None).unwrap();
+            assert!(!all.is_empty());
+            // Every-other-provider candidate set, deliberately unsorted and
+            // with repeats and absentees.
+            let mut candidates: Vec<i64> = (0..50).rev().filter(|i| i % 2 == 0).collect();
+            candidates.push(4);
+            candidates.push(9999);
+            let selected = auditor.violations_for(&candidates, None).unwrap();
+            let expected: Vec<ViolationRow> = all
+                .iter()
+                .filter(|r| r.provider % 2 == 0)
+                .cloned()
+                .collect();
+            assert_eq!(selected, expected);
+            // Full candidate set reproduces the sweep exactly.
+            let everyone: Vec<i64> = (0..50).collect();
+            assert_eq!(auditor.violations_for(&everyone, None).unwrap(), all);
+        }
     }
 
     #[test]

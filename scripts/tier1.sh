@@ -9,10 +9,10 @@
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
 #   scripts/tier1.sh --concurrency  # gate + snapshot-reader / delta-handoff
 #                                   #   concurrency suites (release)
-#   scripts/tier1.sh --packed       # packed-layout stage only (release
-#                                   #   equivalence suites, packed and
-#                                   #   K-policy sweep bench smokes, and the
-#                                   #   economics tests)
+#   scripts/tier1.sh --packed       # scoring-kernel stage only (release
+#                                   #   counts and witness equivalence
+#                                   #   suites, kernel bench smokes, and
+#                                   #   the economics tests)
 #   scripts/tier1.sh --sql          # SQL / selective-audit stage only
 #                                   #   (shadow + crash-torture + Ppdb-level
 #                                   #   suites in release, selective bench
@@ -63,23 +63,32 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
 fi
 
 if [[ "${1:-}" == "--packed" ]]; then
-    # Targeted gate for the packed-lane, row-deduplicated population
-    # layout (PR 7): the equivalence suites that pin the packed counts /
-    # sweep / delta paths byte-identical to `run_reference`, under the
-    # release optimizer, plus the packed bench in smoke mode (every
-    # sample asserts its aggregates against the string-path oracle). The
-    # fused K-policy kernel is checked the same way: the compiled
-    # population bench's K-policy sweep asserts every total against the
-    # naive per-policy path, and the economics tests drive the Eq. 31
-    # sweep through it.
+    # Targeted gate for the scoring kernel (crates/core/src/packed.rs),
+    # the one compiled evaluator of Def. 1 + Eq. 15: it produces both the
+    # counts and the witnesses, so this stage gates both. The equivalence
+    # suites pin its counts / sweep / delta paths and its per-provider
+    # reports (batch, parallel, live index) byte-identical to
+    # `run_reference` under the release optimizer; the bench smokes assert
+    # every sample against the string-path oracle — the packed counts
+    # bench, the K-policy sweep (every total against the naive per-policy
+    # path), the full-report audit bench and the selective audit bench.
+    # The economics tests drive the Eq. 31 sweep through the kernel.
     echo "== packed: population equivalence (release) =="
     cargo test -q --release -p qpv-core --test pop_equivalence
     echo "== packed: delta equivalence (release) =="
     cargo test -q --release -p qpv-core --test delta_equivalence
+    echo "== packed: plan equivalence, witnesses (release) =="
+    cargo test -q --release -p qpv-core --test plan_equivalence
+    echo "== packed: live-index equivalence, witnesses (release) =="
+    cargo test -q --release -p qpv-core --test live_index_equivalence
     echo "== packed: bench smoke (oracle-asserted) =="
     QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench packed_population
     echo "== packed: K-policy sweep bench smoke (oracle-asserted) =="
     QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench compiled_population
+    echo "== packed: full-report audit bench smoke (oracle-asserted) =="
+    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench audit_plan
+    echo "== packed: selective audit bench smoke (oracle-asserted) =="
+    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench selective_audit
     echo "== packed: economics (release) =="
     cargo test -q --release -p qpv-economics
     echo "tier-1 packed: OK"
