@@ -389,35 +389,34 @@ impl AuditBridge for LiveViolationIndex {
         policy: Option<&str>,
     ) -> DbResult<Vec<ViolationRow>> {
         check_policy(&self.engine, policy)?;
-        let occs: Vec<u32> = match attribute.and_then(|a| self.attr_postings.get(a)) {
-            // Attribute posting: O(posting). Rows of a posted occurrence
-            // may witness other attributes too — emitting them whole is
-            // the documented over-approximation (the planner's residual
-            // filter prunes); provider bounds are enforced exactly.
-            Some(posting) => posting
-                .iter()
-                .copied()
-                .filter(|&i| provider_in_bounds(&lo, &hi, self.ids[i as usize]))
-                .collect(),
-            None if attribute.is_some() => Vec::new(), // no such witness attr
-            None => {
-                // Provider-id range through `by_id`: O(log n + answer).
-                let start = self.by_id.partition_point(|&(id, _)| match lo {
-                    Bound::Unbounded => false,
-                    Bound::Included(v) => id < v,
-                    Bound::Excluded(v) => id <= v,
-                });
-                self.by_id[start..]
-                    .iter()
-                    .take_while(|&&(id, _)| match hi {
-                        Bound::Unbounded => true,
-                        Bound::Included(v) => id <= v,
-                        Bound::Excluded(v) => id < v,
-                    })
-                    .map(|&(_, occ)| occ)
-                    .collect()
+        if let Some(attr) = attribute {
+            // Attribute posting: O(posting). The posting is ascending
+            // occurrence (population) order, and only the rows witnessed
+            // on `attr` are copied; provider bounds are enforced exactly.
+            let mut out = Vec::new();
+            for &i in self.attr_postings.get(attr).into_iter().flatten() {
+                let i = i as usize;
+                if provider_in_bounds(&lo, &hi, self.ids[i]) {
+                    out.extend(self.rows[i].iter().filter(|r| r.attribute == attr).cloned());
+                }
             }
-        };
+            return Ok(out);
+        }
+        // Provider-id range through `by_id`: O(log n + answer).
+        let start = self.by_id.partition_point(|&(id, _)| match lo {
+            Bound::Unbounded => false,
+            Bound::Included(v) => id < v,
+            Bound::Excluded(v) => id <= v,
+        });
+        let occs = self.by_id[start..]
+            .iter()
+            .take_while(|&&(id, _)| match hi {
+                Bound::Unbounded => true,
+                Bound::Included(v) => id <= v,
+                Bound::Excluded(v) => id < v,
+            })
+            .map(|&(_, occ)| occ)
+            .collect();
         Ok(self.emit(occs))
     }
 
@@ -531,33 +530,73 @@ mod tests {
         assert_eq!(index.row_count(), index.violations_all(None).unwrap().len());
     }
 
+    /// A policy exposing both `age` and `weight`: every third provider is
+    /// strict on `weight`, every second on `age`, so multiples of six
+    /// hold witnesses on both attributes.
+    fn two_attr_population(n: u64) -> (AuditEngine, CompiledPopulation) {
+        let mut policy = HousePolicy::new("house");
+        let mut weights = AttributeSensitivities::new();
+        for (attr, w) in [("age", 2), ("weight", 3)] {
+            policy.add(attr, PrivacyTuple::from_point("pr", pt(7, 4, 7)));
+            weights.set(attr, w);
+        }
+        let engine = AuditEngine::new(policy, ["age", "weight"], weights);
+        let profiles: Vec<ProviderProfile> = (0..n)
+            .map(|i| {
+                let mut p = ProviderProfile::new(ProviderId(i), 0);
+                for (attr, strict) in [("age", i % 2 == 0), ("weight", i % 3 == 0)] {
+                    let pref = if strict { pt(1, 1, 1) } else { pt(7, 4, 7) };
+                    p.preferences
+                        .add(attr, PrivacyTuple::from_point("pr", pref));
+                    p.sensitivities
+                        .insert(attr.into(), DatumSensitivity::new(3, 1, 5, 2));
+                }
+                p
+            })
+            .collect();
+        (engine, CompiledPopulation::from_profiles(&profiles))
+    }
+
     #[test]
     fn indexed_range_and_attr_lookups() {
-        let index = LiveViolationIndex::new(engine(), population(60));
+        let (engine, pop) = two_attr_population(60);
+        let index = LiveViolationIndex::new(engine, pop);
         let all = index.violations_all(None).unwrap();
+        let expect = |keep: &dyn Fn(&ViolationRow) -> bool| -> Vec<ViolationRow> {
+            all.iter().filter(|r| keep(r)).cloned().collect()
+        };
         // Range restriction.
         let ranged = index
             .violations_indexed(Bound::Included(10), Bound::Excluded(30), None, None)
             .unwrap();
-        let expect: Vec<ViolationRow> = all
-            .iter()
-            .filter(|r| (10..30).contains(&r.provider))
-            .cloned()
-            .collect();
-        assert_eq!(ranged, expect);
-        // Attribute posting: every witness is on `weight`.
-        let posted = index
-            .violations_indexed(Bound::Unbounded, Bound::Unbounded, Some("weight"), None)
-            .unwrap();
-        assert_eq!(posted, all);
+        assert_eq!(ranged, expect(&|r| (10..30).contains(&r.provider)));
+        // Provider 0 witnesses both attributes, so a whole-provider answer
+        // would differ from the exact one.
+        assert!(index.violates(0, None, Some("age")).unwrap());
+        assert!(index.violates(0, None, Some("weight")).unwrap());
+        // Attribute posting: exactly the rows witnessed on the attribute.
+        for attr in ["age", "weight"] {
+            let posted = index
+                .violations_indexed(Bound::Unbounded, Bound::Unbounded, Some(attr), None)
+                .unwrap();
+            assert_eq!(posted, expect(&|r| r.attribute == attr), "{attr}");
+            let both = index
+                .violations_indexed(Bound::Included(10), Bound::Excluded(30), Some(attr), None)
+                .unwrap();
+            assert_eq!(
+                both,
+                expect(&|r| r.attribute == attr && (10..30).contains(&r.provider)),
+                "{attr} in [10, 30)"
+            );
+        }
         let none = index
-            .violations_indexed(Bound::Unbounded, Bound::Unbounded, Some("age"), None)
+            .violations_indexed(Bound::Unbounded, Bound::Unbounded, Some("height"), None)
             .unwrap();
         assert!(none.is_empty());
         // Point probes.
-        assert!(index.violates(0, None, Some("weight")).unwrap());
-        assert!(!index.violates(0, None, Some("age")).unwrap());
         assert!(!index.violates(1, None, None).unwrap());
+        assert!(index.violates(3, None, Some("weight")).unwrap());
+        assert!(!index.violates(3, None, Some("age")).unwrap());
         assert!(!index.violates(999, None, None).unwrap());
     }
 

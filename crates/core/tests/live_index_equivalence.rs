@@ -190,21 +190,14 @@ fn churned_index_matches_reference_audit_after_every_batch() {
                 .collect();
             assert_eq!(ranged, expect, "{ctx}: range lookup");
 
-            // Attr posting: exactly the oracle rows of providers with a
-            // witness on the attr (whole providers — the documented
-            // over-approximation the planner's residual filter prunes).
+            // Attr posting: exactly the oracle rows witnessed on the attr.
             for attr in ["weight", "age"] {
                 let posted = index
                     .violations_indexed(Bound::Unbounded, Bound::Unbounded, Some(attr), None)
                     .unwrap();
-                let with_attr: std::collections::HashSet<i64> = oracle
-                    .iter()
-                    .filter(|r| r.attribute == attr)
-                    .map(|r| r.provider)
-                    .collect();
                 let expect: Vec<ViolationRow> = oracle
                     .iter()
-                    .filter(|r| with_attr.contains(&r.provider))
+                    .filter(|r| r.attribute == attr)
                     .cloned()
                     .collect();
                 assert_eq!(posted, expect, "{ctx}: posting {attr}");

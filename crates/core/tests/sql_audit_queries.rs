@@ -13,6 +13,7 @@ use qpv_policy::{HousePolicy, ProviderId};
 use qpv_reldb::exec::ResultSet;
 use qpv_reldb::schema::SchemaBuilder;
 use qpv_reldb::{DataType, Database, Row, Value};
+use qpv_synth::Scenario;
 use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
 
 fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
@@ -231,4 +232,162 @@ fn prefs_lookups_use_the_composite_index() {
         )
         .unwrap();
     assert_eq!(rs.rows[0].values[0], Value::Int(1));
+}
+
+/// A seed-pinned healthcare registry (witnesses on `weight`, `diagnosis`
+/// and `income`) in which every seventh provider's data row is stored
+/// twice, so the population holds duplicate ids.
+fn registry_with_duplicate_ids() -> Ppdb {
+    let s = Scenario::healthcare(240, 0x5EED_0017);
+    let mut ppdb = Ppdb::create(
+        Database::in_memory(),
+        PpdbConfig::new("patients", "provider_id"),
+        s.data_schema(),
+    )
+    .unwrap();
+    ppdb.set_policy(&s.baseline_policy).unwrap();
+    for attr in &s.spec.attributes {
+        ppdb.set_attribute_weight(&attr.name, attr.weight).unwrap();
+    }
+    for (profile, row) in s.population.profiles.iter().zip(&s.population.data_rows) {
+        ppdb.register_provider(profile, row.clone()).unwrap();
+    }
+    // The repeat carries no preference or sensitivity rows of its own:
+    // both occurrences of the id read the first registration's.
+    for (profile, row) in s.population.profiles.iter().zip(&s.population.data_rows) {
+        if profile.id().0 % 7 == 3 {
+            let repeat = ProviderProfile::new(profile.id(), profile.threshold);
+            ppdb.register_provider(&repeat, row.clone()).unwrap();
+        }
+    }
+    ppdb
+}
+
+/// `_qpv_violations` rows derived from [`AuditEngine::run_reference`]
+/// over the stored profiles, in population order.
+fn reference_rows(ppdb: &mut Ppdb) -> Vec<(i64, String, String, i64)> {
+    let profiles = ppdb.all_profiles().unwrap();
+    let report = ppdb.audit_engine().unwrap().run_reference(&profiles);
+    let mut rows = Vec::new();
+    for audit in report.providers.iter().filter(|a| a.violated) {
+        let severity = i64::try_from(audit.score).unwrap();
+        for w in &audit.witnesses {
+            rows.push((
+                audit.provider.0 as i64,
+                w.attribute.as_str().to_string(),
+                w.purpose.name().to_string(),
+                severity,
+            ));
+        }
+    }
+    rows
+}
+
+/// Attribute predicates pushed into the live index, or deliberately not:
+/// every form answers exactly the reference rows through both the live
+/// path (`LiveIndexScan`, exact attribute postings) and the snapshot path
+/// (`ViolationScan`, residual filter only), and `explain` shows where the
+/// restriction went.
+#[test]
+fn attr_pushdown_matches_the_reference_on_both_paths() {
+    let mut ppdb = registry_with_duplicate_ids();
+    assert_eq!(
+        ppdb.all_profiles().unwrap().len(),
+        240 + 34,
+        "ids 3, 10, … stored twice"
+    );
+    let oracle = reference_rows(&mut ppdb);
+    let (lo, hi) = (40i64, 160i64);
+    let dup = |p: i64| p % 7 == 3;
+    // A duplicated violator with no `weight` witness: `OR provider = k`
+    // must add its rows to the `weight` ones.
+    let k = oracle
+        .iter()
+        .map(|r| r.0)
+        .find(|&p| dup(p) && !oracle.iter().any(|r| r.0 == p && r.1 == "weight"))
+        .expect("fixture must hold a duplicated violator without a weight witness");
+    assert!(
+        oracle.iter().any(|r| dup(r.0))
+            && ["weight", "diagnosis", "income"]
+                .iter()
+                .all(|a| oracle.iter().any(|r| r.1 == *a)),
+        "fixture must put witnesses on every attribute and on duplicate ids"
+    );
+    assert!(
+        oracle
+            .iter()
+            .any(|r| r.1 == "weight" && oracle.iter().any(|s| s.0 == r.0 && s.1 != "weight")),
+        "fixture must hold a provider witnessed on weight and another attribute"
+    );
+
+    type Keep = Box<dyn Fn(&(i64, String, String, i64)) -> bool>;
+    // (WHERE clause, live-path plan fragment, snapshot plan fragment, oracle filter)
+    let cases: Vec<(String, String, String, Keep)> = vec![
+        (
+            "attr = 'weight'".into(),
+            "provider=[unbounded .. unbounded] attr=weight".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(|r| r.1 == "weight"),
+        ),
+        (
+            "'weight' = attr".into(),
+            "provider=[unbounded .. unbounded] attr=weight".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(|r| r.1 == "weight"),
+        ),
+        (
+            format!("attr = 'diagnosis' AND provider >= {lo} AND provider < {hi}"),
+            format!("provider=[incl {lo} .. excl {hi}] attr=diagnosis"),
+            format!("provider=[incl {lo} .. excl {hi}]"),
+            Box::new(move |r| r.1 == "diagnosis" && (lo..hi).contains(&r.0)),
+        ),
+        (
+            format!("attr = 'weight' OR provider = {k}"),
+            "provider=[unbounded .. unbounded] attr=*".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(move |r| r.1 == "weight" || r.0 == k),
+        ),
+        (
+            "attr = 'weight' AND attr = 'income'".into(),
+            "provider=[unbounded .. unbounded] attr=income".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(|_| false),
+        ),
+        (
+            "attr = 'absent'".into(),
+            "provider=[unbounded .. unbounded] attr=absent".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(|_| false),
+        ),
+        (
+            "attr LIKE 'w%'".into(),
+            "provider=[unbounded .. unbounded] attr=*".into(),
+            "provider=[unbounded .. unbounded]".into(),
+            Box::new(|r| r.1.starts_with('w')),
+        ),
+    ];
+    for (cond, live_plan, snapshot_plan, keep) in &cases {
+        let sql = format!("SELECT * FROM _qpv_violations WHERE {cond}");
+        let want: Vec<_> = oracle.iter().filter(|r| keep(r)).cloned().collect();
+
+        let live = ppdb.query_live(&sql).unwrap();
+        let plan = ppdb.explain(&sql).unwrap();
+        assert!(
+            plan.contains(&format!("LiveIndexScan policy=house {live_plan}")),
+            "{sql}:\n{plan}"
+        );
+        assert!(
+            plan.contains("Filter"),
+            "{sql}: residual filter kept:\n{plan}"
+        );
+        assert_eq!(result_tuples(&live), want, "{sql}: live path");
+
+        let snapshot = ppdb.query_violations(&sql).unwrap();
+        let plan = ppdb.explain(&sql).unwrap();
+        assert!(
+            plan.contains(&format!("ViolationScan policy=house {snapshot_plan}")),
+            "{sql}:\n{plan}"
+        );
+        assert_eq!(result_tuples(&snapshot), want, "{sql}: snapshot path");
+    }
 }

@@ -176,12 +176,13 @@ pub trait AuditBridge {
     ///
     /// Same order-stability contract as [`AuditBridge::violations_for`]:
     /// the result must equal [`AuditBridge::violations_all`] restricted
-    /// to the bounds. Implementations MAY return a superset of the
-    /// `attribute` restriction (the planner always re-applies the full
-    /// predicate as a filter on top); they must never return a superset
-    /// of the provider bounds' *population*, i.e. every emitted row's
-    /// provider must satisfy `lo..hi`. The default implementation
-    /// filters the full sweep and ignores `attribute`.
+    /// to the bounds, and every emitted row's provider must satisfy
+    /// `lo..hi`. An index-backed bridge (one whose [`AuditBridge::stats`]
+    /// report `indexed: true`) returns exactly the rows witnessed on
+    /// `attribute` when one is given. The default implementation filters
+    /// the full sweep by the bounds and ignores `attribute`, returning a
+    /// superset of its rows; that stays correct because the planner
+    /// always re-applies the full predicate as a filter on top.
     fn violations_indexed(
         &self,
         lo: Bound<i64>,

@@ -1587,6 +1587,57 @@ mod tests {
         assert_eq!(db.index_count(), db.catalog().indexes().len());
     }
 
+    /// `2^53 + 1` rounds to `2^53` as an `f64`: a float bound must still
+    /// select exactly the integers on its side, and the sequential scan
+    /// (the filter's comparison) and the index range (the B+tree's key
+    /// order) must agree on which those are.
+    #[test]
+    fn value_order_is_exact_by_seq_scan_and_index_range() {
+        let p = 1i64 << 53;
+        let mut db = Database::in_memory();
+        db.execute("CREATE TABLE t (provider_id INT)").unwrap();
+        db.execute(&format!(
+            "INSERT INTO t VALUES ({}), ({p}), ({})",
+            p - 1,
+            p + 1
+        ))
+        .unwrap();
+        let cases = [
+            ("provider_id >= 9007199254740992.0", vec![p, p + 1]),
+            ("provider_id > 9007199254740992.0", vec![p + 1]),
+            ("provider_id = 9007199254740992.0", vec![p]),
+            ("provider_id <= 9007199254740992.0", vec![p - 1, p]),
+            ("provider_id < 9007199254740992.0", vec![p - 1]),
+        ];
+        let run = |db: &mut Database, path: &str| -> Vec<Vec<i64>> {
+            cases
+                .iter()
+                .map(|(cond, _)| {
+                    let sql = format!("SELECT provider_id FROM t WHERE {cond}");
+                    let plan = db.explain(&sql).unwrap();
+                    assert!(plan.contains(path), "{sql}:\n{plan}");
+                    let mut ids: Vec<i64> = db
+                        .query(&sql)
+                        .unwrap()
+                        .rows
+                        .iter()
+                        .map(|r| r.values[0].as_int().unwrap())
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect()
+        };
+        let seq = run(&mut db, "SeqScan t");
+        db.execute("CREATE INDEX t_provider ON t (provider_id)")
+            .unwrap();
+        let indexed = run(&mut db, "IndexScan t via t_provider");
+        for (((cond, want), seq), indexed) in cases.iter().zip(&seq).zip(&indexed) {
+            assert_eq!(seq, want, "{cond} by sequential scan");
+            assert_eq!(indexed, want, "{cond} by index range");
+        }
+    }
+
     #[test]
     fn explain_shows_chosen_access_path() {
         let mut db = seeded();

@@ -115,9 +115,11 @@ pub enum Plan {
     /// live index ([`AuditBridge::violations_indexed`]): `O(log n +
     /// answer)` posting lookups instead of re-scoring candidates. Chosen
     /// by the binder only when the registered [`ViolationStats`] say the
-    /// bridge is index-backed. The bridge may over-approximate the
-    /// `attr` restriction (the full predicate is re-applied by a filter
-    /// above), never the provider bounds.
+    /// bridge is index-backed. An index-backed bridge returns exactly
+    /// the rows within the provider bounds and, with `attr`, exactly
+    /// those witnessed on it. The full predicate is still re-applied by
+    /// the filter above, so a bridge that answers with a superset of the
+    /// `attr` restriction stays correct.
     LiveIndexScan {
         /// Policy name, or `None` for the house default policy.
         policy: Option<String>,
@@ -367,14 +369,20 @@ pub fn execute(plan: &Plan, ctx: &mut ExecContext<'_>) -> DbResult<ResultSet> {
         }
         Plan::Filter { input, predicate } => {
             let mut upstream = execute(input, ctx)?;
-            let mut kept = Vec::with_capacity(upstream.rows.len());
-            for row in upstream.rows.drain(..) {
-                if predicate.matches_with(&row, ctx.audit)? {
-                    kept.push(row);
-                }
+            // In place: kept rows never move to a second buffer. The first
+            // evaluation error stops the filter and is returned.
+            let mut failed = None;
+            upstream.rows.retain(|row| {
+                failed.is_none()
+                    && predicate.matches_with(row, ctx.audit).unwrap_or_else(|e| {
+                        failed = Some(e);
+                        false
+                    })
+            });
+            match failed {
+                Some(e) => Err(e),
+                None => Ok(upstream),
             }
-            upstream.rows = kept;
-            Ok(upstream)
         }
         Plan::Project {
             input,

@@ -4,6 +4,7 @@
 //! involving `NULL` yield `NULL`; `AND`/`OR` use Kleene logic; a `WHERE`
 //! predicate keeps a row only when it evaluates to `TRUE` (not `NULL`).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::audit_bridge::AuditBridge;
@@ -199,45 +200,55 @@ impl Expr {
     /// Evaluate against a row, resolving `VIOLATES` sub-expressions
     /// through `audit` when one is provided.
     pub fn eval_with(&self, row: &Row, audit: Option<&dyn AuditBridge>) -> DbResult<Value> {
-        match self {
-            Expr::Column(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::Eval(format!("column index {i} out of range"))),
-            Expr::Literal(v) => Ok(v.clone()),
+        self.eval_ref(row, audit).map(Cow::into_owned)
+    }
+
+    /// The evaluator behind [`Self::eval_with`] and
+    /// [`Self::matches_with`]: columns lend their value from the row and
+    /// literals lend theirs, so comparing, testing for NULL or matching a
+    /// pattern allocates nothing; only computed values are owned.
+    fn eval_ref<'a>(
+        &'a self,
+        row: &'a Row,
+        audit: Option<&dyn AuditBridge>,
+    ) -> DbResult<Cow<'a, Value>> {
+        Ok(match self {
+            Expr::Column(i) => Cow::Borrowed(
+                row.get(*i)
+                    .ok_or_else(|| DbError::Eval(format!("column index {i} out of range")))?,
+            ),
+            Expr::Literal(v) => Cow::Borrowed(v),
             Expr::Unary(op, inner) => {
-                let v = inner.eval_with(row, audit)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(DbError::Eval(format!("NOT applied to {other}"))),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => i
-                            .checked_neg()
-                            .map(Value::Int)
-                            .ok_or_else(|| DbError::Eval("integer overflow in negation".into())),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(DbError::Eval(format!("negation applied to {other}"))),
-                    },
-                }
+                let v = inner.eval_ref(row, audit)?;
+                Cow::Owned(match (op, v.as_ref()) {
+                    (_, Value::Null) => Value::Null,
+                    (UnaryOp::Not, Value::Bool(b)) => Value::Bool(!b),
+                    (UnaryOp::Not, other) => {
+                        return Err(DbError::Eval(format!("NOT applied to {other}")))
+                    }
+                    (UnaryOp::Neg, Value::Int(i)) => i
+                        .checked_neg()
+                        .map(Value::Int)
+                        .ok_or_else(|| DbError::Eval("integer overflow in negation".into()))?,
+                    (UnaryOp::Neg, Value::Float(f)) => Value::Float(-f),
+                    (UnaryOp::Neg, other) => {
+                        return Err(DbError::Eval(format!("negation applied to {other}")))
+                    }
+                })
             }
-            Expr::Binary(op, l, r) => self.eval_binary(*op, l, r, row, audit),
-            Expr::IsNull { expr, negated } => {
-                let v = expr.eval_with(row, audit)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
+            Expr::Binary(op, l, r) => Cow::Owned(eval_binary(*op, l, r, row, audit)?),
+            Expr::IsNull { expr, negated } => Cow::Owned(Value::Bool(
+                expr.eval_ref(row, audit)?.is_null() != *negated,
+            )),
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => match expr.eval_with(row, audit)? {
-                Value::Null => Ok(Value::Null),
-                Value::Text(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(DbError::Eval(format!("LIKE applied to {other}"))),
-            },
+            } => Cow::Owned(match expr.eval_ref(row, audit)?.as_ref() {
+                Value::Null => Value::Null,
+                Value::Text(s) => Value::Bool(like_match(s, pattern) != *negated),
+                other => return Err(DbError::Eval(format!("LIKE applied to {other}"))),
+            }),
             Expr::Violates {
                 provider,
                 policy,
@@ -250,19 +261,21 @@ impl Expr {
                             .into(),
                     )
                 })?;
-                match provider.eval_with(row, audit)? {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(id) => Ok(Value::Bool(bridge.violates(
-                        id,
+                Cow::Owned(match provider.eval_ref(row, audit)?.as_ref() {
+                    Value::Null => Value::Null,
+                    Value::Int(id) => Value::Bool(bridge.violates(
+                        *id,
                         policy.as_deref(),
                         attribute.as_deref(),
-                    )?)),
-                    other => Err(DbError::Eval(format!(
-                        "VIOLATES provider id must be an integer, got {other}"
-                    ))),
-                }
+                    )?),
+                    other => {
+                        return Err(DbError::Eval(format!(
+                            "VIOLATES provider id must be an integer, got {other}"
+                        )))
+                    }
+                })
             }
-        }
+        })
     }
 
     /// Evaluate as a predicate: `true` only for `Bool(true)` (`NULL` filters
@@ -273,83 +286,95 @@ impl Expr {
 
     /// [`Self::matches`] with an audit bridge for `VIOLATES` resolution.
     pub fn matches_with(&self, row: &Row, audit: Option<&dyn AuditBridge>) -> DbResult<bool> {
-        match self.eval_with(row, audit)? {
-            Value::Bool(b) => Ok(b),
+        match self.eval_ref(row, audit)?.as_ref() {
+            Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(DbError::Eval(format!(
                 "predicate evaluated to non-boolean {other}"
             ))),
         }
     }
+}
 
-    fn eval_binary(
-        &self,
-        op: BinOp,
-        l: &Expr,
-        r: &Expr,
-        row: &Row,
-        audit: Option<&dyn AuditBridge>,
-    ) -> DbResult<Value> {
-        // Kleene AND/OR must short-circuit around NULLs specially.
-        if matches!(op, BinOp::And | BinOp::Or) {
-            let lv = l.eval_with(row, audit)?;
-            let rv = r.eval_with(row, audit)?;
-            return kleene(op, lv, rv);
-        }
-        let lv = l.eval_with(row, audit)?;
-        let rv = r.eval_with(row, audit)?;
-        if lv.is_null() || rv.is_null() {
-            return Ok(Value::Null);
-        }
-        match op {
-            BinOp::Eq => Ok(Value::Bool(compare(&lv, &rv)? == std::cmp::Ordering::Equal)),
-            BinOp::Ne => Ok(Value::Bool(compare(&lv, &rv)? != std::cmp::Ordering::Equal)),
-            BinOp::Lt => Ok(Value::Bool(compare(&lv, &rv)? == std::cmp::Ordering::Less)),
-            BinOp::Le => Ok(Value::Bool(
-                compare(&lv, &rv)? != std::cmp::Ordering::Greater,
-            )),
-            BinOp::Gt => Ok(Value::Bool(
-                compare(&lv, &rv)? == std::cmp::Ordering::Greater,
-            )),
-            BinOp::Ge => Ok(Value::Bool(compare(&lv, &rv)? != std::cmp::Ordering::Less)),
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                arithmetic(op, &lv, &rv)
-            }
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        }
+/// `left op right`, with both operands evaluated (left first) before
+/// either is inspected, so an error on either side always surfaces.
+fn eval_binary(
+    op: BinOp,
+    l: &Expr,
+    r: &Expr,
+    row: &Row,
+    audit: Option<&dyn AuditBridge>,
+) -> DbResult<Value> {
+    let lv = l.eval_ref(row, audit)?;
+    let rv = r.eval_ref(row, audit)?;
+    let (lv, rv) = (lv.as_ref(), rv.as_ref());
+    // Kleene AND/OR must treat NULLs specially.
+    if matches!(op, BinOp::And | BinOp::Or) {
+        return kleene(op, lv, rv);
     }
+    if lv.is_null() || rv.is_null() {
+        return Ok(Value::Null);
+    }
+    let ord = || compare(lv, rv);
+    Ok(Value::Bool(match op {
+        BinOp::Eq => ord()?.is_eq(),
+        BinOp::Ne => ord()?.is_ne(),
+        BinOp::Lt => ord()?.is_lt(),
+        BinOp::Le => ord()?.is_le(),
+        BinOp::Gt => ord()?.is_gt(),
+        BinOp::Ge => ord()?.is_ge(),
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+            return arithmetic(op, lv, rv)
+        }
+        BinOp::And | BinOp::Or => unreachable!("handled above"),
+    }))
 }
 
 /// SQL `LIKE` matching: `%` = any run, `_` = one character. Iterative
 /// two-pointer algorithm with backtracking to the last `%` — linear in
-/// practice, no recursion, no regex dependency.
+/// practice, no recursion, no regex dependency. It walks the UTF-8 bytes
+/// in place: both cursors stay on character boundaries (`_` and the `%`
+/// backtrack step over a whole character, a literal matches a whole
+/// encoded character), and the ASCII wildcards never occur inside a
+/// multibyte sequence.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
     let (mut ti, mut pi) = (0usize, 0usize);
     let mut star: Option<(usize, usize)> = None; // (pattern idx after %, text idx)
     while ti < t.len() {
         // The wildcard test must precede the literal test: a literal '%'
         // in the *text* would otherwise consume the pattern's wildcard.
-        if pi < p.len() && p[pi] == '%' {
+        if pi < p.len() && p[pi] == b'%' {
             star = Some((pi + 1, ti));
             pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            ti += 1;
+        } else if pi < p.len() && p[pi] == b'_' {
+            ti += utf8_len(t[ti]);
             pi += 1;
+        } else if pi < p.len() && t[ti..].starts_with(&p[pi..pi + utf8_len(p[pi])]) {
+            let n = utf8_len(p[pi]);
+            ti += n;
+            pi += n;
         } else if let Some((sp, st)) = star {
             // Backtrack: let the last % swallow one more character.
+            let st = st + utf8_len(t[st]);
             pi = sp;
-            ti = st + 1;
-            star = Some((sp, st + 1));
+            ti = st;
+            star = Some((sp, st));
         } else {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+    p[pi..].iter().all(|&b| b == b'%')
+}
+
+/// Byte length of the UTF-8 character whose first byte is `lead`.
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0x00..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        _ => 4,
     }
-    pi == p.len()
 }
 
 /// SQL comparison: only like-typed values (or the numeric pair) compare.
@@ -370,7 +395,7 @@ fn compare(l: &Value, r: &Value) -> DbResult<std::cmp::Ordering> {
     Ok(l.cmp(r))
 }
 
-fn kleene(op: BinOp, l: Value, r: Value) -> DbResult<Value> {
+fn kleene(op: BinOp, l: &Value, r: &Value) -> DbResult<Value> {
     let as_tristate = |v: &Value| -> DbResult<Option<bool>> {
         match v {
             Value::Null => Ok(None),
@@ -378,8 +403,8 @@ fn kleene(op: BinOp, l: Value, r: Value) -> DbResult<Value> {
             other => Err(DbError::Eval(format!("{} applied to {other}", op.symbol()))),
         }
     };
-    let lt = as_tristate(&l)?;
-    let rt = as_tristate(&r)?;
+    let lt = as_tristate(l)?;
+    let rt = as_tristate(r)?;
     let out = match op {
         BinOp::And => match (lt, rt) {
             (Some(false), _) | (_, Some(false)) => Some(false),
@@ -648,6 +673,172 @@ mod tests {
                                                 // Multiple wildcards with backtracking.
         assert!(like_match("mississippi", "%iss%pi"));
         assert!(!like_match("mississippi", "%iss%x"));
+    }
+
+    #[test]
+    fn like_edge_cases() {
+        assert!(like_match("", ""));
+        assert!(!like_match("a", ""));
+        assert!(like_match("", "%%"));
+        assert!(!like_match("", "_%"));
+        assert!(like_match("abc", "abc%"));
+        assert!(like_match("abc", "a%%%c"));
+        assert!(like_match("abc", "%__"));
+        assert!(!like_match("abc", "%____"));
+        // `_` is one character, not one byte.
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(like_match("中😀x", "__x"));
+        assert!(like_match("x中😀", "x%😀"));
+        assert!(!like_match("x中😀", "x%中"));
+        // Wildcards in the text are literals.
+        assert!(like_match("50%", "50%"));
+        assert!(like_match("a_b", "a_b"));
+    }
+
+    /// The SQL `LIKE` definition, read off directly: exponential, only
+    /// fit for short inputs.
+    fn like_reference(t: &[char], p: &[char]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some(('%', rest)) => (0..=t.len()).any(|k| like_reference(&t[k..], rest)),
+            Some(('_', rest)) => !t.is_empty() && like_reference(&t[1..], rest),
+            Some((c, rest)) => t.first() == Some(c) && like_reference(&t[1..], rest),
+        }
+    }
+
+    fn like_oracle(text: &str, pattern: &str) -> bool {
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        like_reference(&t, &p)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+        #[test]
+        fn prop_like_matches_the_reference(
+            text in "[ab%_é中😀]{0,10}",
+            pattern in "[ab%_é中😀]{0,7}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&text, &pattern),
+                like_oracle(&text, &pattern),
+                "{:?} LIKE {:?}", text, pattern
+            );
+        }
+
+        /// Patterns cut from the text itself, so most of them match:
+        /// each character kept, or replaced by `_`, `%` or a `%` run,
+        /// with an optional trailing `%`.
+        #[test]
+        fn prop_like_matches_the_reference_on_derived_patterns(
+            text in "[ab%_é中😀]{0,12}",
+            mask in proptest::collection::vec(0u8..5, 0..12),
+            trailing in proptest::prelude::any::<bool>(),
+        ) {
+            let mut pattern = String::new();
+            for (c, m) in text.chars().zip(mask.iter().chain(std::iter::repeat(&0))) {
+                match m {
+                    1 => pattern.push('_'),
+                    2 => pattern.push('%'),
+                    3 => pattern.push_str("%%"),
+                    _ => pattern.push(c),
+                }
+            }
+            if trailing {
+                pattern.push('%');
+            }
+            proptest::prop_assert_eq!(
+                like_match(&text, &pattern),
+                like_oracle(&text, &pattern),
+                "{:?} LIKE {:?}", text, pattern
+            );
+        }
+    }
+
+    /// The message of an evaluation error (panics on success or another
+    /// error kind).
+    fn eval_error(e: Expr) -> String {
+        match e.eval(&row()) {
+            Err(DbError::Eval(msg)) => msg,
+            other => panic!("expected an evaluation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn borrowed_operands_keep_type_errors_and_nulls() {
+        let r = row();
+        // NULL wins over a type mismatch, from either side.
+        assert_eq!(
+            Expr::col(2).eq(Expr::lit("x")).eval(&r).unwrap(),
+            Value::Null
+        );
+        assert_eq!(
+            Expr::lit(true).lt(Expr::col(2)).eval(&r).unwrap(),
+            Value::Null
+        );
+        assert_eq!(Expr::col(2).is_null().eval(&r).unwrap(), Value::Bool(true));
+        assert_eq!(
+            Expr::col(1).is_not_null().eval(&r).unwrap(),
+            Value::Bool(true)
+        );
+        // Column against literal and column against column, both ways.
+        assert_eq!(
+            eval_error(Expr::col(0).eq(Expr::lit("x"))),
+            "cannot compare 10 with 'x'"
+        );
+        assert_eq!(
+            eval_error(Expr::col(1).ge(Expr::col(0))),
+            "cannot compare 'bob' with 10"
+        );
+        assert_eq!(
+            eval_error(Expr::col(4).lt(Expr::col(3))),
+            "cannot compare true with 2.5"
+        );
+        assert_eq!(
+            eval_error(Expr::col(0).and(Expr::lit(true))),
+            "AND applied to 10"
+        );
+        assert_eq!(
+            eval_error(Expr::lit(false).or(Expr::col(1))),
+            "OR applied to 'bob'"
+        );
+        assert_eq!(eval_error(Expr::col(3).not()), "NOT applied to 2.5");
+        assert_eq!(
+            eval_error(Expr::Unary(UnaryOp::Neg, Box::new(Expr::col(1)))),
+            "negation applied to 'bob'"
+        );
+        assert_eq!(
+            eval_error(Expr::Binary(
+                BinOp::Add,
+                Box::new(Expr::col(0)),
+                Box::new(Expr::col(1))
+            )),
+            "+ not defined for 10 and 'bob'"
+        );
+        assert_eq!(
+            eval_error(Expr::Like {
+                expr: Box::new(Expr::col(3)),
+                pattern: "%".into(),
+                negated: false,
+            }),
+            "LIKE applied to 2.5"
+        );
+        assert_eq!(
+            eval_error(Expr::col(7).eq(Expr::lit(1))),
+            "column index 7 out of range"
+        );
+        // A column that errs on the right still errs after a NULL left.
+        assert_eq!(
+            eval_error(Expr::col(2).eq(Expr::col(9))),
+            "column index 9 out of range"
+        );
+        match Expr::col(1).matches(&r) {
+            Err(DbError::Eval(msg)) => {
+                assert_eq!(msg, "predicate evaluated to non-boolean 'bob'")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

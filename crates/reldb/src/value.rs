@@ -111,8 +111,10 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     /// Total order: by type class, then within class. `Int` and `Float`
-    /// share a class and compare numerically (NaN sorts greatest within
-    /// floats so the order stays total).
+    /// share a class and compare by exact numeric value — an `i64` is
+    /// never rounded to `f64` first, so `Int(2^53 + 1) > Float(2^53)`.
+    /// NaN sorts greatest within the class (all NaNs equal), `±0.0` are
+    /// equal, and `±inf` sit at the ends.
     fn cmp(&self, other: &Value) -> Ordering {
         let rank = self.type_rank().cmp(&other.type_rank());
         if rank != Ordering::Equal {
@@ -122,24 +124,48 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (a @ (Value::Int(_) | Value::Float(_)), b @ (Value::Int(_) | Value::Float(_))) => {
-                let fa = a.as_float().expect("numeric");
-                let fb = b.as_float().expect("numeric");
-                fa.partial_cmp(&fb).unwrap_or_else(|| {
-                    // NaN handling: NaN > everything, NaN == NaN.
-                    match (fa.is_nan(), fb.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Greater,
-                        (false, true) => Ordering::Less,
-                        (false, false) => unreachable!("partial_cmp only fails on NaN"),
-                    }
-                })
-            }
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).reverse(),
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b).unwrap_or_else(|| {
+                // NaN handling: NaN > everything, NaN == NaN.
+                match (a.is_nan(), b.is_nan()) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => Ordering::Greater,
+                    (false, true) => Ordering::Less,
+                    (false, false) => unreachable!("partial_cmp only fails on NaN"),
+                }
+            }),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (Value::Bytes(a), Value::Bytes(b)) => a.cmp(b),
             _ => unreachable!("equal type ranks but unhandled pair"),
         }
     }
+}
+
+/// `2^63`, the first float above `i64::MAX` (exactly representable).
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Exact order of an integer against a float. NaN is greater than every
+/// integer; a float outside `[-2^63, 2^63)` (infinities included) lies
+/// beyond every `i64`; inside it, the float's integer part is exact in
+/// `i64` and its fractional part breaks ties.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() || f >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then_with(|| {
+        // `f - whole` is exact; `±0.0` both read as no fraction.
+        0.0f64.partial_cmp(&(f - whole)).expect("finite fraction")
+    })
+}
+
+/// The `i64` a float equals exactly, if any (`-0.0` equals `0`).
+fn float_as_exact_int(f: f64) -> Option<i64> {
+    (f.trunc() == f && (-TWO_POW_63..TWO_POW_63).contains(&f)).then_some(f as i64)
 }
 
 impl std::hash::Hash for Value {
@@ -148,16 +174,15 @@ impl std::hash::Hash for Value {
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            // Hash numerics through their float bits so Int(2) and Float(2.0)
-            // (which compare equal) hash identically.
-            Value::Int(_) | Value::Float(_) => {
-                let f = self.as_float().expect("numeric");
-                if f == 0.0 {
-                    0u64.hash(state); // +0.0 and -0.0 compare equal
-                } else {
-                    f.to_bits().hash(state);
-                }
-            }
+            // A float equal to an integer hashes as that integer, so
+            // `Int(2)` and `Float(2.0)` (which compare equal) hash alike,
+            // as do `±0.0`. Every NaN compares equal, so all hash alike.
+            Value::Int(i) => i.hash(state),
+            Value::Float(f) => match float_as_exact_int(*f) {
+                Some(i) => i.hash(state),
+                None if f.is_nan() => f64::NAN.to_bits().hash(state),
+                None => f.to_bits().hash(state),
+            },
             Value::Text(s) => s.hash(state),
             Value::Bytes(b) => b.hash(state),
         }
@@ -234,6 +259,7 @@ impl From<Vec<u8>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
@@ -271,6 +297,103 @@ mod tests {
     fn equal_values_hash_equal_across_numeric_types() {
         assert_eq!(hash_of(&Value::Int(7)), hash_of(&Value::Float(7.0)));
         assert_eq!(hash_of(&Value::Float(0.0)), hash_of(&Value::Float(-0.0)));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact() {
+        let p = 1i64 << 53;
+        // `p + 1` rounds to `p` as an f64; the order must not.
+        assert_eq!(Value::Int(p), Value::Float(p as f64));
+        assert!(Value::Int(p + 1) > Value::Float(p as f64));
+        assert!(Value::Float(p as f64) < Value::Int(p + 1));
+        assert!(Value::Int(p - 1) < Value::Float(p as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_POW_63));
+        assert!(Value::Int(i64::MAX) < Value::Float(TWO_POW_63));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Float(-f64::NAN) > Value::Int(i64::MAX));
+        assert_eq!(Value::Int(0), Value::Float(-0.0));
+        assert!(Value::Int(-1) < Value::Float(-0.5));
+        assert!(Value::Int(-1) > Value::Float(-1.5));
+        assert_eq!(hash_of(&Value::Int(p)), hash_of(&Value::Float(p as f64)));
+        assert_eq!(hash_of(&Value::Int(0)), hash_of(&Value::Float(-0.0)));
+        assert_eq!(
+            hash_of(&Value::Float(f64::NAN)),
+            hash_of(&Value::Float(-f64::NAN))
+        );
+    }
+
+    const INT_EDGES: [i64; 9] = [
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        -(1 << 53) - 1,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX,
+        0,
+        -1,
+    ];
+
+    const FLOAT_EDGES: [f64; 14] = [
+        9_007_199_254_740_992.0, // 2^53
+        9_007_199_254_740_994.0, // 2^53 + 2, the next float up
+        -9_007_199_254_740_992.0,
+        4_503_599_627_370_495.5, // 2^52 - 0.5
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -TWO_POW_63,                 // i64::MIN exactly
+        TWO_POW_63,                  // one past i64::MAX
+        9_223_372_036_854_774_784.0, // the largest float below 2^63
+        0.5,
+        -0.5,
+    ];
+
+    /// Mixed numerics weighted toward the places an `as f64` comparison
+    /// goes wrong: near 2^53, at the `i64` ends, signed zeros, NaN, ±inf.
+    fn arb_numeric() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0..INT_EDGES.len()).prop_map(|k| Value::Int(INT_EDGES[k])),
+            (0..FLOAT_EDGES.len()).prop_map(|k| Value::Float(FLOAT_EDGES[k])),
+            (-3i64..4).prop_map(|d| Value::Int((1 << 53) + d)),
+            (-2i64..3).prop_map(|d| Value::Float(((1i64 << 53) + 2 * d) as f64)),
+            (-3i64..4).prop_map(Value::Int),
+            (-3.0f64..3.0).prop_map(Value::Float),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// The `Ord` laws over every pair and triple of a small sample,
+        /// so values that only misorder together (`Int(2^53 + 1)`,
+        /// `Float(2^53)`, `Int(2^53)`) meet often.
+        #[test]
+        fn prop_value_order_laws_over_mixed_numerics(
+            values in proptest::collection::vec(arb_numeric(), 2..12),
+        ) {
+            for a in &values {
+                for b in &values {
+                    prop_assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{} vs {}", a, b);
+                    if a == b {
+                        prop_assert_eq!(hash_of(a), hash_of(b), "{} == {}", a, b);
+                    }
+                    for c in &values {
+                        if a <= b && b <= c {
+                            prop_assert!(a <= c, "{} <= {} <= {} but {} > {}", a, b, c, a, c);
+                        }
+                        if a == b && b == c {
+                            prop_assert_eq!(a, c, "{} == {} == {}", a, b, c);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,11 @@
 #                                   #   live-index bench smoke)
 #   scripts/tier1.sh --bench-smoke  # bench smoke stage only
 #
+# The default gate also re-runs, in release mode, the row-decoder
+# properties and the reldb value-order and predicate properties (exact
+# Int/Float order, LIKE against a reference matcher), next to the
+# compiled-plan, population and delta equivalence suites.
+#
 # The bench step writes BENCH_parallel_audit.json, BENCH_audit_plan.json,
 # BENCH_compiled_population.json,
 # BENCH_delta_log.json, BENCH_packed_population.json,
@@ -166,6 +171,15 @@ echo "== row decoding (release) =="
 # and reject exactly what the owned decoder does, garbage and truncated
 # rows included, under the optimizer that builds the scan path.
 cargo test -q --release -p qpv-reldb encoding
+
+echo "== value order and predicates (release) =="
+# The total order B+tree keys and ORDER BY rely on (exact Int/Float
+# comparison, the Ord laws over mixed numerics, Hash agreeing with Eq)
+# and the borrowed predicate evaluator the SQL filters run on (LIKE
+# against a reference matcher, NULL and type-error results), under the
+# optimizer that builds the query path. Two libtest filters, so they go
+# after `--`.
+cargo test -q --release -p qpv-reldb --lib -- value expr
 
 echo "== delta equivalence (release) =="
 # The incremental contract: random delta sequences applied in place (to
