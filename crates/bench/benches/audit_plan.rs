@@ -11,10 +11,8 @@
 //! Emit JSON with: `QPV_BENCH_JSON=BENCH_audit_plan.json \
 //!     cargo bench -p qpv-bench --bench audit_plan`
 
-use std::num::NonZeroUsize;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qpv_synth::population::par_generate;
+use qpv_synth::population::generate_stable;
 use qpv_synth::Scenario;
 use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
 use std::hint::black_box;
@@ -39,12 +37,7 @@ fn skew(profiles: &mut [qpv_core::ProviderProfile]) {
 fn bench_audit_plan(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42); // spec donor
-    let uniform = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let uniform = generate_stable(&scenario.spec, n, 42);
     let mut skewed_profiles = uniform.profiles.clone();
     skew(&mut skewed_profiles);
     let engine = scenario.engine();

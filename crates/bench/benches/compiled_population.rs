@@ -1,14 +1,12 @@
 //! P9: the compiled structure-of-arrays population.
 //!
-//! Four questions, all at 100k providers:
+//! Three questions, all at 100k providers:
 //!
-//! 1. **Single-thread cost** — one pass over a pre-built
+//! 1. **One-pass cost** — one pass over a pre-built
 //!    [`CompiledPopulation`], full-report and counts-only.
 //! 2. **Build cost** — what compiling the population once actually costs,
 //!    the denominator of every amortization claim.
-//! 3. **Thread sweep** — `par_audit_compiled` over the shared population
-//!    with pooled scratches.
-//! 4. **K-policy amortization** — a what-if sweep over K candidate policies
+//! 3. **K-policy amortization** — a what-if sweep over K candidate policies
 //!    as K independent full audits versus one compile + one fused
 //!    counts-only pass over all K (`audit_many_policies`, the Eq. 31 sweep
 //!    shape: each unique row's preference lanes are filled once, and every
@@ -21,26 +19,19 @@
 //! Emit JSON with: `QPV_BENCH_JSON=BENCH_compiled_population.json \
 //!     cargo bench -p qpv-bench --bench compiled_population`
 
-use std::num::NonZeroUsize;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qpv_core::CompiledPopulation;
-use qpv_synth::population::par_generate;
+use qpv_synth::population::generate_stable;
 use qpv_synth::Scenario;
 use std::hint::black_box;
 
 const N: usize = 100_000;
 const K_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-fn bench_single_thread(c: &mut Criterion) {
+fn bench_one_pass(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42); // spec donor
-    let population = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let pop = CompiledPopulation::from_profiles(&population.profiles);
     let oracle = engine.run_reference(&population.profiles);
@@ -73,45 +64,12 @@ fn bench_single_thread(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    // Thread counts above what the scheduler will actually grant are
-    // skipped (and recorded as such in the JSON): on a pinned 1-CPU
-    // container the 2/4/8 legs would only measure oversubscription noise
-    // and plot a flat-by-construction "scaling" curve.
-    let avail = criterion::threads_available();
-    let mut group = c.benchmark_group("pop/parallel");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(n as u64));
-    for threads in [1usize, 2, 4, 8].into_iter().filter(|&t| t <= avail) {
-        let nz = NonZeroUsize::new(threads).expect("nonzero");
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| {
-                let report = engine
-                    .par_audit_compiled(black_box(&pop), nz)
-                    .expect("no fault injection in benchmarks");
-                assert_eq!(report.total_violations, oracle.total_violations);
-                black_box(report)
-            });
-        });
-    }
-    group.finish();
-    for threads in [1usize, 2, 4, 8].into_iter().filter(|&t| t > avail) {
-        c.record_skip(
-            format!("pop/parallel/threads/{threads}"),
-            format!("above threads_available ({avail})"),
-        );
-    }
 }
 
 fn bench_policy_sweep(c: &mut Criterion) {
     let n = qpv_bench::bench_n(N);
     let scenario = Scenario::healthcare(64, 42);
-    let population = par_generate(
-        &scenario.spec,
-        n,
-        42,
-        NonZeroUsize::new(4).expect("nonzero"),
-    );
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let policies: Vec<_> = (0..K_SWEEP[K_SWEEP.len() - 1] as u32)
         .map(|s| engine.policy.widened_uniform(s))
@@ -154,5 +112,5 @@ fn bench_policy_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_single_thread, bench_policy_sweep);
+criterion_group!(benches, bench_one_pass, bench_policy_sweep);
 criterion_main!(benches);

@@ -7,17 +7,16 @@
 //! ```text
 //! cargo run --release -p qpv-bench --example packed_profile
 //! ```
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use qpv_core::CompiledPopulation;
-use qpv_synth::population::par_generate;
+use qpv_synth::population::generate_stable;
 use qpv_synth::Scenario;
 
 fn main() {
     let n = 100_000;
     let scenario = Scenario::healthcare(64, 42);
-    let population = par_generate(&scenario.spec, n, 42, NonZeroUsize::new(4).unwrap());
+    let population = generate_stable(&scenario.spec, n, 42);
     let engine = scenario.engine();
     let pop = CompiledPopulation::from_profiles(&population.profiles);
     println!(

@@ -9,7 +9,9 @@
 //!    segment (the paper's heterogeneity argument made visible);
 //! 2. the Monte-Carlo estimator of Definitions 2/5 versus the census value
 //!    (convergence as trial count grows);
-//! 3. the α-PPDB compliance frontier: the widest policy passing each α.
+//! 3. the α-PPDB compliance frontier: the widest policy passing each α;
+//! 4. the compiled census audit against the string-path oracle on 50k
+//!    providers.
 //!
 //! Run with: `cargo run -p qpv-bench --bin exp_alpha_ppdb`
 
@@ -128,33 +130,14 @@ fn main() {
         .all(|w| w[1].unwrap_or(0) >= w[0].unwrap_or(0));
     check("frontier monotone in α", true, mono);
 
-    // 4. Thread-count sweep: the census audit itself, sharded. The paper
-    // frames Definitions 2/5 as census quantities over the *whole*
-    // population, so this is where parallelism pays at scale.
-    println!("\nparallel audit thread sweep (50k providers):");
-    let big = qpv_synth::par_generate(&scenario.spec, 50_000, 42, qpv_core::default_threads());
-    let _warmup = engine.run(&big.profiles); // fault pages in before timing
-    let t = std::time::Instant::now();
-    let sequential = engine.run(&big.profiles);
-    let base = t.elapsed();
-    println!("  sequential: {base:>10.2?}");
-    for threads in [2usize, 4, 8] {
-        let nz = std::num::NonZeroUsize::new(threads).expect("nonzero");
-        let t = std::time::Instant::now();
-        let parallel = engine
-            .par_audit(&big.profiles, nz)
-            .expect("no fault injection in experiments");
-        let took = t.elapsed();
-        check(
-            &format!("par_audit({threads}) report identical"),
-            true,
-            parallel == sequential,
-        );
-        println!(
-            "  {threads} threads:  {took:>10.2?}  ({:.2}x)",
-            base.as_secs_f64() / took.as_secs_f64()
-        );
-    }
+    // 4. The census audit at scale: the compiled path against the string
+    // oracle on a 50k-provider population.
+    let big = qpv_synth::generate_stable(&scenario.spec, 50_000, 42);
+    check(
+        "run == run_reference (50k providers)",
+        true,
+        engine.run(&big.profiles) == engine.run_reference(&big.profiles),
+    );
 
     let path = write_result("exp_alpha_ppdb", &rows);
     println!("\nresult JSON: {}", path.display());

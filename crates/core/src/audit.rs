@@ -419,6 +419,71 @@ mod tests {
         );
     }
 
+    /// `n` providers with two attributes and varied points, weights and
+    /// thresholds.
+    fn population(n: u64) -> Vec<ProviderProfile> {
+        (0..n)
+            .map(|i| {
+                let mut p = ProviderProfile::new(ProviderId(i), 20 + (i % 9) * 10);
+                p.preferences.add(
+                    "weight",
+                    PrivacyTuple::from_point("pr", pt(2 + (i % 4) as u32, 2, 30)),
+                );
+                p.preferences.add(
+                    "age",
+                    PrivacyTuple::from_point("research", pt(3, 1 + (i % 3) as u32, 45)),
+                );
+                p.sensitivities.insert(
+                    "weight".into(),
+                    DatumSensitivity::new(1 + (i % 5) as u32, 1, 2, 1),
+                );
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_equals_reference_on_uneven_skewed_and_lattice_populations() {
+        use qpv_taxonomy::PurposeLattice;
+        let policy = HousePolicy::builder("h")
+            .tuple("weight", PrivacyTuple::from_point("pr", pt(4, 3, 40)))
+            .tuple("age", PrivacyTuple::from_point("research", pt(4, 2, 60)))
+            .build();
+        let mut weights = AttributeSensitivities::new();
+        weights.set("weight", 4);
+        weights.set("age", 2);
+        let engine = AuditEngine::new(policy, ["weight", "age"], weights);
+
+        let uneven = population(997);
+        assert_eq!(engine.run(&uneven), engine.run_reference(&uneven));
+
+        // One provider with ~100× the average preference tuples.
+        let mut skewed = population(600);
+        for i in 0..600 {
+            skewed[300].preferences.add(
+                "weight",
+                PrivacyTuple::from_point("pr", pt(2 + (i % 3), 2, 30)),
+            );
+        }
+        assert_eq!(
+            serde_json::to_string(&engine.run(&skewed)).unwrap(),
+            serde_json::to_string(&engine.run_reference(&skewed)).unwrap()
+        );
+
+        let mut lattice = PurposeLattice::new();
+        lattice.add_edge("pr", "research").unwrap();
+        let latticed = engine.clone().with_lattice(lattice);
+        let profiles = population(600);
+        assert_eq!(latticed.run(&profiles), latticed.run_reference(&profiles));
+
+        let wider = engine.policy.widened_uniform(2);
+        let profiles = population(500);
+        assert_eq!(
+            engine.run_with_policy(&profiles, &wider),
+            engine.with_policy(&wider).run_reference(&profiles)
+        );
+    }
+
     #[test]
     fn report_serde_round_trip() {
         let (engine, profiles) = worked_example();

@@ -38,7 +38,7 @@
 //!   ([`audit::AuditEngine::audit_many_policies`], with scratch memory
 //!   bounded independently of the number of policies) or records one
 //!   plan's scores and witnesses — what [`audit::AuditEngine::run`], the
-//!   parallel path, the live index and the SQL bridge read.
+//!   live index and the SQL bridge read.
 //!   [`audit::AuditEngine::run_reference`] keeps the direct string path
 //!   as the property-tested oracle.
 //! * [`liveindex`] — the one maintained audit state: the violation set,
@@ -55,7 +55,6 @@ pub mod deltalog;
 pub mod intern;
 pub mod liveindex;
 mod packed;
-pub mod par;
 pub mod plan;
 pub mod pop;
 pub mod ppdb;
@@ -75,9 +74,6 @@ pub use deltalog::{
 };
 pub use intern::SymbolTable;
 pub use liveindex::LiveViolationIndex;
-pub use par::{
-    chunk_size, default_threads, par_map_chunks, shard_bounds, AuditError, PAR_THRESHOLD,
-};
 pub use plan::CompiledAuditPlan;
 pub use pop::{
     CompiledPopulation, DeltaError, DeltaOp, DeltaOutcome, PolicyOutcome, PopulationBuilder,

@@ -19,8 +19,7 @@
 //!   - [`Kernel::audit_all`] / [`Kernel::audit_rows`] (K = 1) record each
 //!     visited unique row's score and, for rows whose violation mask is
 //!     nonzero, its witnesses — `AuditEngine::audit_compiled`,
-//!     `par_audit_compiled`, [`crate::LiveViolationIndex`] and
-//!     [`crate::SelectiveAuditor`].
+//!     [`crate::LiveViolationIndex`] and [`crate::SelectiveAuditor`].
 //!
 //! Each unique row is scored once per plan; on segment-clustered
 //! populations the unique-row table is orders of magnitude smaller than

@@ -36,7 +36,6 @@ use qpv_reldb::fault::RetryPolicy;
 
 use crate::audit::{AuditEngine, AuditReport};
 use crate::liveindex::LiveViolationIndex;
-use crate::par::AuditError;
 use crate::pop::{CompiledPopulation, DeltaOp, PopulationBuilder, PopulationDelta, PrefRow};
 use crate::profile::ProviderProfile;
 use crate::selective::SelectiveAuditor;
@@ -1108,28 +1107,6 @@ impl Ppdb {
         Ok(engine.audit_compiled(&pop))
     }
 
-    /// [`Ppdb::audit`] sharded across `threads` worker threads.
-    ///
-    /// Storage reads (population, policy, weights) stay on one thread — the
-    /// database is single-writer — but they are batched single-pass scans
-    /// ([`Ppdb::compiled_population`]), and the audit itself runs through
-    /// [`AuditEngine::par_audit_compiled`]'s work-stealing chunks, so the
-    /// report is equal to [`Ppdb::audit`]'s for every thread count.
-    ///
-    /// Both failure domains surface as one structured [`AuditError`]:
-    /// storage faults arrive as [`AuditError::Storage`], and a worker
-    /// panic (after the chunk's one in-place retry) arrives as
-    /// [`AuditError::WorkerPanicked`] naming the poisoned chunk — the
-    /// process survives either.
-    pub fn par_audit(
-        &mut self,
-        threads: std::num::NonZeroUsize,
-    ) -> Result<AuditReport, AuditError> {
-        let engine = self.audit_engine()?;
-        let pop = self.compiled_population()?;
-        engine.par_audit_compiled(&pop, threads)
-    }
-
     /// Run an audit and append its summary to the stored audit history —
     /// the monitoring loop of the paper's §10. Returns both the full
     /// report and the recorded entry.
@@ -1594,35 +1571,6 @@ mod tests {
         assert_eq!(scores, vec![0, 60, 80]);
         assert!((report.p_default() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.total_violations, 140);
-    }
-
-    #[test]
-    fn par_audit_matches_sequential_audit_from_storage() {
-        let mut ppdb = fresh();
-        ppdb.set_policy(
-            &HousePolicy::builder("people")
-                .tuple("weight", PrivacyTuple::from_point("pr", pt(5, 5, 5)))
-                .build(),
-        )
-        .unwrap();
-        ppdb.set_attribute_weight("weight", 4).unwrap();
-        for id in 0..12u64 {
-            let mut p = ProviderProfile::new(ProviderId(id), 30 + id * 5);
-            p.preferences.add(
-                "weight",
-                PrivacyTuple::from_point("pr", pt(4 + (id % 4) as u32, 5, 6)),
-            );
-            p.sensitivities
-                .insert("weight".into(), DatumSensitivity::new(2, 1, 3, 1));
-            ppdb.register_provider(&p, data_row(id)).unwrap();
-        }
-        let sequential = ppdb.audit().unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = ppdb
-                .par_audit(std::num::NonZeroUsize::new(threads).unwrap())
-                .unwrap();
-            assert_eq!(parallel, sequential, "{threads} threads");
-        }
     }
 
     /// The scan-built population must audit byte-identically to compiling

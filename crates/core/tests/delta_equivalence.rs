@@ -2,7 +2,7 @@
 //! [`PopulationDelta`] sequence to a compiled population (and to a
 //! [`LiveViolationIndex`]) lands **byte-identically** — serialized-JSON
 //! equal — on the state a fresh compile + audit of the mutated profile
-//! list produces, flat and lattice, sequential and parallel.
+//! list produces, flat and lattice.
 //!
 //! Ops are generated as plain integer tuples and decoded deterministically
 //! here, so failing cases shrink along integers and vector length — the
@@ -11,8 +11,6 @@
 //! ids, repeated edits of the same provider, removals, retractions
 //! (empty preference replacement), and ops naming unknown providers
 //! (which must no-op on both sides).
-
-use std::num::NonZeroUsize;
 
 use proptest::prelude::*;
 
@@ -178,8 +176,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Delta-applied compiled population == fresh compile of the mutated
-    /// profiles, as serialized JSON reports: flat, lattice, and the
-    /// parallel path for several thread counts.
+    /// profiles, as serialized JSON reports, flat and lattice.
     #[test]
     fn delta_applied_population_equals_fresh_compile(
         seed in 0u64..1_000_000,
@@ -208,16 +205,6 @@ proptest! {
             let via_delta = serde_json::to_string(&eng.audit_compiled(&pop)).unwrap();
             let via_fresh = serde_json::to_string(&eng.audit_compiled(&fresh)).unwrap();
             prop_assert_eq!(&via_delta, &via_fresh, "lattice={}", with_lattice);
-            for threads in [2usize, 4] {
-                let par = eng
-                    .par_audit_compiled(&pop, NonZeroUsize::new(threads).unwrap())
-                    .unwrap();
-                prop_assert_eq!(
-                    &serde_json::to_string(&par).unwrap(),
-                    &via_delta,
-                    "lattice={} threads={}", with_lattice, threads
-                );
-            }
         }
     }
 

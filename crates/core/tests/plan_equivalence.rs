@@ -1,19 +1,15 @@
-//! Property suite for the compiled-plan contract: every path that routes
-//! through [`qpv_core::CompiledAuditPlan`] — the sequential engine and the
-//! work-stealing parallel engine (the live index is pinned separately, in
-//! `delta_equivalence.rs` and `live_index_equivalence.rs`) — produces
-//! results **bitwise identical** to the original string-resolving
-//! reference path ([`qpv_core::AuditEngine::run_reference`]), flat and
-//! lattice, on arbitrary populations.
+//! Property suite for the compiled-plan contract: the audit engine, which
+//! routes through [`qpv_core::CompiledAuditPlan`], produces results
+//! **bitwise identical** to the original string-resolving reference path
+//! ([`qpv_core::AuditEngine::run_reference`]), flat and lattice, on
+//! arbitrary populations. The live index is pinned separately, in
+//! `delta_equivalence.rs` and `live_index_equivalence.rs`.
 //!
 //! Populations deliberately include the cases where the compiled path
 //! could diverge: duplicate `(attribute, purpose)` preference tuples
 //! (find-first vs join semantics), purposes only the lattice knows,
 //! purposes nobody stated, attributes the table doesn't store, and one
-//! pathologically skewed provider (~100× the average tuples) for the
-//! dynamic scheduler.
-
-use std::num::NonZeroUsize;
+//! pathologically skewed provider (~100× the average tuples).
 
 use proptest::prelude::*;
 
@@ -159,10 +155,10 @@ proptest! {
         prop_assert_eq!(eng.run(&profiles), eng.run_reference(&profiles));
     }
 
-    /// The work-stealing parallel path equals the reference for every
-    /// thread count, flat and lattice, including under skew.
+    /// Larger populations with one skewed provider equal the reference,
+    /// flat and lattice.
     #[test]
-    fn parallel_compiled_equals_reference(
+    fn skewed_compiled_equals_reference(
         seed in 0u64..1_000_000,
         n in 300usize..600,
         level in 0u32..10,
@@ -174,11 +170,7 @@ proptest! {
         if with_lattice == 1 {
             eng = eng.with_lattice(lattice());
         }
-        let reference = eng.run_reference(&profiles);
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = eng.par_audit(&profiles, NonZeroUsize::new(threads).unwrap()).unwrap();
-            prop_assert_eq!(&parallel, &reference, "{} threads", threads);
-        }
+        prop_assert_eq!(eng.run(&profiles), eng.run_reference(&profiles));
     }
 }
 
@@ -213,10 +205,10 @@ fn duplicate_provider_ids_match_reference() {
 }
 
 /// Deterministic skew-stress: one provider with ~100× tuples, and the
-/// parallel report must be **byte-identical** (serialized JSON) to the
-/// sequential one — the scheduling must be invisible in the output.
+/// compiled report must be **byte-identical** (serialized JSON) to the
+/// reference one.
 #[test]
-fn skewed_parallel_report_is_byte_identical() {
+fn skewed_report_is_byte_identical() {
     let mut profiles = population(500, 1234);
     skew(&mut profiles, 250);
     for with_lattice in [false, true] {
@@ -227,16 +219,10 @@ fn skewed_parallel_report_is_byte_identical() {
         let sequential = eng.run(&profiles);
         let reference = eng.run_reference(&profiles);
         assert_eq!(sequential, reference, "lattice={with_lattice}");
-        let seq_json = serde_json::to_string(&sequential).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = eng
-                .par_audit(&profiles, NonZeroUsize::new(threads).unwrap())
-                .unwrap();
-            assert_eq!(
-                serde_json::to_string(&parallel).unwrap(),
-                seq_json,
-                "lattice={with_lattice}, {threads} threads"
-            );
-        }
+        assert_eq!(
+            serde_json::to_string(&sequential).unwrap(),
+            serde_json::to_string(&reference).unwrap(),
+            "lattice={with_lattice}"
+        );
     }
 }

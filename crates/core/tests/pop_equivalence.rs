@@ -1,7 +1,7 @@
 //! Property suite for the compiled-population contract: every path that
 //! routes through [`qpv_core::CompiledPopulation`] — the one-pass
-//! sequential audit, the counts-only fast path, the batched multi-policy
-//! sweep, and the pooled-scratch parallel audit — produces results
+//! audit, the counts-only fast path and the batched multi-policy sweep —
+//! produces results
 //! **bitwise identical** to the string-resolving reference path
 //! ([`qpv_core::AuditEngine::run_reference`]), flat and lattice, on
 //! arbitrary populations.
@@ -10,8 +10,6 @@
 //! duplicate `(attribute, purpose)` preference tuples, purposes only the
 //! lattice knows, purposes nobody stated, attributes the table doesn't
 //! store, duplicate provider ids, and one ~100×-skewed provider.
-
-use std::num::NonZeroUsize;
 
 use proptest::prelude::*;
 
@@ -181,10 +179,10 @@ proptest! {
         }
     }
 
-    /// The pooled-scratch parallel path over one shared population equals
-    /// the reference for every thread count, including under skew.
+    /// Larger compiled populations with one skewed provider equal the
+    /// reference, flat and lattice.
     #[test]
-    fn parallel_compiled_population_equals_reference(
+    fn skewed_compiled_population_equals_reference(
         seed in 0u64..1_000_000,
         n in 300usize..600,
         level in 0u32..10,
@@ -197,13 +195,7 @@ proptest! {
             eng = eng.with_lattice(lattice());
         }
         let pop = CompiledPopulation::from_profiles(&profiles);
-        let reference = eng.run_reference(&profiles);
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = eng
-                .par_audit_compiled(&pop, NonZeroUsize::new(threads).unwrap())
-                .unwrap();
-            prop_assert_eq!(&parallel, &reference, "{} threads", threads);
-        }
+        prop_assert_eq!(eng.audit_compiled(&pop), eng.run_reference(&profiles));
     }
 }
 
@@ -669,11 +661,10 @@ fn duplicate_provider_ids_match_reference() {
     }
 }
 
-/// Deterministic skew-stress: the parallel compiled-population report must
-/// be **byte-identical** (serialized JSON) to the sequential one for every
-/// thread count.
+/// Deterministic skew-stress: the compiled-population report must be
+/// **byte-identical** (serialized JSON) to the reference one.
 #[test]
-fn skewed_parallel_report_is_byte_identical() {
+fn skewed_report_is_byte_identical() {
     let mut profiles = population(500, 1234);
     skew(&mut profiles, 250);
     for with_lattice in [false, true] {
@@ -683,22 +674,13 @@ fn skewed_parallel_report_is_byte_identical() {
         }
         let pop = CompiledPopulation::from_profiles(&profiles);
         let sequential = eng.audit_compiled(&pop);
+        let reference = eng.run_reference(&profiles);
+        assert_eq!(sequential, reference, "lattice={with_lattice}");
         assert_eq!(
-            sequential,
-            eng.run_reference(&profiles),
+            serde_json::to_string(&sequential).unwrap(),
+            serde_json::to_string(&reference).unwrap(),
             "lattice={with_lattice}"
         );
-        let seq_json = serde_json::to_string(&sequential).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = eng
-                .par_audit_compiled(&pop, NonZeroUsize::new(threads).unwrap())
-                .unwrap();
-            assert_eq!(
-                serde_json::to_string(&parallel).unwrap(),
-                seq_json,
-                "lattice={with_lattice}, {threads} threads"
-            );
-        }
     }
 }
 

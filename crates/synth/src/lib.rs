@@ -24,8 +24,7 @@ pub mod segments;
 pub mod workload;
 
 pub use population::{
-    generate, generate_stable, par_generate, stream_clustered, stream_stable, Population,
-    PopulationSpec,
+    generate, generate_stable, stream_clustered, stream_stable, Population, PopulationSpec,
 };
 pub use scenario::Scenario;
 pub use segments::{Segment, SegmentMix, SegmentParams};

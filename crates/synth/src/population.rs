@@ -178,9 +178,8 @@ pub(crate) fn generate_provider(
 /// Generate a population of `n` providers. Deterministic per `seed`.
 ///
 /// One RNG stream feeds the whole population, so provider `i`'s draws
-/// depend on providers `0..i` — fine sequentially, but not shardable.
-/// Use [`generate_stable`] / [`par_generate`] when the population must be
-/// reproducible independent of how generation is split across workers.
+/// depend on providers `0..i`. Use [`generate_stable`] when provider `i`
+/// must come out the same whatever else is generated around it.
 pub fn generate(spec: &PopulationSpec, n: usize, seed: u64) -> Population {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pop = Population {
@@ -208,10 +207,9 @@ pub(crate) fn provider_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shard-stable generation: provider `i` draws from an RNG keyed on
-/// `(seed, i)` alone, so the output does not depend on how the index
-/// range is split across workers. [`par_generate`] produces exactly this
-/// population for every thread count.
+/// Index-stable generation: provider `i` draws from an RNG keyed on
+/// `(seed, i)` alone, so any index range of the population can be
+/// generated on its own and comes out the same.
 pub fn generate_stable(spec: &PopulationSpec, n: usize, seed: u64) -> Population {
     let mut pop = Population {
         profiles: Vec::with_capacity(n),
@@ -246,52 +244,6 @@ pub fn generate_compiled(
         builder.push_profile(&profile);
     }
     builder.finish()
-}
-
-/// [`generate_stable`] across `threads` worker threads, scheduled with
-/// the work-stealing chunk scheduler (`qpv_core::par_map_chunks`).
-///
-/// Identical to [`generate_stable`]'s output for any thread count: each
-/// provider's randomness is keyed on `(seed, index)` alone, and chunks
-/// are stitched back in index order — which worker generated which chunk
-/// is invisible in the output.
-pub fn par_generate(
-    spec: &PopulationSpec,
-    n: usize,
-    seed: u64,
-    threads: std::num::NonZeroUsize,
-) -> Population {
-    if threads.get() == 1 || n < qpv_core::PAR_THRESHOLD {
-        return generate_stable(spec, n, seed);
-    }
-    let chunk = qpv_core::chunk_size(n, threads.get());
-    let chunks = qpv_core::par_map_chunks(n, threads.get(), chunk, |start, end| {
-        let mut pop = Population {
-            profiles: Vec::with_capacity(end - start),
-            data_rows: Vec::with_capacity(end - start),
-            segments: Vec::with_capacity(end - start),
-        };
-        for i in start..end {
-            let mut rng = SmallRng::seed_from_u64(provider_seed(seed, i as u64));
-            let (profile, row, segment) = generate_provider(spec, i, &mut rng);
-            pop.profiles.push(profile);
-            pop.data_rows.push(row);
-            pop.segments.push(segment);
-        }
-        pop
-    })
-    .expect("seeded generation closures are panic-free");
-    let mut pop = Population {
-        profiles: Vec::with_capacity(n),
-        data_rows: Vec::with_capacity(n),
-        segments: Vec::with_capacity(n),
-    };
-    for part in chunks {
-        pop.profiles.extend(part.profiles);
-        pop.data_rows.extend(part.data_rows);
-        pop.segments.extend(part.segments);
-    }
-    pop
 }
 
 /// Stream [`generate_stable`]'s provider profiles one at a time, without
@@ -362,7 +314,7 @@ fn segment_template(
 /// packed 10M bench exercises.
 ///
 /// Deterministic per `(spec, seed, templates_per_segment)`; provider `i`
-/// depends only on its own index (shard-stable). No full `Vec` is ever
+/// depends only on its own index (index-stable). No full `Vec` is ever
 /// held.
 pub fn stream_clustered(
     spec: &PopulationSpec,
@@ -430,19 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn stable_generation_is_deterministic_and_shard_stable() {
-        let n = 600; // above PAR_THRESHOLD so par_generate actually shards
+    fn stable_generation_is_deterministic_per_seed() {
+        let n = 600;
         let a = generate_stable(&spec(), n, 7);
         let b = generate_stable(&spec(), n, 7);
         assert_eq!(a.profiles, b.profiles);
         assert_eq!(a.data_rows, b.data_rows);
         assert_eq!(a.segments, b.segments);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let p = par_generate(&spec(), n, 7, std::num::NonZeroUsize::new(threads).unwrap());
-            assert_eq!(p.profiles, a.profiles, "{threads} threads");
-            assert_eq!(p.data_rows, a.data_rows, "{threads} threads");
-            assert_eq!(p.segments, a.segments, "{threads} threads");
-        }
         let c = generate_stable(&spec(), n, 8);
         assert_ne!(a.profiles, c.profiles);
     }

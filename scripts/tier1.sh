@@ -27,12 +27,13 @@
 # Int/Float order, LIKE against a reference matcher), next to the
 # compiled-plan, population and delta equivalence suites.
 #
-# The bench step writes BENCH_parallel_audit.json, BENCH_audit_plan.json,
-# BENCH_compiled_population.json,
-# BENCH_delta_log.json, BENCH_packed_population.json,
-# BENCH_snapshot_readers.json, BENCH_selective_audit.json, and
+# The bench step writes BENCH_audit_plan.json,
+# BENCH_compiled_population.json, BENCH_delta_log.json,
+# BENCH_packed_population.json, BENCH_snapshot_readers.json,
+# BENCH_selective_audit.json, and
 # BENCH_live_index.json at the repo root (median/mean ns plus host
-# metadata; see crates/bench/benches/).
+# metadata; see crates/bench/benches/). It is the only stage that writes
+# repo-root BENCH_*.json files.
 #
 # The bench smoke runs every bench binary at tiny population sizes
 # (QPV_BENCH_SMOKE=1, see qpv_bench::bench_n) purely as a correctness
@@ -72,7 +73,7 @@ if [[ "${1:-}" == "--packed" ]]; then
     # the one compiled evaluator of Def. 1 + Eq. 15: it produces both the
     # counts and the witnesses, so this stage gates both. The equivalence
     # suites pin its counts / sweep / delta paths and its per-provider
-    # reports (batch, parallel, live index) byte-identical to
+    # reports (batch, live index) byte-identical to
     # `run_reference` under the release optimizer; the bench smokes assert
     # every sample against the string-path oracle — the packed counts
     # bench, the K-policy sweep (every total against the naive per-policy
@@ -162,7 +163,7 @@ cargo test -q --release -p qpv-core --test plan_equivalence
 
 echo "== population equivalence (release) =="
 # Same contract for the compiled structure-of-arrays population: one
-# compile, sequential/parallel/multi-policy passes all byte-identical to
+# compile, full-report/counts/multi-policy passes all byte-identical to
 # the string-path oracle.
 cargo test -q --release -p qpv-core --test pop_equivalence
 
@@ -184,8 +185,7 @@ cargo test -q --release -p qpv-reldb --lib -- value expr
 echo "== delta equivalence (release) =="
 # The incremental contract: random delta sequences applied in place (to
 # the compiled population and to the live index) land byte-identically on
-# a fresh compile+audit of the mutated profiles, flat and lattice,
-# sequential and parallel.
+# a fresh compile+audit of the mutated profiles, flat and lattice.
 cargo test -q --release -p qpv-core --test delta_equivalence
 
 bench_smoke
@@ -206,9 +206,6 @@ if [[ "${1:-}" == "--faults" ]]; then
     echo "== fault injection: WAL corruption properties (release) =="
     RUST_BACKTRACE=1 timeout "$FAULT_BUDGET" \
         cargo test -q --release -p qpv-reldb --test wal_corruption
-    echo "== fault injection: audit worker panic containment (release) =="
-    RUST_BACKTRACE=1 timeout "$FAULT_BUDGET" \
-        cargo test -q --release --test par_faults
 fi
 
 if [[ "${1:-}" == "--monitor" ]]; then
@@ -241,18 +238,14 @@ if [[ "${1:-}" == "--concurrency" ]]; then
     echo "== concurrency: delta handoff exactly-once property (release) =="
     RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
         cargo test -q --release -p qpv-core --test concurrent_handoff
-    echo "== concurrency: snapshot reader bench (writer p50/p99 + JSON) =="
+    echo "== concurrency: snapshot reader bench smoke (writer p50/p99) =="
     RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
-        env QPV_BENCH_SMOKE=1 QPV_BENCH_JSON="$PWD/BENCH_snapshot_readers.json" \
-        cargo bench -p qpv-bench --bench snapshot_readers
+        env QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench snapshot_readers
     echo "tier-1 concurrency: OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then
-    echo "== parallel audit bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_parallel_audit.json" \
-        cargo bench -p qpv-bench --bench parallel_audit
     echo "== audit plan bench =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_audit_plan.json" \
         cargo bench -p qpv-bench --bench audit_plan

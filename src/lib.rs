@@ -45,8 +45,7 @@ pub use qpv_taxonomy as taxonomy;
 /// The names almost every user of the library wants in scope.
 pub mod prelude {
     pub use qpv_core::{
-        default_threads, AuditEngine, AuditReport, DatumSensitivity, Ppdb, PpdbConfig,
-        ProviderProfile,
+        AuditEngine, AuditReport, DatumSensitivity, Ppdb, PpdbConfig, ProviderProfile,
     };
     pub use qpv_economics::{ExpansionSweep, UtilityModel};
     pub use qpv_policy::{HousePolicy, ProviderId, ProviderPreferences};
