@@ -40,8 +40,6 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use qpv_policy::{HousePolicy, ProviderId};
 use qpv_reldb::disk::sync_dir;
@@ -966,232 +964,6 @@ impl Monitor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SharedMonitor
-// ---------------------------------------------------------------------------
-
-/// A point-in-time, read-only view of a [`Monitor`]'s state.
-///
-/// [`SharedMonitor`] republishes one of these (behind an `Arc`) after
-/// every mutation, so dashboards and compliance checks read a coherent
-/// `{seq, P(W), alerts}` tuple without ever contending with ingest or a
-/// snapshot cut. Views from the same monitor are totally ordered by
-/// [`MonitorView::epoch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorView {
-    /// Publication counter: strictly increasing, one per republish.
-    pub epoch: u64,
-    /// Deltas durably applied ([`Monitor::seq`]) as of this view.
-    pub seq: u64,
-    /// Aggregate outcome over the durable population.
-    pub outcome: PolicyOutcome,
-    /// `P(W)` over the durable population.
-    pub p_violation: f64,
-    /// `P(Default)` over the durable population.
-    pub p_default: f64,
-    /// Whether the monitor considered the store in breach.
-    pub in_breach: bool,
-    /// Every alert raised so far, in order.
-    pub alerts: Vec<MonitorAlert>,
-    /// The delta log generation backing this state.
-    pub generation: u64,
-}
-
-/// A [`Monitor`] shared between an ingest path and concurrent readers,
-/// with snapshot cuts that never stall ingestion.
-///
-/// Three rules make it safe and non-blocking:
-///
-/// * **Mutations serialise on one mutex.** Ingest, flush, and checkpoint
-///   all take the monitor lock; the log-ahead discipline inside
-///   [`Monitor`] is untouched.
-/// * **Ingest never waits for a checkpoint.** [`SharedMonitor::ingest`]
-///   stages the delta under a short buffer lock and then only
-///   *try-locks* the monitor. If another thread is cutting a snapshot
-///   (or mid-flush), the delta stays staged and the call returns
-///   immediately with no alerts — exactly the contract a buffered
-///   [`Monitor::ingest`] already has inside a group-commit window. The
-///   staged backlog is drained, in order, by whichever call next holds
-///   the lock ([`SharedMonitor::flush`] guarantees it).
-/// * **Reads never take the monitor lock.** [`SharedMonitor::view`]
-///   clones an `Arc<MonitorView>` republished after every mutation.
-///
-/// Durability contract: a delta is durable (and visible in the view's
-/// `seq`) only after a [`SharedMonitor::flush`] that returned `Ok`.
-/// Upstream peek/ack consumers must ack their [`crate::ppdb::DeltaQueue`]
-/// seqs only after such a flush, never after a mere `ingest` — staged or
-/// group-commit-buffered deltas are still in the crash-loss window.
-#[derive(Clone)]
-pub struct SharedMonitor {
-    monitor: Arc<Mutex<Monitor>>,
-    /// Deltas accepted while the monitor lock was busy, FIFO.
-    staged: Arc<Mutex<Vec<PopulationDelta>>>,
-    view: Arc<Mutex<Arc<MonitorView>>>,
-    epoch: Arc<AtomicU64>,
-}
-
-impl SharedMonitor {
-    /// Wrap a monitor for shared use and publish its initial view.
-    pub fn new(monitor: Monitor) -> SharedMonitor {
-        let view = Arc::new(snapshot_view(&monitor, 0));
-        SharedMonitor {
-            monitor: Arc::new(Mutex::new(monitor)),
-            staged: Arc::new(Mutex::new(Vec::new())),
-            view: Arc::new(Mutex::new(view)),
-            epoch: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    fn lock_monitor(&self) -> std::sync::MutexGuard<'_, Monitor> {
-        // The monitor's own invariants hold at every await-free point a
-        // panic can occur; recovering a poisoned guard is safe.
-        self.monitor.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_staged(&self) -> std::sync::MutexGuard<'_, Vec<PopulationDelta>> {
-        self.staged.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Apply every staged delta (in arrival order) to the locked
-    /// monitor, then republish the view. Returns the alerts the drain
-    /// raised.
-    fn drain_into(&self, monitor: &mut Monitor) -> DbResult<Vec<MonitorAlert>> {
-        let mut raised = Vec::new();
-        loop {
-            // Take the backlog in one short lock; new arrivals while we
-            // apply go to a fresh Vec and are picked up next iteration.
-            let batch = std::mem::take(&mut *self.lock_staged());
-            if batch.is_empty() {
-                break;
-            }
-            for delta in batch {
-                raised.extend(monitor.ingest(delta)?);
-            }
-        }
-        Ok(raised)
-    }
-
-    fn publish(&self, monitor: &Monitor) {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let view = Arc::new(snapshot_view(monitor, epoch));
-        *self.view.lock().unwrap_or_else(|e| e.into_inner()) = view;
-    }
-
-    /// Ingest one delta without ever blocking on a concurrent snapshot
-    /// cut. If the monitor lock is free the delta (plus any staged
-    /// backlog) is applied now and the alerts it raised are returned; if
-    /// the lock is busy the delta is staged FIFO and the call returns
-    /// `Ok(vec![])` — its alerts surface from whichever call drains it.
-    pub fn ingest(&self, delta: PopulationDelta) -> DbResult<Vec<MonitorAlert>> {
-        self.lock_staged().push(delta);
-        let Ok(mut monitor) = self.monitor.try_lock() else {
-            return Ok(Vec::new());
-        };
-        let raised = self.drain_into(&mut monitor);
-        self.publish(&monitor);
-        raised
-    }
-
-    /// Drain the staged backlog and force everything durable
-    /// ([`Monitor::flush`]). After `Ok`, every delta from every prior
-    /// `ingest` on any thread is fsynced and reflected in the view.
-    pub fn flush(&self) -> DbResult<Vec<MonitorAlert>> {
-        let mut monitor = self.lock_monitor();
-        let raised = self.drain_into(&mut monitor);
-        let flushed = monitor.flush();
-        self.publish(&monitor);
-        let raised = raised?;
-        flushed?;
-        Ok(raised)
-    }
-
-    /// Drain, flush, and cut a snapshot now ([`Monitor::checkpoint`]).
-    /// Concurrent `ingest` calls stage instead of blocking for the
-    /// duration; a final drain picks up everything that arrived while
-    /// the snapshot was being written.
-    pub fn checkpoint(&self) -> DbResult<Vec<MonitorAlert>> {
-        let mut monitor = self.lock_monitor();
-        let mut raised = self.drain_into(&mut monitor)?;
-        monitor.checkpoint()?;
-        // Deltas staged while the snapshot file was written.
-        raised.extend(self.drain_into(&mut monitor)?);
-        self.publish(&monitor);
-        Ok(raised)
-    }
-
-    /// Cut a snapshot on a background thread; ingestion continues
-    /// (staging while the cut holds the lock). Join the handle for the
-    /// result — a failed cut leaves the previous generation current.
-    pub fn checkpoint_in_background(&self) -> std::thread::JoinHandle<DbResult<Vec<MonitorAlert>>> {
-        let shared = self.clone();
-        std::thread::spawn(move || shared.checkpoint())
-    }
-
-    /// The latest published view. Lock-free with respect to the monitor:
-    /// only a short swap-lock on the published `Arc` is taken, so a
-    /// snapshot cut in progress never delays a reader.
-    pub fn view(&self) -> Arc<MonitorView> {
-        self.view.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Deltas accepted by [`SharedMonitor::ingest`] but not yet applied
-    /// to the monitor (they are applied by the next lock holder).
-    pub fn staged_len(&self) -> usize {
-        self.lock_staged().len()
-    }
-
-    /// Run `f` under the monitor lock (draining staged deltas first so
-    /// `f` observes every accepted delta), then republish the view.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Monitor) -> R) -> DbResult<R> {
-        let mut monitor = self.lock_monitor();
-        self.drain_into(&mut monitor)?;
-        let out = f(&mut monitor);
-        self.publish(&monitor);
-        Ok(out)
-    }
-
-    /// Unwrap back to the owned monitor, applying any staged backlog
-    /// first. Fails if other handles are still alive.
-    pub fn into_inner(self) -> Result<Monitor, SharedMonitor> {
-        {
-            let mut monitor = self.lock_monitor();
-            // Best-effort: a refused staged delta is surfaced on the
-            // next explicit flush, not silently dropped here.
-            if self.drain_into(&mut monitor).is_ok() {
-                self.publish(&monitor);
-            }
-        }
-        let SharedMonitor {
-            monitor,
-            staged,
-            view,
-            epoch,
-        } = self;
-        match Arc::try_unwrap(monitor) {
-            Ok(m) => Ok(m.into_inner().unwrap_or_else(|e| e.into_inner())),
-            Err(monitor) => Err(SharedMonitor {
-                monitor,
-                staged,
-                view,
-                epoch,
-            }),
-        }
-    }
-}
-
-fn snapshot_view(monitor: &Monitor, epoch: u64) -> MonitorView {
-    MonitorView {
-        epoch,
-        seq: monitor.seq(),
-        outcome: monitor.outcome(),
-        p_violation: monitor.p_violation(),
-        p_default: monitor.p_default(),
-        in_breach: monitor.in_breach(),
-        alerts: monitor.alerts().to_vec(),
-        generation: monitor.log().generation(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1517,140 +1289,6 @@ mod tests {
         );
         assert!(!current_path(&dir).exists(), "nothing was published");
         assert!(DeltaLog::recover(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn shared_monitor(dir: &Path, group_commit: u64) -> SharedMonitor {
-        let config = MonitorConfig {
-            alpha: 0.25,
-            hysteresis: 0.2,
-            group_commit,
-            snapshot_every: 0,
-        };
-        SharedMonitor::new(
-            Monitor::start(
-                dir,
-                Vec::new(),
-                vec!["weight".into()],
-                &tiny_weights(),
-                tiny_policy(),
-                config,
-            )
-            .unwrap(),
-        )
-    }
-
-    /// Views are epoch-ordered, coherent snapshots: each ingest
-    /// republished one, and a held view is immutable while the monitor
-    /// moves on.
-    #[test]
-    fn shared_monitor_publishes_epoch_ordered_views() {
-        let dir = temp_dir("shared-view");
-        let shared = shared_monitor(&dir, 1);
-        let v0 = shared.view();
-        assert_eq!((v0.epoch, v0.seq), (0, 0));
-
-        shared
-            .ingest(PopulationDelta::new().upsert(mon_profile(0, false)))
-            .unwrap();
-        shared
-            .ingest(PopulationDelta::new().upsert(mon_profile(1, true)))
-            .unwrap();
-        let v2 = shared.view();
-        assert!(v2.epoch > v0.epoch, "every mutation republishes");
-        assert_eq!(v2.seq, 2, "group_commit=1: both deltas durable");
-        assert_eq!(v2.outcome.population, 2);
-        assert!((v2.p_violation - 0.5).abs() < 1e-12);
-        assert!(v2.in_breach);
-        assert_eq!(v2.alerts.len(), 1);
-        // The old view is a snapshot, not a live reference.
-        assert_eq!((v0.seq, v0.outcome.population), (0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Ingest while the monitor lock is held (a snapshot cut in
-    /// progress) must not block: the delta stages, and the next lock
-    /// holder applies it in order. Nothing is lost, nothing applied
-    /// twice.
-    #[test]
-    fn shared_monitor_ingest_stages_instead_of_blocking() {
-        let dir = temp_dir("shared-staged");
-        let shared = shared_monitor(&dir, 1);
-
-        // Simulate a cut in progress: hold the monitor lock directly.
-        let guard = shared.monitor.lock().unwrap();
-        let alerts = shared
-            .ingest(PopulationDelta::new().upsert(mon_profile(0, false)))
-            .unwrap();
-        assert!(alerts.is_empty(), "staged, not applied");
-        assert_eq!(shared.staged_len(), 1);
-        assert_eq!(shared.view().seq, 0, "view unchanged while staged");
-        drop(guard);
-
-        // The next lock holder (here: flush) drains the backlog.
-        shared.flush().unwrap();
-        assert_eq!(shared.staged_len(), 0);
-        let v = shared.view();
-        assert_eq!((v.seq, v.outcome.population), (1, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The tentpole claim, exercised with real threads: a writer keeps
-    /// ingesting while snapshots cut in the background. Every delta
-    /// survives (exactly once), the final view matches, and a cold
-    /// recovery from the directory lands on the identical population.
-    #[test]
-    fn shared_monitor_ingests_while_snapshots_cut_in_background() {
-        let dir = temp_dir("shared-bg");
-        let shared = shared_monitor(&dir, 4);
-        const N: u64 = 96;
-
-        let writer = {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                for id in 0..N {
-                    shared
-                        .ingest(PopulationDelta::new().upsert(mon_profile(id, id % 3 == 0)))
-                        .unwrap();
-                }
-            })
-        };
-        // Cut snapshots concurrently with the writer.
-        let mut cuts = Vec::new();
-        for _ in 0..3 {
-            cuts.push(shared.checkpoint_in_background());
-            std::thread::yield_now();
-        }
-        writer.join().unwrap();
-        for cut in cuts {
-            cut.join().unwrap().unwrap();
-        }
-        shared.flush().unwrap();
-
-        let v = shared.view();
-        assert_eq!(v.seq, N, "every ingested delta durably applied");
-        assert_eq!(v.outcome.population, N as usize);
-        assert_eq!(v.outcome.violated, (0..N).filter(|i| i % 3 == 0).count());
-        assert_eq!(shared.staged_len(), 0);
-
-        // Cold recovery replays snapshot ⊕ tail to the same population.
-        let m = shared
-            .into_inner()
-            .unwrap_or_else(|_| panic!("sole handle"));
-        drop(m);
-        let recovered = Monitor::recover(
-            &dir,
-            vec!["weight".into()],
-            &tiny_weights(),
-            tiny_policy(),
-            MonitorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(recovered.outcome().population, N as usize);
-        assert_eq!(
-            recovered.outcome().violated,
-            (0..N).filter(|i| i % 3 == 0).count()
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -69,9 +69,7 @@ pub mod whatif;
 
 pub use audit::{AuditEngine, AuditReport, ProviderAudit};
 pub use default_model::{defaults, DefaultThresholds};
-pub use deltalog::{
-    DeltaLog, Monitor, MonitorAlert, MonitorConfig, MonitorView, Recovery, SharedMonitor,
-};
+pub use deltalog::{DeltaLog, Monitor, MonitorAlert, MonitorConfig, Recovery};
 pub use intern::SymbolTable;
 pub use liveindex::LiveViolationIndex;
 pub use plan::CompiledAuditPlan;

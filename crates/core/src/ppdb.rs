@@ -93,12 +93,12 @@ impl PpdbConfig {
 /// equivalent [`DeltaOp`] to a pending, sequence-tagged [`DeltaQueue`] —
 /// *after* the storage transaction commits, so the delta never gets ahead
 /// of durable state. Consumers follow a peek/ack protocol:
-/// [`Ppdb::peek_delta`] exposes the pending ops without consuming them;
-/// once they are safely applied (to a [`crate::LiveViolationIndex`], a
-/// [`crate::deltalog::DeltaLog`], …) the consumer calls
-/// [`Ppdb::ack_delta`] with the count it handled. A failed apply simply
-/// never acks, so the ops stay pending and replayable — the older
-/// drain-then-apply `take_delta()` lost them on any apply error.
+/// [`Ppdb::peek_delta_seq`] exposes the pending ops without consuming
+/// them; once they are safely applied (to a [`crate::LiveViolationIndex`],
+/// a [`crate::deltalog::DeltaLog`], …) the consumer calls
+/// [`Ppdb::ack_delta_through`] with the seq it handled through. A failed
+/// apply simply never acks, so the ops stay pending and replayable — the
+/// older drain-then-apply `take_delta()` lost them on any apply error.
 ///
 /// Two robustness properties layer on top of that protocol:
 ///
@@ -301,17 +301,6 @@ impl DeltaQueue {
         let n = end_seq
             .saturating_sub(inner.first_seq)
             .min(inner.ops.len() as u64) as usize;
-        inner.ops.drain_front(n);
-        inner.first_seq += n as u64;
-    }
-
-    /// Acknowledge the first `n` pending ops (clamped to the pending
-    /// length). Prefer [`DeltaQueue::ack_through`] from concurrent
-    /// consumers — a count is relative to whatever the front was at call
-    /// time, a seq is absolute.
-    pub fn ack(&self, n: usize) {
-        let mut inner = self.lock();
-        let n = n.min(inner.ops.len());
         inner.ops.drain_front(n);
         inner.first_seq += n as u64;
     }
@@ -843,38 +832,19 @@ impl Ppdb {
         }
     }
 
-    /// The delta accumulated by write ops since the last
-    /// [`Ppdb::ack_delta`] (or since open), without consuming it. Apply
-    /// it (e.g. via [`crate::LiveViolationIndex::apply_delta`] or append
-    /// it to a [`crate::deltalog::DeltaLog`]), then acknowledge exactly
-    /// the ops you handled with [`Ppdb::ack_delta`]. If the apply fails,
+    /// The delta accumulated by write ops since the last acknowledged
+    /// seq (or since open), without consuming it: `(first_seq, ops)`
+    /// where `ops.ops()[i]` carries seq `first_seq + i`. Apply it (e.g.
+    /// via [`crate::LiveViolationIndex::apply_delta`] or append it to a
+    /// [`crate::deltalog::DeltaLog`]), then acknowledge the ops you
+    /// handled with [`Ppdb::ack_delta_through`]. If the apply fails,
     /// don't ack — the ops stay pending and the next peek returns them
-    /// again.
-    ///
-    /// Returns a snapshot (clone) of the pending ops; consumers that may
-    /// crash between apply and ack should use [`Ppdb::peek_delta_seq`] so
-    /// recovery can tell which ops were already applied.
-    pub fn peek_delta(&self) -> PopulationDelta {
-        self.deltas.peek().1
-    }
-
-    /// Like [`Ppdb::peek_delta`], but also returns the sequence number of
-    /// the first pending op: `(first_seq, ops)` where `ops.ops()[i]`
-    /// carries seq `first_seq + i`. A consumer that records the seq it
-    /// applied through (durably or in its own state) can crash at any
-    /// point, re-peek, skip `applied_through - first_seq` ops, and
-    /// [`Ppdb::ack_delta_through`] — exactly-once apply with no
-    /// coordination beyond the queue.
+    /// again. A consumer that records the seq it applied through
+    /// (durably or in its own state) can crash at any point, re-peek,
+    /// skip `applied_through - first_seq` ops, and ack — exactly-once
+    /// apply with no coordination beyond the queue.
     pub fn peek_delta_seq(&self) -> (u64, PopulationDelta) {
         self.deltas.peek()
-    }
-
-    /// Acknowledge the first `n` pending ops as applied, dropping them
-    /// from the pending delta. `n` is clamped to the pending length, so
-    /// `ack_delta(peek_delta().len())` is always safe even if writes
-    /// raced in between (the extra ops simply stay pending).
-    pub fn ack_delta(&mut self, n: usize) {
-        self.deltas.ack(n);
     }
 
     /// Acknowledge every pending op with seq `< end_seq` (idempotent;
@@ -1651,8 +1621,8 @@ mod tests {
             ppdb.audit_engine().unwrap(),
             ppdb.compiled_population().unwrap(),
         );
-        let backlog = ppdb.peek_delta().len();
-        ppdb.ack_delta(backlog);
+        let (seq, backlog) = ppdb.peek_delta_seq();
+        ppdb.ack_delta_through(seq + backlog.len() as u64);
 
         // Every kind of write op, including no-ops on unknown providers.
         ppdb.insert_provider(&sample_profile(100, 35), data_row(100))
@@ -1669,11 +1639,11 @@ mod tests {
         ppdb.set_threshold(ProviderId(999), 1).unwrap(); // unknown: no-op
         ppdb.remove_provider(ProviderId(2)).unwrap();
 
-        let delta = ppdb.peek_delta();
+        let (seq, delta) = ppdb.peek_delta_seq();
         assert_eq!(delta.len(), 5, "unknown-provider op must not be recorded");
         live.apply_delta(&delta).unwrap();
-        ppdb.ack_delta(delta.len());
-        assert!(ppdb.peek_delta().is_empty());
+        ppdb.ack_delta_through(seq + delta.len() as u64);
+        assert!(ppdb.peek_delta_seq().1.is_empty());
 
         // The live index now agrees with a from-scratch audit of the
         // store (order-independent aggregates, then per-id scores).
@@ -1719,13 +1689,13 @@ mod tests {
         }
         let base = ppdb.all_profiles().unwrap();
         let engine = ppdb.audit_engine().unwrap();
-        let backlog = ppdb.peek_delta().len();
-        ppdb.ack_delta(backlog);
+        let (seq, backlog) = ppdb.peek_delta_seq();
+        ppdb.ack_delta_through(seq + backlog.len() as u64);
 
         // Committed writes accumulate as pending ops.
         ppdb.set_threshold(ProviderId(1), 7).unwrap();
         ppdb.remove_provider(ProviderId(2)).unwrap();
-        let before = ppdb.peek_delta();
+        let (_, before) = ppdb.peek_delta_seq();
         assert_eq!(before.len(), 2);
 
         // An index over a duplicate-occurrence population refuses the
@@ -1734,19 +1704,19 @@ mod tests {
         dup.push(base[0].clone());
         let mut broken =
             LiveViolationIndex::new(engine.clone(), CompiledPopulation::from_profiles(&dup));
-        assert!(broken.apply_delta(&ppdb.peek_delta()).is_err());
+        assert!(broken.apply_delta(&ppdb.peek_delta_seq().1).is_err());
         assert_eq!(
-            ppdb.peek_delta(),
+            ppdb.peek_delta_seq().1,
             before,
             "failed apply must leave the pending delta untouched"
         );
 
         // A healthy index replays the same ops; only then do we ack.
         let mut live = LiveViolationIndex::new(engine, CompiledPopulation::from_profiles(&base));
-        live.apply_delta(&ppdb.peek_delta()).unwrap();
-        let n = ppdb.peek_delta().len();
-        ppdb.ack_delta(n);
-        assert!(ppdb.peek_delta().is_empty());
+        let (seq, delta) = ppdb.peek_delta_seq();
+        live.apply_delta(&delta).unwrap();
+        ppdb.ack_delta_through(seq + delta.len() as u64);
+        assert!(ppdb.peek_delta_seq().1.is_empty());
 
         let report = ppdb.audit().unwrap();
         let outcome = live.outcome();

@@ -4,17 +4,15 @@
 //! bounded set of frames, mutated in place, and written back on eviction or
 //! at a checkpoint ([`BufferPool::flush_all`]). Recency is an index-linked
 //! list over the frame slots, so hits and evictions are O(1) at any pool
-//! size. The pool is single-threaded (`&mut` API) — concurrency is layered
-//! above it (see [`crate::db::SharedDatabase`]), which keeps eviction and
-//! borrowing trivially sound.
+//! size. The pool is single-threaded (`&mut` API), like the one-writer
+//! engine above it, which keeps eviction and borrowing trivially sound.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::disk::PageStore;
 use crate::error::{DbError, DbResult};
-use crate::fault::{retry_transient_with, RetryPolicy};
+use crate::fault::{retry_transient, RetryPolicy};
 use crate::page::{Page, PAGE_SIZE};
-use crate::snapshot::VersionStore;
 
 /// Cache statistics, useful for the storage benchmarks.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -62,18 +60,6 @@ pub struct BufferPool {
     /// Bounded retry for transient store faults. Page reads, writes, and
     /// syncs are idempotent, so retrying any of them is always safe.
     retry: RetryPolicy,
-    /// Whether retry backoffs may sleep inline. [`crate::db::SharedDatabase`]
-    /// turns this off so no thread ever sleeps while holding its mutex;
-    /// backoff then happens at that layer, outside the lock.
-    sleep_on_retry: bool,
-    /// Pages mutated since the last published commit boundary, in sorted
-    /// order so version-store publishes walk a deterministic op stream.
-    /// Only populated while snapshot tracking is on ([`BufferPool::
-    /// track_mutations`]); empty otherwise, at zero cost to the write path
-    /// beyond one branch.
-    batch: BTreeSet<u64>,
-    /// Whether mutations are being recorded for snapshot publication.
-    tracking: bool,
 }
 
 impl BufferPool {
@@ -94,50 +80,12 @@ impl BufferPool {
             next_page_id,
             stats: PoolStats::default(),
             retry: RetryPolicy::none(),
-            sleep_on_retry: true,
-            batch: BTreeSet::new(),
-            tracking: false,
         }
     }
 
     /// Set the bounded-retry policy applied to transient store faults.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// Forbid sleeping inside retry loops (used when the pool lives under
-    /// a shared lock; see [`crate::db::SharedDatabase`]). Transient faults
-    /// are still retried, back to back.
-    pub fn defer_retry_sleeps(&mut self) {
-        self.sleep_on_retry = false;
-    }
-
-    /// Start recording mutated page ids for snapshot publication
-    /// ([`BufferPool::publish_batch`]). Mutations made *before* tracking
-    /// starts are not recorded — the version store seeds itself with the
-    /// full committed state when snapshots are first enabled.
-    pub fn track_mutations(&mut self) {
-        self.tracking = true;
-    }
-
-    /// Publish every page mutated since the last boundary into `store` as
-    /// the committed state at `lsn`, clearing the batch.
-    ///
-    /// Evicted batch pages are faulted back in to copy their bytes, so
-    /// the store's I/O op stream stays deterministic (the batch iterates
-    /// in ascending page-id order).
-    pub fn publish_batch(&mut self, store: &VersionStore, lsn: u64) -> DbResult<()> {
-        let batch = std::mem::take(&mut self.batch);
-        for page_id in batch {
-            let slot = self.fault_in(page_id)?;
-            store.publish_page(page_id, lsn, self.frames[slot].page.as_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Ids of pages mutated since the last boundary (tests/diagnostics).
-    pub fn batch_len(&self) -> usize {
-        self.batch.len()
     }
 
     /// Allocate a fresh page and return its id. The page is resident and
@@ -149,14 +97,9 @@ impl BufferPool {
         let page = Page::new(page_id);
         // Materialise the page in the store immediately so that page-id
         // space is dense on disk even if this page is evicted clean later.
-        let retry = self.retry;
-        let sleep = self.sleep_on_retry;
-        retry_transient_with(retry, sleep, || {
+        retry_transient(self.retry, || {
             self.store.write_page(page_id, page.as_bytes())
         })?;
-        if self.tracking {
-            self.batch.insert(page_id);
-        }
         self.install(slot, page_id, page);
         Ok(page_id)
     }
@@ -170,9 +113,6 @@ impl BufferPool {
     /// Borrow a page mutably, faulting it in if needed.
     pub fn page_mut(&mut self, page_id: u64) -> DbResult<&mut Page> {
         let slot = self.fault_in(page_id)?;
-        if self.tracking {
-            self.batch.insert(page_id);
-        }
         Ok(&mut self.frames[slot].page)
     }
 
@@ -189,16 +129,14 @@ impl BufferPool {
             .map(|(&id, &slot)| (id, slot))
             .collect();
         dirty.sort_unstable();
-        let retry = self.retry;
-        let sleep = self.sleep_on_retry;
         for (id, slot) in dirty {
             let frame = &mut self.frames[slot];
-            retry_transient_with(retry, sleep, || {
+            retry_transient(self.retry, || {
                 self.store.write_page(id, frame.page.as_bytes())
             })?;
             frame.page.mark_clean();
         }
-        retry_transient_with(retry, sleep, || self.store.sync())
+        retry_transient(self.retry, || self.store.sync())
     }
 
     /// Total pages ever allocated (resident or not).
@@ -232,9 +170,7 @@ impl BufferPool {
         }
         let slot = self.make_room()?;
         let mut buf = [0u8; PAGE_SIZE];
-        let retry = self.retry;
-        let sleep = self.sleep_on_retry;
-        retry_transient_with(retry, sleep, || self.store.read_page(page_id, &mut buf))?;
+        retry_transient(self.retry, || self.store.read_page(page_id, &mut buf))?;
         let page = Page::from_bytes(buf)?;
         Ok(self.install(slot, page_id, page))
     }
@@ -303,11 +239,8 @@ impl BufferPool {
         debug_assert_ne!(slot, NIL, "capacity > 0 and pool full implies a frame");
         let frame = &mut self.frames[slot];
         if frame.page.is_dirty() {
-            let retry = self.retry;
-            let sleep = self.sleep_on_retry;
-            let store = &mut self.store;
-            retry_transient_with(retry, sleep, || {
-                store.write_page(frame.page_id, frame.page.as_bytes())
+            retry_transient(self.retry, || {
+                self.store.write_page(frame.page_id, frame.page.as_bytes())
             })?;
             frame.page.mark_clean();
             self.stats.evictions += 1;

@@ -43,11 +43,10 @@ use crate::disk::{sync_dir, FileStore, MemStore, PageStore};
 use crate::encoding::{decode_row, decode_row_ref, encode_row, ValueRef};
 use crate::error::{DbError, DbResult};
 use crate::exec::{execute, ExecContext, Plan, ResultSet};
-use crate::fault::{jitter_salt, retry_transient_with, FaultInjector, FaultStore, RetryPolicy};
+use crate::fault::{retry_transient, FaultInjector, FaultStore, RetryPolicy};
 use crate::heap::TableHeap;
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
-use crate::snapshot::{SnapshotReader, VersionStore, VersionStoreConfig};
 use crate::sql::ast::Statement;
 use crate::sql::{bind_delete, bind_insert, bind_select, bind_select_with, bind_update, parse};
 use crate::txn::{TxnManager, UndoOp};
@@ -68,16 +67,6 @@ pub struct Database {
     faults: Option<FaultInjector>,
     /// Bounded-retry policy for transient faults on the durable write path.
     retry: RetryPolicy,
-    /// Whether retry backoffs may sleep inline. [`SharedDatabase`] turns
-    /// this off so no thread sleeps while holding its mutex; the backoff
-    /// then happens at that layer, outside the lock.
-    sleep_on_retry: bool,
-    /// The version-visibility index serving snapshot readers, attached by
-    /// the first [`Database::begin_snapshot`] and fed at every commit
-    /// boundary thereafter.
-    versions: Option<VersionStore>,
-    /// Retention tuning applied when the version store is created.
-    snapshot_config: VersionStoreConfig,
     /// Violation-model statistics registered by the audit layer (see
     /// [`Database::set_violation_stats`]); drives the binder's
     /// `_qpv_violations` access-path choice. Deliberately not persisted:
@@ -159,9 +148,6 @@ impl Database {
             generation: 0,
             faults: None,
             retry: RetryPolicy::none(),
-            sleep_on_retry: true,
-            versions: None,
-            snapshot_config: VersionStoreConfig::default(),
             violation_stats: None,
         }
     }
@@ -216,9 +202,6 @@ impl Database {
             generation,
             faults,
             retry: RetryPolicy::none(),
-            sleep_on_retry: true,
-            versions: None,
-            snapshot_config: VersionStoreConfig::default(),
             violation_stats: None,
         };
         db.recover()?;
@@ -232,63 +215,6 @@ impl Database {
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
         self.pool.set_retry_policy(retry);
-    }
-
-    /// Forbid sleeping inside retry loops (used under [`SharedDatabase`]'s
-    /// mutex). Transient faults are still retried, back to back; real
-    /// backoff is re-introduced by the caller outside its lock.
-    pub fn defer_retry_sleeps(&mut self) {
-        self.sleep_on_retry = false;
-        self.pool.defer_retry_sleeps();
-    }
-
-    /// Tune snapshot history retention. Takes effect when the version
-    /// store is created (the first [`Database::begin_snapshot`]).
-    pub fn set_snapshot_config(&mut self, config: VersionStoreConfig) {
-        self.snapshot_config = config;
-    }
-
-    /// Open a read-only snapshot of the database at the current commit
-    /// boundary. The returned reader holds no lock: it resolves every read
-    /// against the version-visibility index ([`crate::snapshot`]), so it
-    /// can be moved to another thread and scanned while this database
-    /// keeps committing (via [`SharedDatabase::begin_snapshot`]).
-    pub fn begin_snapshot(&mut self) -> DbResult<SnapshotReader> {
-        let store = self.ensure_snapshots()?;
-        SnapshotReader::new(store, self.wal.end_lsn())
-    }
-
-    /// The version store, if snapshots have been enabled (diagnostics).
-    pub fn version_store(&self) -> Option<&VersionStore> {
-        self.versions.as_ref()
-    }
-
-    /// Attach (once) the version store, seeding it with every live page
-    /// and the catalog at the current boundary. Until this runs, the
-    /// write path pays nothing for snapshot support.
-    fn ensure_snapshots(&mut self) -> DbResult<VersionStore> {
-        if let Some(store) = &self.versions {
-            return Ok(store.clone());
-        }
-        if self.txn.in_txn() {
-            // The pool may hold uncommitted pages of the open transaction;
-            // seeding now would publish them as committed state.
-            return Err(DbError::Txn(
-                "cannot open the first snapshot inside a transaction".into(),
-            ));
-        }
-        let base = self.wal.end_lsn();
-        let store = VersionStore::new(base, self.snapshot_config, self.faults.clone());
-        for page_id in 0..self.pool.num_pages() {
-            let page = self.pool.page(page_id)?;
-            store.publish_page(page_id, base, page.as_bytes())?;
-        }
-        store.publish_catalog(base, self.catalog.clone());
-        self.pool.track_mutations();
-        // Stash only after a complete seed: a failed seed leaves no store
-        // attached, so a retried `begin_snapshot` starts clean.
-        self.versions = Some(store.clone());
-        Ok(store)
     }
 
     /// The live checkpoint generation.
@@ -401,8 +327,6 @@ impl Database {
     /// (snapshot + WAL intact) or generation `G+1` (snapshot + empty WAL)
     /// — never a new snapshot paired with the old log.
     pub fn checkpoint(&mut self) -> DbResult<()> {
-        let retry = self.retry;
-        let sleep = self.sleep_on_retry;
         self.pool.flush_all()?; // per-op transient retry inside the pool
         let Some(dir) = self.dir.clone() else {
             return self.wal.truncate(); // truncate preserves the LSN clock
@@ -418,7 +342,7 @@ impl Database {
         // 2. Create G+1's empty WAL; truncate defensively in case a crashed
         //    earlier checkpoint attempt left bytes under this name.
         let mut new_wal = Wal::open_with(wal_path(&dir, next), self.faults.clone())?;
-        retry_transient_with(retry, sleep, || new_wal.truncate())?;
+        retry_transient(self.retry, || new_wal.truncate())?;
         sync_dir(wal_path(&dir, next))?;
         // 3. Atomically swing CURRENT. This is the commit point.
         publish_current(&dir, next)?;
@@ -910,43 +834,9 @@ impl Database {
     /// Durably sync the WAL, retrying transient faults per the retry
     /// policy. Safe to retry: on a transient failure [`Wal::sync`] retains
     /// its pending buffer, so the retried sync persists the complete batch
-    /// exactly once. A successful sync outside an open transaction is a
-    /// commit boundary, mirrored into the version store for snapshot
-    /// readers.
+    /// exactly once.
     fn sync_wal(&mut self) -> DbResult<()> {
-        let retry = self.retry;
-        let sleep = self.sleep_on_retry;
-        retry_transient_with(retry, sleep, || self.wal.sync())?;
-        self.publish_versions();
-        Ok(())
-    }
-
-    /// Mirror the just-synced commit boundary into the version store: the
-    /// pages dirtied since the previous boundary, plus the catalog, become
-    /// the committed state at the WAL's new end LSN, and unreachable
-    /// history is pruned.
-    ///
-    /// Inside an open explicit transaction this is a no-op — mid-txn syncs
-    /// (e.g. DDL) must not expose uncommitted pages to readers; the whole
-    /// batch is published when COMMIT syncs. Publish failures (an injected
-    /// version fault, or a page fault-in error) wedge the store — every
-    /// snapshot read afterwards fails loudly — but never fail the writer's
-    /// own commit, which is already durable by the time we get here.
-    fn publish_versions(&mut self) {
-        let Some(store) = self.versions.clone() else {
-            return;
-        };
-        if self.txn.in_txn() {
-            return;
-        }
-        let lsn = self.wal.end_lsn();
-        match self.pool.publish_batch(&store, lsn) {
-            Ok(()) => {
-                store.publish_catalog(lsn, self.catalog.clone());
-                store.prune();
-            }
-            Err(e) => store.wedge(&e),
-        }
+        retry_transient(self.retry, || self.wal.sync())
     }
 
     /// Run `body` under the open transaction if there is one, else under a
@@ -1182,94 +1072,6 @@ impl std::fmt::Debug for Database {
             .field("in_txn", &self.txn.in_txn())
             .field("durable", &self.dir.is_some())
             .finish()
-    }
-}
-
-/// A thread-safe handle to a database: one writer at a time behind a
-/// mutex, any number of lock-free snapshot readers beside it.
-///
-/// The engine itself is single-writer; [`SharedDatabase`] serialises
-/// mutation with a [`parking_lot::Mutex`], which is the appropriate
-/// concurrency story for an analytical audit workload (short exclusive
-/// sections, no reader starvation). Reads that need a *consistent* view
-/// under live writes should use [`SharedDatabase::begin_snapshot`]: the
-/// returned [`SnapshotReader`] takes the lock only for the instant of
-/// capture, after which its reads never contend with the writer.
-///
-/// ## Retry discipline
-///
-/// Wrapping a database defers all in-lock retry sleeps
-/// ([`Database::defer_retry_sleeps`]): transient faults on the durable
-/// path are still retried under the lock, but back to back, so one
-/// thread's backoff never stalls every other thread for the full sleep.
-/// Idempotent entry points ([`SharedDatabase::query`],
-/// [`SharedDatabase::begin_snapshot`]) re-introduce the full-jitter
-/// backoff *outside* the mutex. Statements ([`SharedDatabase::execute`])
-/// are not retried wholesale — a partially applied autocommit write must
-/// not run twice — so they rely on the in-lock per-op retries alone.
-#[derive(Clone)]
-pub struct SharedDatabase {
-    inner: std::sync::Arc<parking_lot::Mutex<Database>>,
-    /// Policy for this handle's own out-of-lock backoff (captured from
-    /// the database at wrap time).
-    retry: RetryPolicy,
-}
-
-impl SharedDatabase {
-    /// Wrap a database for shared use.
-    pub fn new(mut db: Database) -> SharedDatabase {
-        let retry = db.retry;
-        db.defer_retry_sleeps();
-        SharedDatabase {
-            inner: std::sync::Arc::new(parking_lot::Mutex::new(db)),
-            retry,
-        }
-    }
-
-    /// Run `f` with exclusive access to the database.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Retry an idempotent operation with full-jitter backoff, sleeping
-    /// *between* lock acquisitions — never while holding the mutex.
-    fn retry_idempotent<R>(&self, mut f: impl FnMut(&mut Database) -> DbResult<R>) -> DbResult<R> {
-        let salt = jitter_salt();
-        let mut attempt = 0;
-        loop {
-            let result = self.with(&mut f);
-            match result {
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    std::thread::sleep(self.retry.jittered_backoff(attempt, salt));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Run a query under the lock. Queries are read-only (idempotent), so
-    /// transient faults that survive the in-lock retries are retried here
-    /// with jittered backoff outside the mutex.
-    pub fn query(&self, sql: &str) -> DbResult<ResultSet> {
-        self.retry_idempotent(|db| db.query(sql))
-    }
-
-    /// Convenience: run a statement under the lock. Not retried wholesale
-    /// (see the type docs); per-op transient retries still apply inside.
-    pub fn execute(&self, sql: &str) -> DbResult<ExecOutcome> {
-        self.with(|db| db.execute(sql))
-    }
-
-    /// Capture a read-only snapshot of the current commit boundary. The
-    /// lock is held only for the capture itself (plus, on the very first
-    /// call, seeding the version store); every read through the returned
-    /// [`SnapshotReader`] then proceeds without this lock, concurrently
-    /// with writers. If the snapshot's history is later reclaimed, reads
-    /// fail with [`DbError::SnapshotTooOld`] and the fix is to call this
-    /// again for a fresh boundary.
-    pub fn begin_snapshot(&self) -> DbResult<SnapshotReader> {
-        self.retry_idempotent(|db| db.begin_snapshot())
     }
 }
 
@@ -1882,105 +1684,6 @@ mod tests {
         db.execute("DROP INDEX people_age").unwrap();
         db.execute("DROP TABLE people").unwrap();
         assert!(db.query("SELECT * FROM people").is_err());
-    }
-
-    #[test]
-    fn shared_database_serialises_access() {
-        let shared = SharedDatabase::new(seeded());
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::spawn(move || {
-                    shared
-                        .execute(&format!(
-                            "INSERT INTO people VALUES ({}, 'p{}', 20)",
-                            10 + i,
-                            i
-                        ))
-                        .unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let rs = shared.query("SELECT COUNT(*) FROM people").unwrap();
-        assert_eq!(rs.rows[0].values[0], Value::Int(8));
-    }
-
-    #[test]
-    fn snapshot_sees_its_boundary_while_writer_advances() {
-        let shared = SharedDatabase::new(seeded());
-        let snap = shared.begin_snapshot().unwrap();
-        assert_eq!(snap.count("people").unwrap(), 4);
-        shared
-            .execute("INSERT INTO people VALUES (5, 'eve', 52)")
-            .unwrap();
-        shared.execute("DELETE FROM people WHERE id = 1").unwrap();
-        // The old snapshot still reads its boundary; a fresh one sees the
-        // writer's progress.
-        assert_eq!(snap.count("people").unwrap(), 4);
-        let names: Vec<String> = snap
-            .scan("people")
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r.values[1].as_text().unwrap().to_string())
-            .collect();
-        assert!(names.contains(&"alice".to_string()));
-        assert!(!names.contains(&"eve".to_string()));
-        let fresh = shared.begin_snapshot().unwrap();
-        assert_eq!(fresh.count("people").unwrap(), 4); // 4 - 1 + 1
-        let fresh_names: Vec<String> = fresh
-            .scan("people")
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r.values[1].as_text().unwrap().to_string())
-            .collect();
-        assert!(fresh_names.contains(&"eve".to_string()));
-        assert!(!fresh_names.contains(&"alice".to_string()));
-    }
-
-    #[test]
-    fn snapshot_ignores_uncommitted_transaction_state() {
-        let mut db = seeded();
-        // First snapshot cannot be opened mid-transaction (the pool holds
-        // uncommitted pages the seed would capture).
-        db.begin().unwrap();
-        assert!(matches!(db.begin_snapshot(), Err(DbError::Txn(_))));
-        db.rollback().unwrap();
-        let snap = db.begin_snapshot().unwrap();
-        assert_eq!(snap.count("people").unwrap(), 4);
-        // Once attached, mid-transaction snapshots observe the last commit
-        // boundary — never the open transaction's writes.
-        db.begin().unwrap();
-        db.execute("INSERT INTO people VALUES (6, 'mallory', 99)")
-            .unwrap();
-        let mid = db.begin_snapshot().unwrap();
-        assert_eq!(mid.count("people").unwrap(), 4);
-        db.commit().unwrap();
-        assert_eq!(mid.count("people").unwrap(), 4);
-        assert_eq!(db.begin_snapshot().unwrap().count("people").unwrap(), 5);
-    }
-
-    #[test]
-    fn snapshot_survives_checkpoint_lsn_handoff() {
-        let dir = temp_dir("snap-ckpt");
-        let mut db = Database::open(&dir).unwrap();
-        db.execute("CREATE TABLE t (id INT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-        let snap = db.begin_snapshot().unwrap();
-        let lsn_before = db.begin_snapshot().unwrap().lsn();
-        db.checkpoint().unwrap();
-        db.execute("INSERT INTO t VALUES (3)").unwrap();
-        // The new generation's WAL inherited the LSN clock: boundaries
-        // stay monotone, so the old snapshot still resolves and a new one
-        // sees the post-checkpoint insert.
-        assert!(db.begin_snapshot().unwrap().lsn() > lsn_before);
-        assert_eq!(snap.count("t").unwrap(), 2);
-        assert_eq!(db.begin_snapshot().unwrap().count("t").unwrap(), 3);
-        drop(snap);
-        drop(db);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn seeded_with_orders() -> Database {

@@ -43,15 +43,6 @@ pub enum DbError {
     Eval(String),
     /// Transaction misuse (commit/abort without begin, nested begin).
     Txn(String),
-    /// A snapshot reader's page versions were reclaimed while it held the
-    /// snapshot open. The reader must drop its handle and begin a fresh
-    /// snapshot; the data itself is intact.
-    SnapshotTooOld {
-        /// The LSN the reader captured at `begin_snapshot`.
-        snapshot_lsn: u64,
-        /// The oldest LSN the version store still retains in full.
-        oldest_retained_lsn: u64,
-    },
     /// The delta backlog is at capacity: the producer must wait for the
     /// consumer to drain (ack) before issuing more writes. The operation
     /// was *not* performed — no storage mutation happened.
@@ -82,13 +73,6 @@ impl fmt::Display for DbError {
             DbError::SqlBind(msg) => write!(f, "sql bind error: {msg}"),
             DbError::Eval(msg) => write!(f, "evaluation error: {msg}"),
             DbError::Txn(msg) => write!(f, "transaction error: {msg}"),
-            DbError::SnapshotTooOld {
-                snapshot_lsn,
-                oldest_retained_lsn,
-            } => write!(
-                f,
-                "snapshot too old: lsn {snapshot_lsn} reclaimed (oldest retained {oldest_retained_lsn}); begin a new snapshot"
-            ),
             DbError::Backpressure { pending, capacity } => write!(
                 f,
                 "backpressure: delta backlog full ({pending}/{capacity}); consumer must ack before more writes"
@@ -151,16 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_backpressure_are_typed_and_permanent() {
-        // Neither clears on a blind retry of the same call: the reader must
-        // re-begin, the producer must wait for acks. `retry_transient` must
-        // not spin on them.
-        let e = DbError::SnapshotTooOld {
-            snapshot_lsn: 3,
-            oldest_retained_lsn: 9,
-        };
-        assert!(!e.is_transient());
-        assert!(e.to_string().contains("snapshot too old"));
+    fn backpressure_is_typed_and_permanent() {
+        // It does not clear on a blind retry of the same call: the producer
+        // must wait for acks. `retry_transient` must not spin on it.
         let e = DbError::Backpressure {
             pending: 128,
             capacity: 128,

@@ -81,14 +81,6 @@ pub enum FaultOp {
     SnapshotPublish,
     /// Snapshot read-back during recovery.
     SnapshotRead,
-    /// Version-store publish: committed page images copied into the
-    /// visibility index at a commit boundary (`crate::snapshot`).
-    VersionPublish,
-    /// Version-store page fetch by a snapshot reader.
-    VersionRead,
-    /// Version-store reclamation (pruning history below the retention
-    /// floor).
-    VersionPrune,
 }
 
 impl FaultOp {
@@ -426,7 +418,7 @@ impl RetryPolicy {
 static JITTER_SALT: AtomicU64 = AtomicU64::new(0x9e37_79b9);
 
 /// A fresh, process-unique jitter salt.
-pub fn jitter_salt() -> u64 {
+fn jitter_salt() -> u64 {
     JITTER_SALT.fetch_add(0x6a09_e667_f3bc_c909, Ordering::Relaxed)
 }
 
@@ -439,10 +431,6 @@ impl Default for RetryPolicy {
 /// Run `op` until it succeeds, fails permanently, or exhausts
 /// `policy.max_retries` retries of transient faults, sleeping a full-jitter
 /// backoff between attempts.
-///
-/// Callers holding a lock other threads contend on should prefer
-/// [`retry_transient_nosleep`] inside the critical section and sleep at
-/// their own level, outside it — see `SharedDatabase` in `crate::db`.
 pub fn retry_transient<T>(policy: RetryPolicy, mut op: impl FnMut() -> DbResult<T>) -> DbResult<T> {
     let salt = jitter_salt();
     let mut attempt = 0;
@@ -452,42 +440,6 @@ pub fn retry_transient<T>(policy: RetryPolicy, mut op: impl FnMut() -> DbResult<
                 std::thread::sleep(policy.jittered_backoff(attempt, salt));
                 attempt += 1;
             }
-            other => return other,
-        }
-    }
-}
-
-/// Like [`retry_transient`] but never sleeps: transient faults are retried
-/// immediately, back to back. This is the variant to use while holding a
-/// shared lock — a single-shot transient (the common injected case and the
-/// spurious-`EIO` model) clears on the immediate retry, and anything that
-/// needs real waiting is surfaced to the caller, which can back off after
-/// releasing the lock.
-/// Dispatch to [`retry_transient`] (sleeping full-jitter backoff) or
-/// [`retry_transient_nosleep`] depending on `sleep`. The storage layers
-/// thread a "may I sleep here?" flag down to every retry site so that
-/// [`crate::db::SharedDatabase`] can forbid in-lock sleeping wholesale and
-/// re-introduce the backoff outside its mutex.
-pub fn retry_transient_with<T>(
-    policy: RetryPolicy,
-    sleep: bool,
-    op: impl FnMut() -> DbResult<T>,
-) -> DbResult<T> {
-    if sleep {
-        retry_transient(policy, op)
-    } else {
-        retry_transient_nosleep(policy, op)
-    }
-}
-
-pub fn retry_transient_nosleep<T>(
-    policy: RetryPolicy,
-    mut op: impl FnMut() -> DbResult<T>,
-) -> DbResult<T> {
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Err(e) if e.is_transient() && attempt < policy.max_retries => attempt += 1,
             other => return other,
         }
     }
@@ -657,27 +609,5 @@ mod tests {
         assert!(ds.iter().any(|d| *d != ds[0]), "salts must decorrelate");
         // Zero-backoff policies never sleep.
         assert_eq!(RetryPolicy::none().jittered_backoff(5, 42), Duration::ZERO);
-    }
-
-    #[test]
-    fn nosleep_retry_matches_sleeping_retry_semantics() {
-        let policy = RetryPolicy::standard();
-        let mut attempts = 0;
-        let result = retry_transient_nosleep(policy, || {
-            attempts += 1;
-            if attempts <= 2 {
-                Err(DbError::Transient("twice".into()))
-            } else {
-                Ok(attempts)
-            }
-        });
-        assert_eq!(result.unwrap(), 3);
-        let mut attempts = 0;
-        let result: DbResult<()> = retry_transient_nosleep(policy, || {
-            attempts += 1;
-            Err(DbError::Transient("always".into()))
-        });
-        assert!(result.is_err());
-        assert_eq!(attempts, policy.max_retries as usize + 1);
     }
 }

@@ -34,10 +34,6 @@
 //!   subset (`CREATE TABLE`, `CREATE INDEX`, `INSERT`, `SELECT`, `UPDATE`,
 //!   `DELETE`).
 //! * [`txn`] — coarse-grained transactions with undo-based rollback.
-//! * [`snapshot`] — LSN-snapshot readers: a version-visibility index of
-//!   committed page images, so N readers audit a consistent boundary while
-//!   the single writer keeps committing (see
-//!   [`db::SharedDatabase::begin_snapshot`]).
 //! * [`db`] — the [`db::Database`] facade tying everything together.
 //!
 //! ## Quick example
@@ -68,7 +64,6 @@ pub mod heap;
 pub mod page;
 pub mod row;
 pub mod schema;
-pub mod snapshot;
 pub mod sql;
 pub mod txn;
 pub mod types;
@@ -79,12 +74,11 @@ pub use audit_bridge::{
     violations_schema, AuditBridge, ViolationRow, ViolationStats, VIOLATIONS_PROVIDER_INDEX,
     VIOLATIONS_TABLE,
 };
-pub use db::{Database, SharedDatabase};
+pub use db::Database;
 pub use encoding::ValueRef;
 pub use error::{DbError, DbResult};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStore, RetryPolicy};
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
-pub use snapshot::{SnapshotReader, VersionStore, VersionStoreConfig};
 pub use types::DataType;
 pub use value::Value;

@@ -22,12 +22,12 @@
 //! it belongs to: all frames buffered between two `sync` calls share one
 //! LSN (`end_lsn + 1`), and a successful sync advances `end_lsn` to it.
 //! The LSN is covered by the frame checksum, so a torn or bit-flipped LSN
-//! ends replay exactly like a torn payload. Snapshot readers key off this
-//! counter: a reader captures `wal_end_lsn` at begin and the version store
-//! (`crate::snapshot`) serves page images visible at that boundary. The
-//! counter is monotone for the lifetime of the `Wal` value — checkpoint
-//! truncation empties the log but never rewinds `end_lsn`, so an open
-//! snapshot stays well-ordered across checkpoints.
+//! ends replay exactly like a torn payload. LSNs only order commit
+//! boundaries: the engine has one writer and no concurrent readers, so
+//! nothing resolves reads against them. The counter is monotone for the
+//! lifetime of the `Wal` value, and across checkpoints: truncation
+//! empties the log but never rewinds `end_lsn`, and the next
+//! generation's log inherits the clock ([`Wal::inherit_lsn`]).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -525,9 +525,9 @@ impl Wal {
     }
 
     /// Carry an LSN clock forward into this (fresh) log. A checkpoint
-    /// swaps in the next generation's empty WAL; snapshot visibility
-    /// requires LSNs to stay monotone for the process lifetime, so the
-    /// new log inherits the old one's clock rather than restarting at 0.
+    /// swaps in the next generation's empty WAL; commit boundaries stay
+    /// monotone for the process lifetime, so the new log inherits the old
+    /// one's clock rather than restarting at 0.
     pub fn inherit_lsn(&mut self, end_lsn: u64) {
         self.end_lsn = self.end_lsn.max(end_lsn);
     }
@@ -892,6 +892,22 @@ mod tests {
         wal.append(&WalRecord::Commit { txn: 2 });
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 2);
+    }
+
+    #[test]
+    fn inherited_lsn_clock_never_rewinds() {
+        // A checkpoint's fresh log continues the old log's clock.
+        let mut wal = Wal::in_memory();
+        wal.inherit_lsn(5);
+        assert_eq!(wal.end_lsn(), 5);
+        wal.inherit_lsn(3);
+        assert_eq!(wal.end_lsn(), 5, "inheriting an older clock is a no-op");
+        wal.append(&WalRecord::Begin { txn: 1 });
+        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.sync().unwrap();
+        assert_eq!(wal.end_lsn(), 6);
+        let frames = wal.replay_frames().unwrap();
+        assert!(frames.iter().all(|(lsn, _)| *lsn == 6));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Methodology (the engine is its own model):
 //!
-//! 1. Run the scripted workload — DDL, autocommit DML, an explicit
-//!    committed transaction, an explicit aborted transaction, a
+//! 1. Run the scripted workload — DDL, autocommit DML, vacuums, an
+//!    explicit committed transaction, an explicit aborted transaction, a
 //!    checkpoint, and post-checkpoint writes — on an in-memory twin,
 //!    capturing the sorted table contents after every step
 //!    (`model[k]` = state after `k` fully-acknowledged steps).
@@ -112,6 +112,11 @@ fn workload() -> Vec<Step> {
                 "ROLLBACK",
             ],
         ),
+        // Compacts the page the rolled-back insert left a dead slot on.
+        Step {
+            label: "vacuum-after-abort",
+            run: Box::new(|db| db.vacuum("t").map(|_| ())),
+        },
         sql("create-table-2", "CREATE TABLE u (k INT)"),
         sql("insert-u", "INSERT INTO u VALUES (1), (2), (3)"),
         checkpoint("checkpoint-1"),

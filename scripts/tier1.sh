@@ -7,8 +7,8 @@
 #   scripts/tier1.sh --bench        # gate + bench JSONs
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
-#   scripts/tier1.sh --concurrency  # gate + snapshot-reader / delta-handoff
-#                                   #   concurrency suites (release)
+#   scripts/tier1.sh --concurrency  # gate + delta-handoff exactly-once
+#                                   #   property (release)
 #   scripts/tier1.sh --packed       # scoring-kernel stage only (release
 #                                   #   counts and witness equivalence
 #                                   #   suites, kernel bench smokes, and
@@ -29,8 +29,7 @@
 #
 # The bench step writes BENCH_audit_plan.json,
 # BENCH_compiled_population.json, BENCH_delta_log.json,
-# BENCH_packed_population.json, BENCH_snapshot_readers.json,
-# BENCH_selective_audit.json, and
+# BENCH_packed_population.json, BENCH_selective_audit.json, and
 # BENCH_live_index.json at the repo root (median/mean ns plus host
 # metadata; see crates/bench/benches/). It is the only stage that writes
 # repo-root BENCH_*.json files.
@@ -224,23 +223,16 @@ if [[ "${1:-}" == "--monitor" ]]; then
 fi
 
 if [[ "${1:-}" == "--concurrency" ]]; then
-    # The PR 8 gate: snapshot-isolated readers under live writes, crashes
-    # and reclamation included, plus the exactly-once delta-handoff
-    # property, all under the release optimizer (real-thread stress only
-    # races usefully with optimized codegen). Clock-free and seed-pinned
-    # except the threaded stress tests, whose invariants are
-    # schedule-independent. The budget catches deadlocks and reader
-    # livelocks, not slowness.
+    # The one concurrent path left: a consumer thread peeking and acking
+    # the Ppdb's delta queue while the writer keeps pushing. The
+    # exactly-once handoff property runs under the release optimizer
+    # (real-thread stress only races usefully with optimized codegen);
+    # its invariants are schedule-independent. The budget catches
+    # deadlocks, not slowness.
     CONC_BUDGET="${QPV_CONC_BUDGET:-300}"
-    echo "== concurrency: snapshot-reader torture matrix (release, ${CONC_BUDGET}s budget) =="
-    RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
-        cargo test -q --release -p qpv-reldb --test concurrent_torture -- --nocapture
-    echo "== concurrency: delta handoff exactly-once property (release) =="
+    echo "== concurrency: delta handoff exactly-once property (release, ${CONC_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
         cargo test -q --release -p qpv-core --test concurrent_handoff
-    echo "== concurrency: snapshot reader bench smoke (writer p50/p99) =="
-    RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
-        env QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench snapshot_readers
     echo "tier-1 concurrency: OK"
     exit 0
 fi
@@ -258,9 +250,6 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "== packed population bench (10M providers) =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_packed_population.json" \
         cargo bench -p qpv-bench --bench packed_population
-    echo "== snapshot readers bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_snapshot_readers.json" \
-        cargo bench -p qpv-bench --bench snapshot_readers
     echo "== selective audit bench (100k providers) =="
     QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_selective_audit.json" \
         cargo bench -p qpv-bench --bench selective_audit
