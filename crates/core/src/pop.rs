@@ -9,7 +9,7 @@
 //! * real populations cluster into a handful of preference segments
 //!   (`qpv_synth::segments` models exactly this), so most providers'
 //!   preference rows and datum sensitivities are *identical* — the
-//!   [`RowTable`] interns each distinct (preference rows, datum row)
+//!   `RowTable` interns each distinct (preference rows, datum row)
 //!   combination **once**, with per-occurrence row references and
 //!   refcounts as multiplicities. Segment-clustered populations shrink
 //!   the scanned table ~#segments/N, and 10M+ providers fit hot in
@@ -23,7 +23,7 @@
 //!
 //! Per-occurrence state is three u32/u64 arrays (`urow_of` — the interned
 //! unique-row slot, `row_of` — the merged id-row for thresholds, and the
-//! id itself); everything content-sized lives in the [`RowTable`].
+//! id itself); everything content-sized lives in the `RowTable`.
 //! Thresholds stay per-id (merged last-wins across duplicate occurrences,
 //! matching [`crate::profile::assemble`]), and so does the datum row each
 //! unique row embeds.

@@ -18,8 +18,11 @@
 //! Deletion removes entries but does not rebalance: underfull nodes are left
 //! in place (their slack is reused by later inserts). This "lazy deletion"
 //! keeps the implementation compact and is the behaviour several production
-//! engines shipped with for years; the index is rebuilt from the heap at
-//! recovery anyway (see [`crate::db::Database`]), which re-packs it.
+//! engines shipped with for years. Every open re-packs it anyway: the
+//! database collects each table's keys in one heap walk, sorts them, and
+//! bulk-loads the tree bottom-up with [`BTreeIndex::from_sorted`] (see
+//! [`crate::db::Database`]). Vacuum rebuilds its table's indexes the same
+//! way.
 
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -112,6 +115,88 @@ impl BTreeIndex {
             }],
             root: 0,
             entries: 0,
+        }
+    }
+
+    /// Bulk-load an index from `(key, rid)` entries sorted by key, then
+    /// row id (an exact duplicate pair is kept once). Leaves are packed
+    /// full and linked left to right, and each internal level is built
+    /// bottom-up over the one below: one pass, no splits. Node fill is
+    /// spread evenly across a level, so no node but a lone root is left
+    /// nearly empty.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `entries` is not sorted.
+    pub fn from_sorted(entries: Vec<(IndexKey, RowId)>) -> BTreeIndex {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0] <= w[1]),
+            "from_sorted needs entries sorted by (key, rid)"
+        );
+        let mut keys: Vec<IndexKey> = Vec::new();
+        let mut postings: Vec<Vec<RowId>> = Vec::new();
+        let mut entry_count = 0;
+        for (key, rid) in entries {
+            match (keys.last(), postings.last_mut()) {
+                (Some(last), Some(posting)) if *last == key => {
+                    if posting.last() == Some(&rid) {
+                        continue;
+                    }
+                    posting.push(rid);
+                }
+                _ => {
+                    keys.push(key);
+                    postings.push(vec![rid]);
+                }
+            }
+            entry_count += 1;
+        }
+        if keys.is_empty() {
+            return BTreeIndex::new();
+        }
+
+        // Leaves: `(node id, first key)` per node of the current level.
+        let mut nodes = Vec::new();
+        let mut level: Vec<(usize, IndexKey)> = Vec::new();
+        let mut keys = keys.into_iter();
+        let mut postings = postings.into_iter();
+        for size in even_chunks(keys.len(), ORDER) {
+            let leaf_keys: Vec<IndexKey> = keys.by_ref().take(size).collect();
+            let first = leaf_keys[0].clone();
+            let id = nodes.len();
+            if let Some(Node::Leaf { next, .. }) = nodes.last_mut() {
+                *next = Some(id);
+            }
+            nodes.push(Node::Leaf {
+                keys: leaf_keys,
+                postings: postings.by_ref().take(size).collect(),
+                next: None,
+            });
+            level.push((id, first));
+        }
+        // Internal levels: each node takes up to ORDER + 1 children, and
+        // the first key of every child but its first separates them.
+        while level.len() > 1 {
+            let mut parents = Vec::new();
+            let mut below = level.into_iter();
+            for size in even_chunks(below.len(), ORDER + 1) {
+                let mut group = below.by_ref().take(size);
+                let (first_child, first) = group.next().expect("chunks are non-empty");
+                let mut children = vec![first_child];
+                let mut keys = Vec::with_capacity(size - 1);
+                for (child, key) in group {
+                    children.push(child);
+                    keys.push(key);
+                }
+                parents.push((nodes.len(), first));
+                nodes.push(Node::Internal { keys, children });
+            }
+            level = parents;
+        }
+        BTreeIndex {
+            root: level[0].0,
+            nodes,
+            entries: entry_count,
         }
     }
 
@@ -360,6 +445,13 @@ impl BTreeIndex {
         self.nodes.push(right);
         InsertOutcome::Split(sep, new_id)
     }
+}
+
+/// Split `n` items into the fewest chunks of at most `cap`, sized within
+/// one of each other.
+fn even_chunks(n: usize, cap: usize) -> impl Iterator<Item = usize> {
+    let count = n.div_ceil(cap);
+    (0..count).map(move |i| n / count + usize::from(i < n % count))
 }
 
 fn clone_bound(b: Bound<&[Value]>) -> Bound<IndexKey> {
@@ -662,6 +754,125 @@ mod tests {
             .map(|(k, _)| k[0].as_int().unwrap())
             .collect();
         assert_eq!(rest, vec![199, 199]);
+    }
+
+    /// A sorted copy of `entries`, ready for [`BTreeIndex::from_sorted`].
+    fn sorted(entries: &[(IndexKey, RowId)]) -> Vec<(IndexKey, RowId)> {
+        let mut out = entries.to_vec();
+        out.sort_unstable();
+        out
+    }
+
+    /// Every `(key, rid)` pair in key order.
+    fn all(idx: &BTreeIndex) -> Vec<(IndexKey, RowId)> {
+        idx.iter().map(|(k, r)| (k.to_vec(), r)).collect()
+    }
+
+    #[test]
+    fn bulk_load_of_nothing_is_the_empty_index() {
+        let idx = BTreeIndex::from_sorted(Vec::new());
+        assert!(idx.is_empty());
+        assert_eq!(idx.depth(), 1);
+        assert_eq!(idx.iter().count(), 0);
+    }
+
+    #[test]
+    fn bulk_load_builds_every_level_and_keeps_duplicates_once() {
+        // 5000 keys over 32-key leaves need three levels.
+        let mut entries: Vec<(IndexKey, RowId)> =
+            (0..5000i64).map(|i| (k1(i), rid(i as u64))).collect();
+        entries.push((k1(7), rid(1)));
+        entries.push((k1(7), rid(7)));
+        let entries = sorted(&entries);
+        let idx = BTreeIndex::from_sorted(entries.clone());
+        assert_eq!(idx.depth(), 3);
+        assert_eq!(idx.len(), 5001);
+        assert_eq!(idx.get(&k1(7)), &[rid(1), rid(7)]);
+        let mut inserted = BTreeIndex::new();
+        for (k, r) in entries {
+            inserted.insert(k, r);
+        }
+        assert_eq!(all(&idx), all(&inserted));
+        for i in [-1i64, 0, 31, 32, 33, 1056, 4999, 5000] {
+            assert_eq!(idx.get(&k1(i)), inserted.get(&k1(i)), "key {i}");
+        }
+    }
+
+    /// A composite `(Int, Text)` key; a narrow `a` range gives long runs
+    /// of one prefix, a wide one gives trees three levels deep.
+    fn arb_entry(a: std::ops::Range<i64>, rids: u64) -> impl Strategy<Value = (i64, u8, u64)> {
+        (a, 0u8..4, 0u64..rids)
+    }
+
+    fn key(a: i64, t: u8) -> IndexKey {
+        vec![
+            Value::Int(a),
+            Value::Text(["", "a", "ab", "b"][t as usize].into()),
+        ]
+    }
+
+    /// The two trees agree on `iter`, `len`, every exact key's postings,
+    /// and prefix-bound ranges around `probe`.
+    fn assert_same_index(bulk: &BTreeIndex, inserted: &BTreeIndex, probe: i64) {
+        assert_eq!(all(bulk), all(inserted));
+        assert_eq!(bulk.len(), inserted.len());
+        for (k, _) in inserted.iter() {
+            assert_eq!(bulk.get(k), inserted.get(k), "key {k:?}");
+        }
+        assert_eq!(bulk.get(&key(probe, 0)), inserted.get(&key(probe, 0)));
+        let (p, full) = (k1(probe), key(probe, 2));
+        let (p, full) = (p.as_slice(), full.as_slice());
+        let ranges = [
+            (Bound::Included(p), Bound::Included(p)),
+            (Bound::Excluded(p), Bound::Unbounded),
+            (Bound::Unbounded, Bound::Excluded(p)),
+            (Bound::Included(full), Bound::Included(p)),
+        ];
+        for (lo, hi) in ranges {
+            let got: Vec<_> = bulk.range(lo, hi).map(|(k, r)| (k.to_vec(), r)).collect();
+            let want: Vec<_> = inserted
+                .range(lo, hi)
+                .map(|(k, r)| (k.to_vec(), r))
+                .collect();
+            assert_eq!(got, want, "range {lo:?}..{hi:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A bulk-loaded tree is the insert-built tree: on composite keys
+        /// with duplicate pairs and many row ids per key, both answer
+        /// `iter`, `get` and prefix `range` alike, and keep doing so
+        /// through later inserts and removes on both.
+        #[test]
+        fn prop_bulk_load_matches_insert_built(
+            wide in proptest::collection::vec(arb_entry(-400..400, 4), 0..2400),
+            narrow in proptest::collection::vec(arb_entry(-3..3, 64), 0..400),
+            ops in proptest::collection::vec((any::<bool>(), arb_entry(-400..400, 4)), 0..400),
+            probe in -400i64..400,
+        ) {
+            let entries: Vec<(IndexKey, RowId)> = wide
+                .iter()
+                .chain(&narrow)
+                .map(|&(a, t, r)| (key(a, t), rid(r)))
+                .collect();
+            let mut inserted = BTreeIndex::new();
+            for (k, r) in &entries {
+                inserted.insert(k.clone(), *r);
+            }
+            let mut bulk = BTreeIndex::from_sorted(sorted(&entries));
+            assert_same_index(&bulk, &inserted, probe);
+            for (is_insert, (a, t, r)) in ops {
+                let (k, r) = (key(a, t), rid(r));
+                if is_insert {
+                    prop_assert_eq!(bulk.insert(k.clone(), r), inserted.insert(k, r));
+                } else {
+                    prop_assert_eq!(bulk.remove(&k, r), inserted.remove(&k, r));
+                }
+            }
+            assert_same_index(&bulk, &inserted, probe);
+        }
     }
 
     proptest! {

@@ -13,8 +13,11 @@
 //!
 //! [`Database::open`] reads `CURRENT` (0 if absent), restores that
 //! generation's snapshot into the working file, and replays its WAL's
-//! committed transactions through the ordinary heap and catalog code paths;
-//! secondary indexes are then rebuilt by scanning the heaps.
+//! committed transactions through the ordinary heap and catalog code paths.
+//! Secondary indexes are not persisted: open rebuilds them from the heaps,
+//! one walk per table that decodes each record in place and collects the
+//! keys of all the table's indexes, which are then sorted and bulk-loaded
+//! bottom-up ([`BTreeIndex::from_sorted`]).
 //!
 //! [`Database::checkpoint`] flushes all pages, durably writes generation
 //! `G+1`'s snapshot and a fresh empty WAL under their *new* names, and only
@@ -26,6 +29,18 @@
 //! files are deleted only after the swing, as best-effort garbage
 //! collection.
 //!
+//! Checkpoints also run on their own, so reopening replays only the log's
+//! tail, not the store's whole history. As each write transaction starts
+//! (an explicit `BEGIN` or an autocommit statement), and never while one
+//! is open, the database checkpoints first if the durable log
+//! holds at least `max(1 MiB, page-file bytes)`. The check reads a byte
+//! count the WAL keeps as it writes, so it costs no syscall. If that
+//! checkpoint fails, the write fails before touching anything. Because
+//! the bound grows with the page file, each checkpoint copies at most as
+//! many bytes as the log it retires: at most one copied byte per logged
+//! byte, and on a growing store (where the log grows about as fast as
+//! the page file) copies that add up to about twice the final page file.
+//!
 //! In-memory databases ([`Database::in_memory`]) run the identical
 //! machinery over volatile backends. [`Database::open_with_faults`] routes
 //! every page and WAL I/O op through a [`crate::fault::FaultInjector`],
@@ -36,7 +51,7 @@ use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
 use crate::audit_bridge::{AuditBridge, ViolationStats};
-use crate::btree::BTreeIndex;
+use crate::btree::{BTreeIndex, IndexKey};
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, IndexId, TableId};
 use crate::disk::{sync_dir, FileStore, MemStore, PageStore};
@@ -45,6 +60,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{execute, ExecContext, Plan, ResultSet};
 use crate::fault::{retry_transient, FaultInjector, FaultStore, RetryPolicy};
 use crate::heap::TableHeap;
+use crate::page::PAGE_SIZE;
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::sql::ast::Statement;
@@ -52,6 +68,10 @@ use crate::sql::{bind_delete, bind_insert, bind_select, bind_select_with, bind_u
 use crate::txn::{TxnManager, UndoOp};
 use crate::value::Value;
 use crate::wal::{Wal, WalRecord};
+
+/// Durable log bytes below which no automatic checkpoint runs, however
+/// small the page file (see [`Database::checkpoint_if_due`]).
+const CHECKPOINT_FLOOR: u64 = 1 << 20;
 
 /// A relational database instance.
 pub struct Database {
@@ -61,7 +81,8 @@ pub struct Database {
     wal: Wal,
     txn: TxnManager,
     dir: Option<PathBuf>,
-    /// Live checkpoint generation (what `CURRENT` points at).
+    /// Live checkpoint generation (what `CURRENT` points at; in memory,
+    /// the number of checkpoints run).
     generation: u64,
     /// Failpoints threaded through every page/WAL op when fault-injecting.
     faults: Option<FaultInjector>,
@@ -205,7 +226,13 @@ impl Database {
             violation_stats: None,
         };
         db.recover()?;
-        db.rebuild_indexes()?;
+        let tables: Vec<TableId> = db.catalog.tables().iter().map(|t| t.id).collect();
+        for table in tables {
+            db.rebuild_indexes(table)?;
+        }
+        if db.indexes.len() != db.catalog.indexes().len() {
+            return Err(DbError::Catalog("index references dropped table".into()));
+        }
         Ok(db)
     }
 
@@ -217,7 +244,8 @@ impl Database {
         self.pool.set_retry_policy(retry);
     }
 
-    /// The live checkpoint generation.
+    /// The live checkpoint generation: what `CURRENT` points at, or, in
+    /// memory, how many checkpoints have run.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -299,22 +327,48 @@ impl Database {
         Ok(())
     }
 
-    /// Rebuild every secondary index by scanning its table's heap.
-    fn rebuild_indexes(&mut self) -> DbResult<()> {
-        self.indexes.clear();
-        let index_list: Vec<_> = self.catalog.indexes().to_vec();
-        for meta in index_list {
-            let mut btree = BTreeIndex::new();
-            let table = self
-                .catalog
-                .table_by_id(meta.table)
-                .ok_or_else(|| DbError::Catalog("index references dropped table".into()))?;
-            table.heap.for_each(&mut self.pool, |rid, bytes| {
-                let row = decode_row(bytes)?;
-                btree.insert(index_key_checked(&meta.columns, &row)?, rid);
-                Ok(())
-            })?;
-            self.indexes.insert(meta.id, btree);
+    /// Build every secondary index of `table` from its heap, replacing
+    /// the trees it had: one walk decodes each record in place
+    /// ([`decode_row_ref`]) and collects every index's `(key, rid)`
+    /// entries, which are then sorted and bulk-loaded
+    /// ([`BTreeIndex::from_sorted`]). A record narrower than an indexed
+    /// column is corruption, not a panic: the rows come straight off disk.
+    fn rebuild_indexes(&mut self, table: TableId) -> DbResult<()> {
+        let metas: Vec<(IndexId, Vec<usize>)> = self
+            .catalog
+            .indexes_for(table)
+            .map(|m| (m.id, m.columns.clone()))
+            .collect();
+        if metas.is_empty() {
+            return Ok(());
+        }
+        let heap = self
+            .catalog
+            .table_by_id(table)
+            .ok_or_else(|| DbError::Catalog("unknown table id".into()))?
+            .heap;
+        let mut entries: Vec<Vec<(IndexKey, RowId)>> = vec![Vec::new(); metas.len()];
+        let mut spare: Vec<ValueRef<'static>> = Vec::new();
+        heap.for_each(&mut self.pool, |rid, bytes| {
+            let mut values = recycle(std::mem::take(&mut spare));
+            decode_row_ref(bytes, &mut values)?;
+            for ((_, columns), out) in metas.iter().zip(&mut entries) {
+                let key = columns
+                    .iter()
+                    .map(|&c| {
+                        values.get(c).map(|&v| Value::from(v)).ok_or_else(|| {
+                            DbError::Corruption("row narrower than index column".into())
+                        })
+                    })
+                    .collect::<DbResult<IndexKey>>()?;
+                out.push((key, rid));
+            }
+            spare = recycle(values);
+            Ok(())
+        })?;
+        for ((id, _), mut entries) in metas.into_iter().zip(entries) {
+            entries.sort_unstable();
+            self.indexes.insert(id, BTreeIndex::from_sorted(entries));
         }
         Ok(())
     }
@@ -329,7 +383,9 @@ impl Database {
     pub fn checkpoint(&mut self) -> DbResult<()> {
         self.pool.flush_all()?; // per-op transient retry inside the pool
         let Some(dir) = self.dir.clone() else {
-            return self.wal.truncate(); // truncate preserves the LSN clock
+            self.wal.truncate()?; // truncate preserves the LSN clock
+            self.generation += 1;
+            return Ok(());
         };
         let next = self.generation + 1;
         // 1. Write generation G+1's snapshot durably under its new names.
@@ -461,11 +517,7 @@ impl Database {
                 })?;
                 Ok(ExecOutcome { rows_affected: n })
             }
-            Statement::Begin => {
-                let id = self.txn.begin()?;
-                self.wal.append(&WalRecord::Begin { txn: id });
-                Ok(ExecOutcome { rows_affected: 0 })
-            }
+            Statement::Begin => self.begin().map(|_| ExecOutcome { rows_affected: 0 }),
             Statement::Commit => self.commit().map(|_| ExecOutcome { rows_affected: 0 }),
             Statement::Rollback => self.rollback().map(|_| ExecOutcome { rows_affected: 0 }),
         }
@@ -581,19 +633,9 @@ impl Database {
         let id = self
             .catalog
             .create_index(name, table_id, col_idxs.clone())?;
-        // Build from current contents.
-        let heap = self
-            .catalog
-            .table_by_id(table_id)
-            .expect("just looked up")
-            .heap;
-        let mut btree = BTreeIndex::new();
-        heap.for_each(&mut self.pool, |rid, bytes| {
-            let row = decode_row(bytes)?;
-            btree.insert(index_key(&col_idxs, &row), rid);
-            Ok(())
-        })?;
-        self.indexes.insert(id, btree);
+        // Build from current contents (the table's other indexes are
+        // re-packed in the same heap walk).
+        self.rebuild_indexes(table_id)?;
         self.wal.append(&WalRecord::CreateIndex {
             name: name.to_string(),
             table: table.to_string(),
@@ -775,31 +817,17 @@ impl Database {
             .heap = new_heap;
         self.wal.append(&WalRecord::Commit { txn: txn_id });
         self.sync_wal()?;
-        self.rebuild_indexes_for(table_id)?;
+        self.rebuild_indexes(table_id)?;
         Ok(n)
     }
 
-    fn rebuild_indexes_for(&mut self, table: TableId) -> DbResult<()> {
-        let metas: Vec<_> = self.catalog.indexes_for(table).cloned().collect();
-        let heap = self
-            .catalog
-            .table_by_id(table)
-            .ok_or_else(|| DbError::Catalog("unknown table id".into()))?
-            .heap;
-        for meta in metas {
-            let mut btree = BTreeIndex::new();
-            heap.for_each(&mut self.pool, |rid, bytes| {
-                let row = decode_row(bytes)?;
-                btree.insert(index_key_checked(&meta.columns, &row)?, rid);
-                Ok(())
-            })?;
-            self.indexes.insert(meta.id, btree);
-        }
-        Ok(())
-    }
-
-    /// Begin an explicit transaction.
+    /// Begin an explicit transaction. Like every write transaction, it
+    /// first runs [`Database::checkpoint`] if the durable log has reached
+    /// the automatic-checkpoint bound (see the module docs).
     pub fn begin(&mut self) -> DbResult<()> {
+        if !self.txn.in_txn() {
+            self.checkpoint_if_due()?;
+        }
         let id = self.txn.begin()?;
         self.wal.append(&WalRecord::Begin { txn: id });
         Ok(())
@@ -839,8 +867,24 @@ impl Database {
         retry_transient(self.retry, || self.wal.sync())
     }
 
+    /// Run [`Database::checkpoint`] if the durable log holds at least
+    /// `max(CHECKPOINT_FLOOR, page-file bytes)`. Called as each write
+    /// transaction starts (explicit or autocommit), never while one is
+    /// open, so a checkpoint always snapshots committed state; an
+    /// error fails the new write before it touches anything. Scaling the
+    /// trigger with the page file makes each checkpoint's copy at most
+    /// the log it retires.
+    fn checkpoint_if_due(&mut self) -> DbResult<()> {
+        let page_bytes = self.pool.num_pages() * PAGE_SIZE as u64;
+        if self.wal.durable_len() >= CHECKPOINT_FLOOR.max(page_bytes) {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
     /// Run `body` under the open transaction if there is one, else under a
-    /// fresh autocommit transaction (Begin/Commit logged around it, synced).
+    /// fresh autocommit transaction (Begin/Commit logged around it, synced),
+    /// after an automatic checkpoint if one is due.
     fn with_statement_txn(
         &mut self,
         body: impl FnOnce(&mut Database, u64) -> DbResult<()>,
@@ -849,6 +893,7 @@ impl Database {
             let id = self.txn.active().expect("checked").id;
             body(self, id)
         } else {
+            self.checkpoint_if_due()?;
             let id = self.txn.autocommit_id();
             self.wal.append(&WalRecord::Begin { txn: id });
             body(self, id)?;
@@ -1089,19 +1134,6 @@ fn recycle<'b>(mut values: Vec<ValueRef<'_>>) -> Vec<ValueRef<'b>> {
 /// Columns are trusted in-range (hot path: every index-maintaining write).
 fn index_key(columns: &[usize], row: &Row) -> Vec<Value> {
     columns.iter().map(|&c| row.values[c].clone()).collect()
-}
-
-/// [`index_key`] with bounds checking, for rebuild paths that read rows
-/// straight off disk and must not panic on a corrupt narrow row.
-fn index_key_checked(columns: &[usize], row: &Row) -> DbResult<Vec<Value>> {
-    columns
-        .iter()
-        .map(|&c| {
-            row.get(c)
-                .cloned()
-                .ok_or_else(|| DbError::Corruption("row narrower than index column".into()))
-        })
-        .collect()
 }
 
 /// Render `plan` one operator per line at two-space indents, resolving
@@ -1887,6 +1919,180 @@ mod tests {
         db.execute("BEGIN").unwrap();
         assert!(db.vacuum("t").is_err());
         db.execute("ROLLBACK").unwrap();
+    }
+
+    /// Run one write statement and check the automatic checkpoint rule
+    /// around it: a checkpoint runs first exactly when the durable log
+    /// had reached `max(CHECKPOINT_FLOOR, page-file bytes)`, so the log
+    /// never ends a statement above that bound plus the statement's own
+    /// frames. Returns the bound in force when a checkpoint ran.
+    fn write_checked(db: &mut Database, sql: &str) -> Option<u64> {
+        let due = CHECKPOINT_FLOOR.max(db.pool.num_pages() * PAGE_SIZE as u64);
+        let (before, generation) = (db.wal.durable_len(), db.generation());
+        db.execute(sql).unwrap();
+        let after = db.wal.durable_len();
+        let checkpointed = db.generation() != generation;
+        assert_eq!(
+            checkpointed,
+            before >= due,
+            "{before} log bytes against {due}"
+        );
+        let own = if checkpointed { after } else { after - before };
+        assert!(
+            after <= due + own,
+            "{after} log bytes against {due} + {own}"
+        );
+        checkpointed.then_some(due)
+    }
+
+    /// Load `rows` padded rows under an index, then rewrite the first
+    /// `touched` of them in place `rounds` times: the log grows while the
+    /// page file barely does. Returns the bound in force at each
+    /// automatic checkpoint.
+    fn write_past_the_floor(
+        db: &mut Database,
+        rows: usize,
+        touched: usize,
+        rounds: usize,
+    ) -> Vec<u64> {
+        let pad = "x".repeat(200);
+        let mut fired = Vec::new();
+        fired.extend(write_checked(db, "CREATE TABLE t (id INT, v TEXT)"));
+        fired.extend(write_checked(db, "CREATE INDEX t_id ON t (id)"));
+        for first in (0..rows).step_by(500) {
+            let values: Vec<String> = (first..rows.min(first + 500))
+                .map(|i| format!("({i}, '{pad}')"))
+                .collect();
+            let sql = format!("INSERT INTO t VALUES {}", values.join(", "));
+            fired.extend(write_checked(db, &sql));
+        }
+        for round in 0..rounds {
+            let sql = format!(
+                "UPDATE t SET v = '{round:03}{}' WHERE id < {touched}",
+                &pad[3..]
+            );
+            fired.extend(write_checked(db, &sql));
+        }
+        fired
+    }
+
+    /// What [`write_past_the_floor`] leaves: the touched rows as the
+    /// last round wrote them, the rest as loaded.
+    fn floor_contents(rows: usize, touched: usize, rounds: usize) -> Vec<(i64, String)> {
+        let last = format!("{:03}{}", rounds - 1, "x".repeat(197));
+        (0..rows)
+            .map(|i| {
+                let v = if i < touched {
+                    last.clone()
+                } else {
+                    "x".repeat(200)
+                };
+                (i as i64, v)
+            })
+            .collect()
+    }
+
+    fn contents(db: &mut Database) -> Vec<(i64, String)> {
+        let rs = db.query("SELECT id, v FROM t ORDER BY id").unwrap();
+        rs.rows
+            .iter()
+            .map(|r| {
+                let v = r.values[1].as_text().unwrap().to_string();
+                (r.values[0].as_int().unwrap(), v)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn automatic_checkpoints_bound_the_log_in_memory() {
+        let mut db = Database::in_memory();
+        let fired = write_past_the_floor(&mut db, 200, 200, 70);
+        assert!(fired.len() >= 2, "{fired:?}");
+        assert_eq!(db.generation(), fired.len() as u64, "no explicit call");
+        assert_eq!(contents(&mut db), floor_contents(200, 200, 70));
+        assert_eq!(
+            query_scalar(&mut db, "SELECT v FROM t WHERE id = 17").unwrap(),
+            Value::Text(floor_contents(200, 200, 70)[17].1.clone())
+        );
+    }
+
+    #[test]
+    fn automatic_checkpoint_bound_grows_with_the_page_file() {
+        // 6000 padded rows make a page file past the floor; rewriting 500
+        // of them at a time then steps the log past the floor well before
+        // it reaches the page file, which is when the checkpoint runs.
+        let mut db = Database::in_memory();
+        let fired = write_past_the_floor(&mut db, 6000, 500, 30);
+        let past_floor = fired.iter().filter(|&&due| due > CHECKPOINT_FLOOR).count();
+        assert!(past_floor >= 2, "{fired:?}");
+        assert_eq!(contents(&mut db), floor_contents(6000, 500, 30));
+    }
+
+    #[test]
+    fn automatic_checkpoints_bound_the_log_and_reopen_identically() {
+        let dir = temp_dir("auto-checkpoint");
+        let (generation, written) = {
+            let mut db = Database::open(&dir).unwrap();
+            let fired = write_past_the_floor(&mut db, 200, 200, 70);
+            assert!(fired.len() >= 2, "{fired:?}");
+            assert_eq!(db.generation(), fired.len() as u64, "no explicit call");
+            (db.generation(), contents(&mut db))
+        };
+        assert_eq!(written, floor_contents(200, 200, 70));
+        assert_eq!(read_current(&dir).unwrap(), generation);
+        assert!(!wal_path(&dir, generation - 1).exists(), "retired log kept");
+        let mut db = Database::open(&dir).unwrap();
+        assert!(
+            db.wal.durable_len() < CHECKPOINT_FLOOR,
+            "reopen replays the tail only"
+        );
+        assert_eq!(contents(&mut db), written);
+        let plan = db.explain("SELECT v FROM t WHERE id = 17").unwrap();
+        assert!(plan.contains("IndexScan t via t_id"), "{plan}");
+        assert_eq!(
+            query_scalar(&mut db, "SELECT v FROM t WHERE id = 17").unwrap(),
+            Value::Text(written[17].1.clone())
+        );
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn explicit_transactions_never_checkpoint_midway() {
+        let dir = temp_dir("txn-checkpoint");
+        let mut db = Database::open(&dir).unwrap();
+        write_past_the_floor(&mut db, 200, 200, 1);
+        let committed = contents(&mut db);
+        db.execute("BEGIN").unwrap();
+        let generation = db.generation();
+        let pad = "y".repeat(200);
+        for _ in 0..30 {
+            db.execute(&format!("UPDATE t SET v = '{pad}'")).unwrap();
+        }
+        // DDL syncs the log, open transaction's frames included, so the
+        // durable log is past the floor while the transaction is open.
+        db.execute("CREATE TABLE side (k INT)").unwrap();
+        assert!(db.wal.durable_len() >= CHECKPOINT_FLOOR);
+        db.execute("UPDATE t SET v = 'midway' WHERE id = 3")
+            .unwrap();
+        assert_eq!(
+            db.generation(),
+            generation,
+            "checkpoint inside a transaction"
+        );
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(db.generation(), generation);
+        // The next transaction pays for the overdue checkpoint first, and
+        // it snapshots the rolled-back state.
+        db.execute("BEGIN").unwrap();
+        assert_eq!(db.generation(), generation + 1);
+        db.execute("COMMIT").unwrap();
+        assert_eq!(contents(&mut db), committed);
+        drop(db);
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(contents(&mut db), committed);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

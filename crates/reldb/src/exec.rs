@@ -114,7 +114,8 @@ pub enum Plan {
     /// Scan of `_qpv_violations` answered from the bridge's maintained
     /// live index ([`AuditBridge::violations_indexed`]): `O(log n +
     /// answer)` posting lookups instead of re-scoring candidates. Chosen
-    /// by the binder only when the registered [`ViolationStats`] say the
+    /// by the binder only when the registered
+    /// [`ViolationStats`](crate::audit_bridge::ViolationStats) say the
     /// bridge is index-backed. An index-backed bridge returns exactly
     /// the rows within the provider bounds and, with `attr`, exactly
     /// those witnessed on it. The full predicate is still re-applied by

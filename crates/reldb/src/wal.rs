@@ -14,7 +14,13 @@
 //!
 //! A torn tail (crash mid-append) is detected by length/checksum validation
 //! and cleanly ignored: replay stops at the first invalid frame, which is
-//! exactly the prefix-durability WAL semantics require.
+//! exactly the prefix-durability WAL semantics require. The next durable
+//! write cuts the invalid bytes off before it appends, so frames committed
+//! after a recovery land where later replays reach them.
+//!
+//! The log counts its valid durable bytes as it writes them
+//! ([`Wal::durable_len`]); the database's automatic checkpoint reads that
+//! count at every write transaction without a syscall.
 //!
 //! ## LSNs
 //!
@@ -456,6 +462,14 @@ pub struct Wal {
     /// since then carry `end_lsn + 1`; a successful [`Wal::sync`] with a
     /// non-empty batch advances this. Monotone for the life of the value.
     end_lsn: u64,
+    /// Bytes of valid, durably synced frames: where the next batch lands.
+    /// Kept in step with every write, so reading it costs no syscall.
+    durable: u64,
+    /// Whether bytes past `durable` sit in the file (a torn or corrupt
+    /// tail [`Wal::replay`] stopped at). The next durable write cuts them
+    /// off first; appending behind them would hide the new frames from
+    /// every later replay.
+    stale_tail: bool,
 }
 
 impl Wal {
@@ -468,6 +482,8 @@ impl Wal {
             path: None,
             injector: None,
             end_lsn: 0,
+            durable: 0,
+            stale_tail: false,
         }
     }
 
@@ -492,12 +508,15 @@ impl Wal {
         if created {
             sync_dir(path)?;
         }
+        let durable = file.metadata()?.len();
         Ok(Wal {
             backend: WalBackend::File(file),
             pending: Vec::new(),
             path: Some(path.to_path_buf()),
             injector,
             end_lsn: 0,
+            durable,
+            stale_tail: false,
         })
     }
 
@@ -561,16 +580,25 @@ impl Wal {
         Ok(())
     }
 
-    /// Append `bytes` to the durable log and fsync.
+    /// Append `bytes` to the durable log, after its last valid frame, and
+    /// fsync.
     fn write_durable(&mut self, bytes: &[u8]) -> DbResult<()> {
         match &mut self.backend {
-            WalBackend::Memory(buf) => buf.extend_from_slice(bytes),
+            WalBackend::Memory(buf) => {
+                buf.truncate(self.durable as usize);
+                buf.extend_from_slice(bytes);
+            }
             WalBackend::File(file) => {
-                file.seek(SeekFrom::End(0))?;
+                if self.stale_tail {
+                    file.set_len(self.durable)?;
+                    self.stale_tail = false;
+                }
+                file.seek(SeekFrom::Start(self.durable))?;
                 file.write_all(bytes)?;
                 file.sync_data()?;
             }
         }
+        self.durable += bytes.len() as u64;
         Ok(())
     }
 
@@ -620,6 +648,8 @@ impl Wal {
             self.end_lsn = self.end_lsn.max(lsn);
             slice = &slice[16 + len..];
         }
+        self.durable = (bytes.len() - slice.len()) as u64;
+        self.stale_tail = !slice.is_empty();
         Ok(records)
     }
 
@@ -646,10 +676,20 @@ impl Wal {
                 }
             }
         }
+        self.durable = 0;
+        self.stale_tail = false;
         Ok(())
     }
 
-    /// Bytes durably in the log (diagnostics).
+    /// Bytes of valid frames durably in the log, counted as they are
+    /// written (no syscall): what the automatic checkpoint rule reads.
+    /// Before the first [`Wal::replay`] of an opened file this is the
+    /// file's length, torn tail included.
+    pub fn durable_len(&self) -> u64 {
+        self.durable
+    }
+
+    /// Bytes in the log's medium, stale tail included (diagnostics).
     pub fn len(&self) -> u64 {
         match &self.backend {
             WalBackend::Memory(buf) => buf.len() as u64,
@@ -794,6 +834,54 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         assert_eq!(wal.replay().unwrap(), sample_records());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn frames_written_after_a_torn_tail_survive_the_next_replay() {
+        let dir = std::env::temp_dir().join(format!("qpv-wal-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-torn.log");
+        let _ = std::fs::remove_file(&path);
+        let first = WalRecord::Begin { txn: 1 };
+        let second = WalRecord::Commit { txn: 1 };
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&first);
+            wal.sync().unwrap();
+        }
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&[0x10, 0x00, 0x00, 0x00, 0xde, 0xad]).unwrap();
+        }
+        {
+            // Recover past the torn half-frame, then commit more.
+            let mut wal = Wal::open(&path).unwrap();
+            assert_eq!(wal.replay().unwrap(), vec![first.clone()]);
+            let valid = wal.durable_len();
+            wal.append(&second);
+            wal.sync().unwrap();
+            assert_eq!(wal.len(), wal.durable_len());
+            assert!(wal.durable_len() > valid);
+        }
+        // The new frame landed on the valid prefix, not behind the torn
+        // bytes where replay would never reach it.
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.replay().unwrap(), vec![first, second]);
+        assert_eq!(wal.durable_len(), wal.len());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn durable_len_counts_synced_bytes_without_a_syscall() {
+        let mut wal = Wal::in_memory();
+        assert_eq!(wal.durable_len(), 0);
+        wal.append(&WalRecord::Begin { txn: 1 });
+        assert_eq!(wal.durable_len(), 0, "pending frames are not durable");
+        wal.sync().unwrap();
+        assert_eq!(wal.durable_len(), wal.len());
+        assert!(wal.durable_len() > 0);
+        wal.truncate().unwrap();
+        assert_eq!(wal.durable_len(), 0);
     }
 
     #[test]

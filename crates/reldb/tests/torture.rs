@@ -4,7 +4,9 @@
 //!
 //! 1. Run the scripted workload — DDL, autocommit DML, vacuums, an
 //!    explicit committed transaction, an explicit aborted transaction, a
-//!    checkpoint, and post-checkpoint writes — on an in-memory twin,
+//!    checkpoint, post-checkpoint writes, and a transaction that pushes
+//!    the log past the automatic-checkpoint floor so the next statement
+//!    checkpoints on its own — on an in-memory twin,
 //!    capturing the sorted table contents after every step
 //!    (`model[k]` = state after `k` fully-acknowledged steps).
 //! 2. Dry-run the workload on disk under a never-faulting injector to
@@ -84,6 +86,21 @@ fn workload() -> Vec<Step> {
     let ins1: &'static str = Box::leak(bulk_insert(0, 120).into_boxed_str());
     let ins2: &'static str = Box::leak(bulk_insert(120, 120).into_boxed_str());
     let ins3: &'static str = Box::leak(bulk_insert(240, 120).into_boxed_str());
+    // Six 3000-byte rows: each UPDATE of them logs ~18 KB in place, so 64
+    // in one transaction leave the log well past the 1 MiB floor (the
+    // page file stays far below it) for the next write to retire. Few,
+    // wide rows keep the per-crash-point cost of the push small.
+    let wide = |tag: &str| format!("'{tag}-{}'", "w".repeat(3000));
+    let fill: Vec<String> = (0..6).map(|k| format!("({k}, {})", wide("fill"))).collect();
+    let fill = format!("INSERT INTO w VALUES {}", fill.join(", "));
+    let fill: &'static str = Box::leak(fill.into_boxed_str());
+    let mut push: Vec<&'static str> = vec!["BEGIN"];
+    for round in 0..64 {
+        let stmt = format!("UPDATE w SET v = {}", wide(&format!("push{round:02}")));
+        push.push(Box::leak(stmt.into_boxed_str()));
+    }
+    push.push("COMMIT");
+    let push: &'static [&'static str] = Box::leak(push.into_boxed_slice());
     vec![
         sql("create-table", "CREATE TABLE t (id INT, v TEXT)"),
         sql("create-index", "CREATE INDEX t_id ON t (id)"),
@@ -126,6 +143,12 @@ fn workload() -> Vec<Step> {
             "UPDATE t SET v = 'late' WHERE id = 1000",
         ),
         sql("post-ckpt-delete", "DELETE FROM u WHERE k = 2"),
+        sql("create-table-wide", "CREATE TABLE w (k INT, v TEXT)"),
+        sql("insert-wide", fill),
+        batch("push-log-past-floor", push),
+        // Starts with an automatic checkpoint: its page flush, new log and
+        // `CURRENT` swing are crash points like any other.
+        sql("auto-checkpoint-insert", "INSERT INTO u VALUES (7)"),
         checkpoint("checkpoint-2"),
         sql("post-ckpt2-insert", "INSERT INTO u VALUES (9)"),
     ]
@@ -256,6 +279,8 @@ fn crash_at_every_io_op_preserves_committed_prefix() {
     let total_ops = dry.ops_seen();
     // The consistency probes below genuinely exercise the index path.
     let mut db = Database::open(&dry_dir).unwrap();
+    // Two explicit checkpoints plus the automatic one the log push set up.
+    assert_eq!(db.generation(), 3, "the automatic checkpoint never ran");
     let plan = db.explain("SELECT COUNT(*) FROM t WHERE id = 3").unwrap();
     assert!(plan.contains("IndexScan t via t_id"), "{plan}");
     assert_index_consistent(&mut db, "dry run");

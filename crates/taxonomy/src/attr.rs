@@ -1,7 +1,8 @@
 //! Interned attribute names.
 //!
 //! Attribute names cross the hot audit path the same way purpose names do:
-//! every violation witness carries one. [`AttrName`] mirrors [`Purpose`]'s
+//! every violation witness carries one. [`AttrName`] mirrors
+//! [`Purpose`](crate::purpose::Purpose)'s
 //! representation — an `Arc<str>` — so constructing a witness from a
 //! `SymbolTable` is a reference-count bump, not a string copy, while the
 //! serialized form stays a plain JSON string (byte-identical to the

@@ -6,6 +6,7 @@
 #                                   #   the end-to-end benchmark smoke)
 #   scripts/tier1.sh --bench        # gate + bench JSONs
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
+#                                   #   and every workspace test in release
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
 #   scripts/tier1.sh --concurrency  # gate + delta-handoff exactly-once
 #                                   #   property (release)
@@ -21,6 +22,10 @@
 #                                   #   equivalence/handoff/recovery suite +
 #                                   #   live-index bench smoke)
 #   scripts/tier1.sh --bench-smoke  # bench smoke stage only
+#
+# Besides fmt, clippy and the root package's tests, the default gate
+# builds the docs with warnings as errors (a broken intra-doc link
+# fails) and runs every workspace crate's tests in debug mode.
 #
 # The default gate also re-runs, in release mode, the row-decoder
 # properties and the reldb value-order and predicate properties (exact
@@ -149,11 +154,20 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs (broken intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== build (release) =="
 cargo build --release
 
 echo "== tests =="
 cargo test -q
+
+echo "== workspace tests (every crate's unit and integration tests) =="
+# `cargo test -q` above runs only the root package; the crates' own suites
+# (the reldb B+tree, WAL and automatic-checkpoint tests, the crash-torture
+# matrix in debug, the core equivalence suites) run here.
+cargo test -q --workspace
 
 echo "== plan equivalence (release) =="
 # The compiled-plan == string-path contract, re-checked under the exact
@@ -205,6 +219,10 @@ if [[ "${1:-}" == "--faults" ]]; then
     echo "== fault injection: WAL corruption properties (release) =="
     RUST_BACKTRACE=1 timeout "$FAULT_BUDGET" \
         cargo test -q --release -p qpv-reldb --test wal_corruption
+    echo "== workspace tests (release) =="
+    # Every suite again under the release optimizer, so a failure that
+    # only shows in optimized builds cannot hide behind the debug run.
+    RUST_BACKTRACE=1 cargo test -q --release --workspace
 fi
 
 if [[ "${1:-}" == "--monitor" ]]; then
