@@ -67,7 +67,7 @@ fn seeded_ppdb(n: usize) -> Ppdb {
         .expect("schema");
     let mut ppdb = Ppdb::create(
         Database::in_memory(),
-        PpdbConfig::new("people", "provider_id").with_delta_capacity(2 * n + 16),
+        PpdbConfig::new("people", "provider_id"),
         schema,
     )
     .expect("create ppdb");

@@ -73,8 +73,7 @@ fn seeded_ppdb(n: usize) -> Ppdb {
         .expect("schema");
     let mut ppdb = Ppdb::create(
         Database::in_memory(),
-        // The bench never drains the delta queue; size it for the load.
-        PpdbConfig::new("people", "provider_id").with_delta_capacity(2 * n + 16),
+        PpdbConfig::new("people", "provider_id"),
         schema,
     )
     .expect("create ppdb");

@@ -442,6 +442,12 @@ pub struct DeltaLog {
     dir: PathBuf,
     file: File,
     generation: u64,
+    /// Bytes of valid frames in this generation's log: where the next
+    /// durable write goes.
+    durable: u64,
+    /// The file holds bytes past `durable` (a torn tail recovery stopped
+    /// at); the next durable write cuts them off first.
+    stale_tail: bool,
     /// Encoded frames awaiting the next group commit.
     pending: Vec<u8>,
     pending_deltas: u64,
@@ -477,11 +483,13 @@ impl DeltaLog {
         write_snapshot_file(dir, 0, pop, &injector)?;
         create_empty_log(dir, 0, &injector)?;
         publish_current(dir, 0, &injector)?;
-        let file = OpenOptions::new().append(true).open(log_path(dir, 0))?;
+        let file = OpenOptions::new().write(true).open(log_path(dir, 0))?;
         Ok(DeltaLog {
             dir: dir.to_path_buf(),
             file,
             generation: 0,
+            durable: 0,
+            stale_tail: false,
             pending: Vec::new(),
             pending_deltas: 0,
             committed_deltas: 0,
@@ -512,7 +520,7 @@ impl DeltaLog {
             ))
         })?;
         let mut population = read_snapshot_file(dir, generation, &injector)?;
-        let deltas = Self::replay_frames(dir, generation, &injector)?;
+        let (deltas, durable, stale_tail) = Self::replay_frames(dir, generation, &injector)?;
         let mut ops_replayed = 0u64;
         let mut ops_skipped = 0u64;
         for delta in &deltas {
@@ -522,8 +530,11 @@ impl DeltaLog {
             })?;
             ops_skipped += outcome.skipped;
         }
+        // Recovery writes nothing: a torn tail stays on disk until the
+        // next durable write cuts it off, so recovering twice observes the
+        // same state.
         let file = OpenOptions::new()
-            .append(true)
+            .write(true)
             .open(log_path(dir, generation))?;
         let recovery = Recovery {
             population,
@@ -537,6 +548,8 @@ impl DeltaLog {
                 dir: dir.to_path_buf(),
                 file,
                 generation,
+                durable,
+                stale_tail,
                 pending: Vec::new(),
                 pending_deltas: 0,
                 committed_deltas: recovery.deltas_replayed,
@@ -548,12 +561,13 @@ impl DeltaLog {
 
     /// Read every valid delta frame of generation `g`, stopping cleanly at
     /// the first invalid frame (torn tail = prefix durability, exactly the
-    /// WAL's replay contract).
+    /// WAL's replay contract). Also returns the valid prefix's byte length
+    /// and whether bytes follow it.
     fn replay_frames(
         dir: &Path,
         generation: u64,
         injector: &Option<FaultInjector>,
-    ) -> DbResult<Vec<PopulationDelta>> {
+    ) -> DbResult<(Vec<PopulationDelta>, u64, bool)> {
         check_failpoint(injector, FaultOp::DeltaReplay)?;
         let bytes = std::fs::read(log_path(dir, generation))?;
         let mut deltas = Vec::new();
@@ -571,7 +585,8 @@ impl DeltaLog {
             deltas.push(decode_delta(payload)?);
             slice = &slice[8 + len..];
         }
-        Ok(deltas)
+        let durable = (bytes.len() - slice.len()) as u64;
+        Ok((deltas, durable, !slice.is_empty()))
     }
 
     /// Frame a delta into the group-commit buffer. Nothing is durable
@@ -614,10 +629,18 @@ impl DeltaLog {
         Ok(())
     }
 
+    /// Write `bytes` after the last valid frame and fsync. A torn tail
+    /// left by a crash is cut off first, so frames synced after recovery
+    /// never land behind garbage that the next recovery would stop at.
     fn write_durable(&mut self, bytes: &[u8]) -> DbResult<()> {
-        self.file.seek(SeekFrom::End(0))?;
+        if self.stale_tail {
+            self.file.set_len(self.durable)?;
+            self.stale_tail = false;
+        }
+        self.file.seek(SeekFrom::Start(self.durable))?;
         self.file.write_all(bytes)?;
         self.file.sync_data()?;
+        self.durable += bytes.len() as u64;
         Ok(())
     }
 
@@ -638,10 +661,12 @@ impl DeltaLog {
         publish_current(&self.dir, next, &self.injector)?;
         // Commit point passed: swing the handle, then GC.
         self.file = OpenOptions::new()
-            .append(true)
+            .write(true)
             .open(log_path(&self.dir, next))?;
         let old = self.generation;
         self.generation = next;
+        self.durable = 0;
+        self.stale_tail = false;
         self.committed_deltas = 0;
         let _ = std::fs::remove_file(snapshot_path(&self.dir, old));
         let _ = std::fs::remove_file(log_path(&self.dir, old));
@@ -1071,6 +1096,45 @@ mod tests {
         drop(log3);
         let (_, rec2) = DeltaLog::recover(&dir).unwrap();
         assert_eq!(rec2.deltas_replayed, 2, "pending frame was never synced");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A delta synced after recovering from a torn tail must survive the
+    /// next recovery: the garbage is cut off before the write, so the new
+    /// frame lands right after the last valid one.
+    #[test]
+    fn sync_after_torn_tail_recovery_survives_the_next_recovery() {
+        let dir = temp_dir("torn-then-sync");
+        let initial: Vec<ProviderProfile> = (0..3).map(|i| profile(i, 20)).collect();
+        let mut log = DeltaLog::create(&dir, &CompiledPopulation::from_profiles(&initial)).unwrap();
+        let d1 = PopulationDelta::new().set_threshold(ProviderId(0), 5);
+        log.append(&d1);
+        log.sync().unwrap();
+        drop(log);
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(log_path(&dir, 0))
+            .unwrap();
+        file.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x01, 0x02])
+            .unwrap();
+        drop(file);
+
+        let (mut log, rec) = DeltaLog::recover(&dir).unwrap();
+        assert_eq!(rec.deltas_replayed, 1, "the torn tail is ignored");
+        let d2 = PopulationDelta::new().set_threshold(ProviderId(1), 6);
+        log.append(&d2);
+        log.sync().unwrap();
+        drop(log);
+
+        let (_, rec) = DeltaLog::recover(&dir).unwrap();
+        assert_eq!(
+            rec.deltas_replayed, 2,
+            "the delta synced after recovery is kept"
+        );
+        let mut expected = initial.clone();
+        d1.apply_to_profiles(&mut expected);
+        d2.apply_to_profiles(&mut expected);
+        assert_eq!(report(&rec.population), report_of(&expected));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -77,7 +77,7 @@ pub use pop::{
     CompiledPopulation, DeltaError, DeltaOp, DeltaOutcome, PolicyOutcome, PopulationBuilder,
     PopulationDelta,
 };
-pub use ppdb::{AuditLogEntry, DeltaQueue, Ppdb, PpdbConfig, DEFAULT_DELTA_CAPACITY};
+pub use ppdb::{AuditLogEntry, DeltaQueue, Ppdb, PpdbConfig};
 pub use probability::{census_fraction, census_probability, estimate_probability};
 pub use profile::ProviderProfile;
 pub use selective::SelectiveAuditor;

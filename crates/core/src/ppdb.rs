@@ -49,22 +49,7 @@ pub struct PpdbConfig {
     pub data_table: String,
     /// The INT column identifying the provider in that table.
     pub provider_column: String,
-    /// Maximum pending (un-acked) delta ops before model-changing writes
-    /// are refused with [`DbError::Backpressure`]. Bounds the memory a
-    /// stalled delta consumer can pin and keeps replay-on-recovery time
-    /// proportional to the cap rather than to the outage length.
-    /// Unbounded by default ([`DEFAULT_DELTA_CAPACITY`]) so batch loads
-    /// that never consume deltas keep working; deployments with a live
-    /// consumer opt in via [`PpdbConfig::with_delta_capacity`].
-    pub delta_capacity: usize,
 }
-
-/// Default [`PpdbConfig::delta_capacity`]: effectively unbounded, the
-/// pre-backpressure behaviour. Callers with a delta consumer should set
-/// a real cap (a few times the consumer's batch size) so a wedged
-/// consumer surfaces as typed [`DbError::Backpressure`] instead of
-/// unbounded memory growth.
-pub const DEFAULT_DELTA_CAPACITY: usize = usize::MAX;
 
 impl PpdbConfig {
     /// Convenience constructor.
@@ -72,14 +57,7 @@ impl PpdbConfig {
         PpdbConfig {
             data_table: data_table.into(),
             provider_column: provider_column.into(),
-            delta_capacity: DEFAULT_DELTA_CAPACITY,
         }
-    }
-
-    /// Override the pending-delta backlog cap.
-    pub fn with_delta_capacity(mut self, capacity: usize) -> PpdbConfig {
-        self.delta_capacity = capacity;
-        self
     }
 }
 
@@ -100,25 +78,15 @@ impl PpdbConfig {
 /// apply simply never acks, so the ops stay pending and replayable — the
 /// older drain-then-apply `take_delta()` lost them on any apply error.
 ///
-/// Two robustness properties layer on top of that protocol:
+/// **Exactly-once consumption.** Every op carries a dense sequence
+/// number assigned at push time. A consumer that crashes *between*
+/// applying and acking re-peeks the same ops under the same seqs
+/// ([`Ppdb::peek_delta_seq`]) and skips the prefix it already applied,
+/// then acks with [`Ppdb::ack_delta_through`]: no op is lost (un-acked
+/// ops stay queued) and none is applied twice (seqs never repeat).
 ///
-/// * **Bounded backlog.** The queue holds at most
-///   [`PpdbConfig::delta_capacity`] un-acked ops. A model-changing write
-///   that would exceed the cap is refused with
-///   [`DbError::Backpressure`] *before* its storage transaction begins,
-///   so a full backlog never leaves durable state the delta stream
-///   cannot describe. The caller sheds load (or waits for the consumer)
-///   and retries; nothing is silently dropped.
-/// * **Exactly-once consumption.** Every op carries a monotone sequence
-///   number assigned at push time. A consumer that crashes *between*
-///   applying and acking re-peeks the same ops under the same seqs
-///   ([`Ppdb::peek_delta_seq`]) and skips the prefix it already applied,
-///   then acks with [`Ppdb::ack_delta_through`] — no op is lost (un-acked
-///   ops stay queued) and none is applied twice (seqs never repeat).
-///
-/// The queue itself is a cheaply clonable handle ([`Ppdb::delta_queue`])
-/// so a consumer thread can peek/ack concurrently with the writer; see
-/// [`DeltaQueue`].
+/// The queue is a plain value this `Ppdb` owns ([`Ppdb::delta_queue`]
+/// reads it); writer and consumers run on one thread, in turn.
 pub struct Ppdb {
     db: Database,
     config: PpdbConfig,
@@ -193,15 +161,12 @@ pub struct AuditLogEntry {
     pub p_default: f64,
 }
 
-/// A bounded, sequence-tagged queue of pending [`DeltaOp`]s shared
-/// between the [`Ppdb`] writer and its delta consumers.
+/// A sequence-tagged queue of pending [`DeltaOp`]s, owned by the
+/// [`Ppdb`] that pushes them.
 ///
-/// The handle is a cheap clone over shared state, so a consumer thread
-/// can hold one and peek/ack while the writer keeps pushing — neither
-/// side blocks on the other beyond a short internal mutex. Sequence
-/// numbers are assigned at push time, start at 0 for the first op pushed
-/// after open, and never repeat; acking is expressed *in seqs*
-/// ([`DeltaQueue::ack_through`]) so it is idempotent: a consumer that
+/// Sequence numbers are assigned at push time, start at 0 for the first
+/// op pushed after open, and never repeat; acking is expressed *in seqs*
+/// ([`Ppdb::ack_delta_through`]) so it is idempotent: a consumer that
 /// crashed after applying ops `[a, b)` but before acking simply acks
 /// through `b` again after recovery and re-applies nothing.
 ///
@@ -210,72 +175,47 @@ pub struct AuditLogEntry {
 /// durability (the [`crate::deltalog::DeltaLog`]) persist acked state
 /// themselves, and un-acked in-memory ops are re-derivable from the
 /// store (the storage transaction committed first).
-#[derive(Clone)]
 pub struct DeltaQueue {
-    inner: std::sync::Arc<std::sync::Mutex<DeltaQueueInner>>,
-}
-
-struct DeltaQueueInner {
     /// Pending ops; `ops.ops()[0]` carries seq `first_seq`.
     ops: PopulationDelta,
     /// Seq of the oldest pending op (== next seq to assign when empty).
     first_seq: u64,
-    /// Refuse pushes at or above this many pending ops.
-    capacity: usize,
 }
 
 impl DeltaQueue {
-    fn new(capacity: usize) -> DeltaQueue {
+    fn new() -> DeltaQueue {
         DeltaQueue {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(DeltaQueueInner {
-                ops: PopulationDelta::new(),
-                first_seq: 0,
-                capacity,
-            })),
+            ops: PopulationDelta::new(),
+            first_seq: 0,
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, DeltaQueueInner> {
-        // A panic while holding this mutex means a poisoned queue; the
-        // guarded state is a plain Vec + counters that are never left
-        // mid-update, so recovering the guard is safe.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Pending (un-acked) ops.
     pub fn len(&self) -> usize {
-        self.lock().ops.len()
+        self.ops.len()
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.lock().ops.is_empty()
-    }
-
-    /// The backlog cap pushes are refused at.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.ops.is_empty()
     }
 
     /// Seq of the oldest pending op (the next seq to assign if empty).
     pub fn first_seq(&self) -> u64 {
-        self.lock().first_seq
+        self.first_seq
     }
 
     /// Seq the *next* pushed op will receive; `next_seq() - first_seq()`
     /// equals [`DeltaQueue::len`].
     pub fn next_seq(&self) -> u64 {
-        let inner = self.lock();
-        inner.first_seq + inner.ops.len() as u64
+        self.first_seq + self.ops.len() as u64
     }
 
-    /// Snapshot the pending ops: `(first_seq, ops)` where `ops.ops()[i]`
-    /// carries seq `first_seq + i`. The snapshot is a clone — later
-    /// pushes/acks don't mutate it, and applying it never blocks the
-    /// writer.
+    /// Copy the pending ops: `(first_seq, ops)` where `ops.ops()[i]`
+    /// carries seq `first_seq + i`. Later pushes and acks don't mutate
+    /// the copy.
     pub fn peek(&self) -> (u64, PopulationDelta) {
-        let inner = self.lock();
-        (inner.first_seq, inner.ops.clone())
+        (self.first_seq, self.ops.clone())
     }
 
     /// Like [`DeltaQueue::peek`], but clone only the ops with seq `>=
@@ -285,45 +225,26 @@ impl DeltaQueue {
     /// the *whole* backlog, which is sized by whatever the slowest other
     /// consumer hasn't acked yet, not by this consumer's lag.
     pub fn peek_from(&self, seq: u64) -> (u64, PopulationDelta) {
-        let inner = self.lock();
         let skip = seq
-            .saturating_sub(inner.first_seq)
-            .min(inner.ops.len() as u64) as usize;
-        (inner.first_seq + skip as u64, inner.ops.clone_tail(skip))
+            .saturating_sub(self.first_seq)
+            .min(self.ops.len() as u64) as usize;
+        (self.first_seq + skip as u64, self.ops.clone_tail(skip))
     }
 
-    /// Acknowledge every pending op with seq `< end_seq`. Clamped at both
-    /// ends (acking an already-acked or not-yet-pushed seq is a no-op /
-    /// full drain), so recovery code can always re-ack its high-water
-    /// mark without tracking what the crash interrupted.
-    pub fn ack_through(&self, end_seq: u64) {
-        let mut inner = self.lock();
+    /// Drop every pending op with seq `< end_seq`; see
+    /// [`Ppdb::ack_delta_through`].
+    fn ack_through(&mut self, end_seq: u64) {
         let n = end_seq
-            .saturating_sub(inner.first_seq)
-            .min(inner.ops.len() as u64) as usize;
-        inner.ops.drain_front(n);
-        inner.first_seq += n as u64;
-    }
-
-    /// Refuse with [`DbError::Backpressure`] if the queue is at capacity.
-    /// The writer calls this *before* starting the storage transaction so
-    /// a full backlog never commits state the delta stream can't record.
-    fn admit(&self) -> DbResult<()> {
-        let inner = self.lock();
-        if inner.ops.len() >= inner.capacity {
-            return Err(DbError::Backpressure {
-                pending: inner.ops.len(),
-                capacity: inner.capacity,
-            });
-        }
-        Ok(())
+            .saturating_sub(self.first_seq)
+            .min(self.ops.len() as u64) as usize;
+        self.ops.drain_front(n);
+        self.first_seq += n as u64;
     }
 
     /// Append an op, assigning it the next seq. Only the `Ppdb` writer
-    /// pushes, and only after [`DeltaQueue::admit`] passed and the
-    /// storage txn committed.
-    fn push(&self, op: DeltaOp) {
-        self.lock().ops.push(op);
+    /// pushes, and only after the storage txn committed.
+    fn push(&mut self, op: DeltaOp) {
+        self.ops.push(op);
     }
 }
 
@@ -421,15 +342,14 @@ impl Ppdb {
                 .column("p_def", DataType::Float)
                 .build()?,
         )?;
-        let deltas = DeltaQueue::new(config.delta_capacity);
-        Ok(Ppdb::assemble(db, config, deltas))
+        Ok(Ppdb::assemble(db, config))
     }
 
-    fn assemble(db: Database, config: PpdbConfig, deltas: DeltaQueue) -> Ppdb {
+    fn assemble(db: Database, config: PpdbConfig) -> Ppdb {
         Ppdb {
             db,
             config,
-            deltas,
+            deltas: DeltaQueue::new(),
             model_epoch: 0,
             snapshot: None,
             live: None,
@@ -455,8 +375,7 @@ impl Ppdb {
                 return Err(DbError::Catalog(format!("not a PPDB: missing table {t:?}")));
             }
         }
-        let deltas = DeltaQueue::new(config.delta_capacity);
-        Ok(Ppdb::assemble(db, config, deltas))
+        Ok(Ppdb::assemble(db, config))
     }
 
     /// The underlying database (e.g. for ad-hoc SQL over the data or the
@@ -562,14 +481,10 @@ impl Ppdb {
                 )));
             }
         }
-        // Refuse before the storage txn begins: a full backlog must never
-        // commit state the delta stream cannot record.
-        self.deltas.admit()?;
-        self.db.begin()?;
-        let result = (|| -> DbResult<()> {
-            self.db.insert(&self.config.data_table, data)?;
+        self.write_then_push(|p| {
+            p.db.insert(&p.config.data_table, data)?;
             for t in profile.preferences.tuples() {
-                self.db.insert(
+                p.db.insert(
                     T_PREFS,
                     Row::from_values([
                         Value::Int(id),
@@ -582,7 +497,7 @@ impl Ppdb {
                 )?;
             }
             for (attr, s) in &profile.sensitivities {
-                self.db.insert(
+                p.db.insert(
                     T_SENS,
                     Row::from_values([
                         Value::Int(id),
@@ -594,23 +509,12 @@ impl Ppdb {
                     ]),
                 )?;
             }
-            self.db.insert(
+            p.db.insert(
                 T_THRESHOLDS,
                 Row::from_values([Value::Int(id), Value::Int(profile.threshold as i64)]),
             )?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit()?;
-                self.deltas.push(DeltaOp::Upsert(profile.clone()));
-                Ok(())
-            }
-            Err(e) => {
-                self.db.rollback()?;
-                Err(e)
-            }
-        }
+            Ok(|| DeltaOp::Upsert(profile.clone()))
+        })
     }
 
     /// [`Ppdb::register_provider`] under the name the delta pipeline uses:
@@ -623,32 +527,16 @@ impl Ppdb {
     /// what physically happens when a provider defaults.
     pub fn remove_provider(&mut self, id: ProviderId) -> DbResult<()> {
         let n = id.0 as i64;
-        // Refuse before the storage txn begins: a full backlog must never
-        // commit state the delta stream cannot record.
-        self.deltas.admit()?;
-        self.db.begin()?;
-        let result = (|| -> DbResult<()> {
-            self.db.execute(&format!(
+        self.write_then_push(|p| {
+            p.db.execute(&format!(
                 "DELETE FROM {} WHERE {} = {n}",
-                self.config.data_table, self.config.provider_column
+                p.config.data_table, p.config.provider_column
             ))?;
             for t in [T_PREFS, T_SENS, T_THRESHOLDS] {
-                self.db
-                    .execute(&format!("DELETE FROM {t} WHERE provider = {n}"))?;
+                p.db.execute(&format!("DELETE FROM {t} WHERE provider = {n}"))?;
             }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit()?;
-                self.deltas.push(DeltaOp::Remove(id));
-                Ok(())
-            }
-            Err(e) => {
-                self.db.rollback()?;
-                Err(e)
-            }
-        }
+            Ok(move || DeltaOp::Remove(id))
+        })
     }
 
     /// Replace a provider's stated preferences for one attribute.
@@ -680,19 +568,14 @@ impl Ppdb {
                 }
             }
         }
-        // Refuse before the storage txn begins: a full backlog must never
-        // commit state the delta stream cannot record.
-        self.deltas.admit()?;
-        self.db.begin()?;
-        let result = (|| -> DbResult<()> {
-            self.db
-                .execute(&format!("DELETE FROM {T_PREFS} WHERE provider = {n}"))?;
+        self.write_then_push(move |p| {
+            p.db.execute(&format!("DELETE FROM {T_PREFS} WHERE provider = {n}"))?;
             for (attr, tuple) in keep
                 .iter()
                 .map(|(a, t)| (a.as_str(), t))
                 .chain(tuples.iter().map(|t| (attribute, t)))
             {
-                self.db.insert(
+                p.db.insert(
                     T_PREFS,
                     Row::from_values([
                         Value::Int(n),
@@ -704,23 +587,12 @@ impl Ppdb {
                     ]),
                 )?;
             }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit()?;
-                self.deltas.push(DeltaOp::SetAttributePrefs {
-                    id,
-                    attribute: attribute.to_string(),
-                    tuples,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                self.db.rollback()?;
-                Err(e)
-            }
-        }
+            Ok(move || DeltaOp::SetAttributePrefs {
+                id,
+                attribute: attribute.to_string(),
+                tuples,
+            })
+        })
     }
 
     /// Set a provider's datum sensitivity for one attribute.
@@ -754,19 +626,14 @@ impl Ppdb {
                 }
             }
         }
-        // Refuse before the storage txn begins: a full backlog must never
-        // commit state the delta stream cannot record.
-        self.deltas.admit()?;
-        self.db.begin()?;
-        let result = (|| -> DbResult<()> {
-            self.db
-                .execute(&format!("DELETE FROM {T_SENS} WHERE provider = {n}"))?;
+        self.write_then_push(|p| {
+            p.db.execute(&format!("DELETE FROM {T_SENS} WHERE provider = {n}"))?;
             for (attr, s) in keep
                 .iter()
                 .map(|(a, s)| (a.as_str(), *s))
                 .chain(std::iter::once((attribute, sensitivity)))
             {
-                self.db.insert(
+                p.db.insert(
                     T_SENS,
                     Row::from_values([
                         Value::Int(n),
@@ -778,23 +645,12 @@ impl Ppdb {
                     ]),
                 )?;
             }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit()?;
-                self.deltas.push(DeltaOp::SetSensitivity {
-                    id,
-                    attribute: attribute.to_string(),
-                    sensitivity,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                self.db.rollback()?;
-                Err(e)
-            }
-        }
+            Ok(move || DeltaOp::SetSensitivity {
+                id,
+                attribute: attribute.to_string(),
+                sensitivity,
+            })
+        })
     }
 
     /// Set a provider's violation threshold `v_i`.
@@ -806,23 +662,32 @@ impl Ppdb {
         if !self.provider_ids()?.contains(&id) {
             return Ok(());
         }
-        // Refuse before the storage txn begins: a full backlog must never
-        // commit state the delta stream cannot record.
-        self.deltas.admit()?;
-        self.db.begin()?;
-        let result = (|| -> DbResult<()> {
-            self.db
-                .execute(&format!("DELETE FROM {T_THRESHOLDS} WHERE provider = {n}"))?;
-            self.db.insert(
+        self.write_then_push(|p| {
+            p.db.execute(&format!("DELETE FROM {T_THRESHOLDS} WHERE provider = {n}"))?;
+            p.db.insert(
                 T_THRESHOLDS,
                 Row::from_values([Value::Int(n), Value::Int(threshold as i64)]),
             )?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
+            Ok(move || DeltaOp::SetThreshold { id, threshold })
+        })
+    }
+
+    /// The write path every model-changing op shares: run `write` inside
+    /// one storage transaction and, only once that transaction commits,
+    /// build the [`DeltaOp`] with the closure `write` returned and push
+    /// it. A write that fails rolls back and pushes nothing, so the delta
+    /// stream never gets ahead of the store and seqs stay dense. Building
+    /// the op after the commit also keeps its allocations (a whole
+    /// profile, for an upsert) out of the transaction's.
+    fn write_then_push<F: FnOnce() -> DeltaOp>(
+        &mut self,
+        write: impl FnOnce(&mut Ppdb) -> DbResult<F>,
+    ) -> DbResult<()> {
+        self.db.begin()?;
+        match write(self) {
+            Ok(make_op) => {
                 self.db.commit()?;
-                self.deltas.push(DeltaOp::SetThreshold { id, threshold });
+                self.deltas.push(make_op());
                 Ok(())
             }
             Err(e) => {
@@ -847,23 +712,22 @@ impl Ppdb {
         self.deltas.peek()
     }
 
-    /// Acknowledge every pending op with seq `< end_seq` (idempotent;
-    /// see [`DeltaQueue::ack_through`]).
+    /// Acknowledge every pending op with seq `< end_seq`. Clamped at both
+    /// ends (acking an already-acked or not-yet-pushed seq is a no-op /
+    /// full drain), so recovery code can always re-ack its high-water
+    /// mark without tracking what the crash interrupted.
     pub fn ack_delta_through(&mut self, end_seq: u64) {
         self.deltas.ack_through(end_seq);
     }
 
-    /// Pending (un-acked) delta ops. Writes refuse with
-    /// [`DbError::Backpressure`] once this reaches
-    /// [`PpdbConfig::delta_capacity`].
+    /// Pending (un-acked) delta ops.
     pub fn delta_backlog_len(&self) -> usize {
         self.deltas.len()
     }
 
-    /// A clonable handle to the pending-delta queue, for consumer threads
-    /// that peek/ack concurrently with this writer.
-    pub fn delta_queue(&self) -> DeltaQueue {
-        self.deltas.clone()
+    /// The pending-delta queue, for reading its seq counters and tail.
+    pub fn delta_queue(&self) -> &DeltaQueue {
+        &self.deltas
     }
 
     /// All provider ids with data stored, in storage order (one borrowed
@@ -1826,52 +1690,25 @@ mod tests {
         assert_eq!(rs.rows[1].values, vec![Value::Int(2), Value::Int(200)]);
     }
 
-    /// Satellite regression: a consumer that stalls forever must not let
-    /// the pending backlog grow without bound. Writes hit the cap, fail
-    /// with the *typed* backpressure error (before any storage txn
-    /// begins), and resume cleanly once the consumer drains.
+    /// A consumer that stalls leaves a long un-acked backlog behind; once
+    /// it wakes it drains the backlog in one peek/apply/ack, and the seqs
+    /// are gapless across the stall.
     #[test]
-    fn stalled_consumer_backpressure_then_recovery() {
-        let mut ppdb = Ppdb::create(
-            Database::in_memory(),
-            PpdbConfig::new("people", "provider_id").with_delta_capacity(3),
-            data_schema(),
-        )
-        .unwrap();
-
-        // Consumer is stalled: nobody acks. The cap admits exactly 3 ops.
-        for id in 1..=3 {
+    fn stalled_consumer_backlog_drains_with_gapless_seqs() {
+        let mut ppdb = fresh();
+        // Consumer is stalled: nobody acks.
+        for id in 1..=40 {
             ppdb.register_provider(&sample_profile(id, 100), data_row(id))
                 .unwrap();
         }
-        assert_eq!(ppdb.delta_backlog_len(), 3);
-
-        // The 4th write is refused with the typed error...
-        let err = ppdb
-            .register_provider(&sample_profile(4, 100), data_row(4))
-            .unwrap_err();
-        match err {
-            DbError::Backpressure { pending, capacity } => {
-                assert_eq!((pending, capacity), (3, 3));
-            }
-            other => panic!("expected Backpressure, got {other:?}"),
+        for id in 1..=40 {
+            ppdb.set_threshold(ProviderId(id), 7).unwrap();
         }
-        // ...and refused *before* the storage txn: no partial row landed,
-        // and the store still matches the 3 recorded deltas exactly.
-        assert_eq!(ppdb.provider_ids().unwrap().len(), 3);
-        assert_eq!(ppdb.delta_backlog_len(), 3);
+        assert_eq!(ppdb.delta_backlog_len(), 80);
 
-        // Repeated attempts stay refused — backpressure is stable, not
-        // one-shot.
-        assert!(matches!(
-            ppdb.set_threshold(ProviderId(1), 7).unwrap_err(),
-            DbError::Backpressure { .. }
-        ));
-
-        // Consumer wakes up, applies, acks: writes flow again and the
-        // delta stream is gapless (4 total ops across the stall).
+        // Consumer wakes up, applies, acks.
         let (first_seq, delta) = ppdb.peek_delta_seq();
-        assert_eq!(first_seq, 0);
+        assert_eq!((first_seq, delta.len()), (0, 80));
         let engine = AuditEngine::new(
             HousePolicy::new("people"),
             ppdb.attributes().unwrap(),
@@ -1882,12 +1719,45 @@ mod tests {
         ppdb.ack_delta_through(first_seq + delta.len() as u64);
         assert_eq!(ppdb.delta_backlog_len(), 0);
 
-        ppdb.register_provider(&sample_profile(4, 100), data_row(4))
+        ppdb.register_provider(&sample_profile(41, 100), data_row(41))
             .unwrap();
         let (seq, resumed) = ppdb.peek_delta_seq();
-        assert_eq!(seq, 3, "seqs continue across the stall with no gap");
+        assert_eq!(seq, 80, "seqs continue across the stall with no gap");
         live.apply_delta(&resumed).unwrap();
-        assert_eq!(live.outcome().population, 4);
+        assert_eq!(live.outcome().population, 41);
+    }
+
+    /// A write whose storage transaction fails after `begin` rolls back
+    /// and pushes no delta: the store and the seq counter are as they
+    /// were, and the next successful write takes the next dense seq.
+    #[test]
+    fn failed_write_pushes_no_delta() {
+        let mut ppdb = fresh();
+        ppdb.register_provider(&sample_profile(1, 100), data_row(1))
+            .unwrap();
+        let before = ppdb.delta_queue().next_seq();
+
+        // The right provider id but one column short: the id check passes,
+        // then the data-row insert inside the transaction fails.
+        let short = Row::from_values([Value::Int(2), Value::Int(30)]);
+        let err = ppdb
+            .register_provider(&sample_profile(2, 100), short)
+            .unwrap_err();
+        assert!(matches!(err, DbError::Schema(_)), "got {err:?}");
+        assert_eq!(ppdb.delta_queue().next_seq(), before);
+        assert_eq!(ppdb.delta_backlog_len(), 1);
+        assert_eq!(ppdb.provider_ids().unwrap(), vec![ProviderId(1)]);
+        for t in [T_PREFS, T_SENS, T_THRESHOLDS] {
+            assert_eq!(ppdb.db_mut().scan(t).unwrap().len(), 1, "{t} rolled back");
+        }
+
+        ppdb.register_provider(&sample_profile(2, 100), data_row(2))
+            .unwrap();
+        let (first_seq, ops) = ppdb.peek_delta_seq();
+        assert_eq!((first_seq, ops.len() as u64), (0, before + 1));
+        assert!(
+            matches!(&ops.ops()[before as usize], DeltaOp::Upsert(p) if p.id() == ProviderId(2))
+        );
     }
 
     /// Seq-tagged acks are idempotent and absolute: a consumer that
@@ -1928,23 +1798,22 @@ mod tests {
         assert_eq!(ppdb.delta_backlog_len(), 1);
     }
 
-    /// The queue handle is shared state: a consumer thread peeking and
-    /// acking through its own [`DeltaQueue`] clone drains the writer's
-    /// backlog.
+    /// [`Ppdb::delta_queue`] reads the queue the writer pushes to: its
+    /// `next_seq` counts every op pushed, acked or not.
     #[test]
-    fn delta_queue_handle_shares_state_across_threads() {
+    fn delta_queue_next_seq_counts_every_pushed_op() {
         let mut ppdb = fresh();
         ppdb.register_provider(&sample_profile(1, 100), data_row(1))
             .unwrap();
+        ppdb.set_threshold(ProviderId(1), 9).unwrap();
         let queue = ppdb.delta_queue();
-        let consumer = std::thread::spawn(move || {
-            let (base, ops) = queue.peek();
-            queue.ack_through(base + ops.len() as u64);
-            ops.len()
-        });
-        let drained = consumer.join().unwrap();
-        assert!(drained > 0);
-        assert_eq!(ppdb.delta_backlog_len(), 0);
-        assert_eq!(ppdb.delta_queue().next_seq(), drained as u64);
+        assert_eq!(
+            (queue.first_seq(), queue.next_seq(), queue.len()),
+            (0, 2, 2)
+        );
+        let (base, ops) = queue.peek();
+        ppdb.ack_delta_through(base + ops.len() as u64);
+        assert!(ppdb.delta_queue().is_empty());
+        assert_eq!(ppdb.delta_queue().next_seq(), 2);
     }
 }

@@ -1,5 +1,5 @@
 //! Property test for the [`Ppdb`] delta-handoff protocol under consumer
-//! crashes and concurrent writes: **no delta is ever lost, none is ever
+//! crashes and interleaved writes: **no delta is ever lost, none is ever
 //! applied twice**, and the consumer's final audit is byte-identical to
 //! a serial oracle that saw every op exactly once.
 //!
@@ -22,13 +22,6 @@
 //! In both schedules the writer keeps writing between the crash and the
 //! recovery, so the re-peeked batch is never the crashed batch — the
 //! seq tags, not batch shapes, must carry the protocol.
-//!
-//! `threaded_handoff_is_exactly_once` runs the same invariants with a
-//! real writer thread and a real consumer thread racing through the
-//! shared [`DeltaQueue`] handle, with the backlog capacity squeezed so
-//! the writer also exercises typed `Backpressure` and retry.
-
-use std::sync::{Arc, Mutex};
 
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{
@@ -36,7 +29,6 @@ use qpv_core::{
 };
 use qpv_policy::{HousePolicy, ProviderId};
 use qpv_reldb::db::Database;
-use qpv_reldb::error::DbError;
 use qpv_reldb::row::Row;
 use qpv_reldb::schema::{Schema, SchemaBuilder};
 use qpv_reldb::types::DataType;
@@ -68,10 +60,10 @@ fn data_row(id: u64) -> Row {
     Row::from_values([Value::Int(id as i64), Value::Int(70)])
 }
 
-fn fresh_ppdb(capacity: usize) -> Ppdb {
+fn fresh_ppdb() -> Ppdb {
     Ppdb::create(
         Database::in_memory(),
-        PpdbConfig::new("people", "provider_id").with_delta_capacity(capacity),
+        PpdbConfig::new("people", "provider_id"),
         data_schema(),
     )
     .unwrap()
@@ -110,32 +102,23 @@ fn script() -> Vec<WriterOp> {
     ]
 }
 
-/// Perform one script op, retrying while the backlog is full. Returns
-/// how many times backpressure pushed back.
-fn perform(ppdb: &mut Ppdb, op: WriterOp) -> usize {
-    let mut stalls = 0;
-    loop {
-        let result = match op {
-            WriterOp::Register(id, thr) => ppdb.register_provider(&profile(id, thr), data_row(id)),
-            WriterOp::SetThreshold(id, thr) => ppdb.set_threshold(ProviderId(id), thr),
-            WriterOp::SetSensitivity(id) => {
-                ppdb.set_sensitivity(ProviderId(id), "weight", DatumSensitivity::new(9, 1, 1, 1))
-            }
-            WriterOp::SetPreferences(id) => ppdb.set_preferences(
-                ProviderId(id),
-                "weight",
-                vec![PrivacyTuple::from_point("pr", pt(1, 1, 1))],
-            ),
-            WriterOp::Remove(id) => ppdb.remove_provider(ProviderId(id)),
-        };
-        match result {
-            Ok(()) => return stalls,
-            Err(DbError::Backpressure { .. }) => {
-                stalls += 1;
-                std::thread::yield_now();
-            }
-            Err(e) => panic!("writer op {op:?} failed: {e}"),
+/// Perform one script op; every op of the script succeeds.
+fn perform(ppdb: &mut Ppdb, op: WriterOp) {
+    let result = match op {
+        WriterOp::Register(id, thr) => ppdb.register_provider(&profile(id, thr), data_row(id)),
+        WriterOp::SetThreshold(id, thr) => ppdb.set_threshold(ProviderId(id), thr),
+        WriterOp::SetSensitivity(id) => {
+            ppdb.set_sensitivity(ProviderId(id), "weight", DatumSensitivity::new(9, 1, 1, 1))
         }
+        WriterOp::SetPreferences(id) => ppdb.set_preferences(
+            ProviderId(id),
+            "weight",
+            vec![PrivacyTuple::from_point("pr", pt(1, 1, 1))],
+        ),
+        WriterOp::Remove(id) => ppdb.remove_provider(ProviderId(id)),
+    };
+    if let Err(e) = result {
+        panic!("writer op {op:?} failed: {e}");
     }
 }
 
@@ -155,7 +138,7 @@ fn report(pop: &CompiledPopulation) -> String {
 /// The serial oracle: one consumer that saw every op exactly once, in
 /// order, with no crashes.
 fn oracle_report() -> (usize, String) {
-    let mut ppdb = fresh_ppdb(1024);
+    let mut ppdb = fresh_ppdb();
     for op in script() {
         perform(&mut ppdb, op);
     }
@@ -180,7 +163,7 @@ fn apply_one(pop: &mut CompiledPopulation, op: &DeltaOp) {
 /// Returns `(applied_seqs, final_report)` where `applied_seqs` is every
 /// seq whose apply *survived* into the final state, in apply order.
 fn run_with_crash(crash_after: usize, durable: bool) -> (Vec<u64>, String) {
-    let mut ppdb = fresh_ppdb(1024);
+    let mut ppdb = fresh_ppdb();
     let mut pop = CompiledPopulation::from_profiles(&[]);
     let mut applied_through = 0u64;
     let mut applied_seqs: Vec<u64> = Vec::new();
@@ -223,7 +206,7 @@ fn run_with_crash(crash_after: usize, durable: bool) -> (Vec<u64>, String) {
     };
 
     for (step, op) in script().into_iter().enumerate() {
-        assert_eq!(perform(&mut ppdb, op), 0, "capacity 1024 never pushes back");
+        perform(&mut ppdb, op);
         if crashed {
             // Writer keeps going while the consumer is down. Recover the
             // consumer two ops after the crash so re-peeked batches never
@@ -312,74 +295,38 @@ fn crash_everywhere_amnesiac_consumer() {
     }
 }
 
-/// Real threads, real races: a writer thread pushes the script through
-/// a capacity-4 queue (so it hits typed backpressure and retries) while
-/// a consumer thread drains through its own [`qpv_core::DeltaQueue`]
-/// handle. Every op must arrive exactly once, in seq order.
+/// The handoff on one thread, at every drain interval: the consumer
+/// peeks, applies and acks after every `every` writer ops (1 = after each
+/// op, `total` = one drain of the whole un-acked backlog). Every schedule
+/// must hand over each op exactly once, in seq order, and
+/// `delta_queue().next_seq()` must count every op pushed.
 #[test]
-fn threaded_handoff_is_exactly_once() {
+fn interleaved_handoff_is_exactly_once_at_every_drain_interval() {
     let (total, oracle) = oracle_report();
-    let ppdb = fresh_ppdb(4);
-    let queue = ppdb.delta_queue();
-    let ppdb = Arc::new(Mutex::new(ppdb));
-
-    let writer = {
-        let ppdb = Arc::clone(&ppdb);
-        std::thread::spawn(move || {
-            let mut stalls = 0;
-            for op in script() {
-                // The consumer acks through the queue's own mutex, so
-                // holding the Ppdb lock across backpressure retries
-                // cannot deadlock the drain.
-                stalls += perform(&mut ppdb.lock().unwrap(), op);
+    for every in 1..=total {
+        let mut ppdb = fresh_ppdb();
+        let mut pop = CompiledPopulation::from_profiles(&[]);
+        let mut applied_seqs = Vec::new();
+        for (i, op) in script().into_iter().enumerate() {
+            perform(&mut ppdb, op);
+            if (i + 1) % every == 0 || i + 1 == total {
+                let (base, ops) = ppdb.peek_delta_seq();
+                assert_eq!(base, applied_seqs.len() as u64, "acked up to the cursor");
+                for (j, op) in ops.ops().iter().enumerate() {
+                    apply_one(&mut pop, op);
+                    applied_seqs.push(base + j as u64);
+                }
+                ppdb.ack_delta_through(base + ops.len() as u64);
             }
-            stalls
-        })
-    };
-
-    // Consumer: drain via the shared handle until every op was seen.
-    let mut pop = CompiledPopulation::from_profiles(&[]);
-    let mut applied_through = 0u64;
-    let mut applied_seqs = Vec::new();
-    while (applied_through as usize) < total {
-        let (base, ops) = queue.peek();
-        assert!(base <= applied_through);
-        let skip = (applied_through - base) as usize;
-        for (i, op) in ops.ops().iter().enumerate().skip(skip) {
-            apply_one(&mut pop, op);
-            applied_seqs.push(base + i as u64);
-            applied_through += 1;
         }
-        queue.ack_through(applied_through);
-        std::thread::yield_now();
+        assert_eq!(ppdb.delta_queue().next_seq(), total as u64);
+        assert!(ppdb.delta_queue().is_empty());
+        assert_exactly_once(
+            &applied_seqs,
+            total,
+            &report(&pop),
+            &oracle,
+            &format!("drain every {every} ops"),
+        );
     }
-    writer.join().unwrap();
-    assert!(queue.is_empty(), "writer done and consumer saw every op");
-    assert_exactly_once(&applied_seqs, total, &report(&pop), &oracle, "threaded");
-}
-
-/// `perform`'s retry loop is honest: with a capacity-1 queue and no
-/// consumer, the writer's second op reports backpressure stalls rather
-/// than sneaking a write through.
-#[test]
-fn backpressure_is_typed_not_silent() {
-    let mut ppdb = fresh_ppdb(1);
-    assert_eq!(
-        perform(&mut ppdb, WriterOp::Register(1, 40)),
-        0,
-        "first op fits"
-    );
-    let err = ppdb.set_threshold(ProviderId(1), 9).unwrap_err();
-    assert!(matches!(
-        err,
-        DbError::Backpressure {
-            pending: 1,
-            capacity: 1
-        }
-    ));
-    // Drain and retry: the op that was refused goes through unchanged.
-    let (base, ops) = ppdb.peek_delta_seq();
-    ppdb.ack_delta_through(base + ops.len() as u64);
-    assert_eq!(perform(&mut ppdb, WriterOp::SetThreshold(1, 9)), 0);
-    assert_eq!(ppdb.delta_backlog_len(), 1);
 }

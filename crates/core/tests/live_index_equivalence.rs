@@ -1,7 +1,7 @@
 //! Equivalence suite for the live violation index: under arbitrary
-//! churn, crashes, and thread races, [`LiveViolationIndex`] must stay
-//! **byte-identical** to what a fresh compile + reference audit of the
-//! same profiles would produce.
+//! churn, crashes, and write/consume interleavings,
+//! [`LiveViolationIndex`] must stay **byte-identical** to what a fresh
+//! compile + reference audit of the same profiles would produce.
 //!
 //! Four layers, mirroring the delta pipeline's existing guarantees:
 //!
@@ -13,11 +13,10 @@
 //!   fresh compile), on the full sweep and on the indexed range/attr
 //!   paths — plus a saturating-magnitudes case for the exact `u128`
 //!   total.
-//! * **Two-thread handoff race** — a real writer thread pushes model
-//!   edits through a capacity-squeezed [`qpv_core::DeltaQueue`] while a
-//!   consumer thread maintains the index via peek/ack; the seq tags
-//!   must deliver every op exactly once and the final index must match
-//!   the serial oracle.
+//! * **Write-stream handoff** — the index is maintained op by op from a
+//!   [`Ppdb`]'s write stream, each write followed by peek, apply and ack;
+//!   the seq tags must deliver every op exactly once and the final index
+//!   must match the serial oracle.
 //! * **Crash-at-every-delta rebuild torture** — the [`DeltaLog`]
 //!   recovery model: for every prefix of a logged delta stream, rebuild
 //!   via [`LiveViolationIndex::recover`] and check byte-identity at the
@@ -28,8 +27,6 @@
 //!   once, and the live path never rebuilds on writes (maintenance, not
 //!   recompilation).
 
-use std::sync::{Arc, Mutex};
-
 use qpv_core::deltalog::DeltaLog;
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{
@@ -39,7 +36,6 @@ use qpv_core::{
 use qpv_policy::{HousePolicy, ProviderId};
 use qpv_reldb::audit_bridge::{AuditBridge, ViolationRow};
 use qpv_reldb::db::Database;
-use qpv_reldb::error::DbError;
 use qpv_reldb::row::Row;
 use qpv_reldb::schema::{Schema, SchemaBuilder};
 use qpv_reldb::types::DataType;
@@ -283,7 +279,7 @@ fn saturated_scores_keep_the_u128_total_exact() {
     assert_maintained_state(&index, &engine, &profiles, "after lowering");
 }
 
-// ---- two-thread handoff race ------------------------------------------
+// ---- write-stream handoff ----------------------------------------------
 
 fn data_schema() -> Schema {
     SchemaBuilder::new()
@@ -345,106 +341,83 @@ fn script() -> Vec<WriterOp> {
 }
 
 fn perform(ppdb: &mut Ppdb, op: WriterOp) {
-    loop {
-        let result = match op {
-            WriterOp::Register(id, thr) => ppdb.register_provider(
-                &race_profile(id, thr),
-                Row::from_values([Value::Int(id as i64), Value::Int(70)]),
-            ),
-            WriterOp::SetThreshold(id, thr) => ppdb.set_threshold(ProviderId(id), thr),
-            WriterOp::SetSensitivity(id) => {
-                ppdb.set_sensitivity(ProviderId(id), "weight", DatumSensitivity::new(9, 1, 1, 1))
-            }
-            WriterOp::SetPreferences(id) => ppdb.set_preferences(
-                ProviderId(id),
-                "weight",
-                vec![PrivacyTuple::from_point("pr", pt(1, 1, 1))],
-            ),
-            WriterOp::Remove(id) => ppdb.remove_provider(ProviderId(id)),
-        };
-        match result {
-            Ok(()) => return,
-            Err(DbError::Backpressure { .. }) => std::thread::yield_now(),
-            Err(e) => panic!("writer op {op:?} failed: {e}"),
+    let result = match op {
+        WriterOp::Register(id, thr) => ppdb.register_provider(
+            &race_profile(id, thr),
+            Row::from_values([Value::Int(id as i64), Value::Int(70)]),
+        ),
+        WriterOp::SetThreshold(id, thr) => ppdb.set_threshold(ProviderId(id), thr),
+        WriterOp::SetSensitivity(id) => {
+            ppdb.set_sensitivity(ProviderId(id), "weight", DatumSensitivity::new(9, 1, 1, 1))
         }
+        WriterOp::SetPreferences(id) => ppdb.set_preferences(
+            ProviderId(id),
+            "weight",
+            vec![PrivacyTuple::from_point("pr", pt(1, 1, 1))],
+        ),
+        WriterOp::Remove(id) => ppdb.remove_provider(ProviderId(id)),
+    };
+    if let Err(e) = result {
+        panic!("writer op {op:?} failed: {e}");
     }
 }
 
-/// A writer thread races a consumer thread maintaining a
-/// [`LiveViolationIndex`] through the shared delta queue (capacity 4,
-/// so the writer also exercises backpressure). The seq-tagged peek/ack
+/// A [`LiveViolationIndex`] maintained op by op from a [`Ppdb`]'s write
+/// stream: each write is followed by peek, apply and ack. The seq-tagged
 /// protocol must hand every op to the index exactly once, in order, and
-/// the final index must equal the serial reference oracle.
+/// the final index must equal the reference oracle on the serial script.
 #[test]
-fn threaded_handoff_keeps_index_exactly_once() {
+fn write_stream_handoff_keeps_index_exactly_once() {
     let total = script().len();
-    let ppdb = Ppdb::create(
+    let mut ppdb = Ppdb::create(
         Database::in_memory(),
-        PpdbConfig::new("people", "provider_id").with_delta_capacity(4),
+        PpdbConfig::new("people", "provider_id"),
         data_schema(),
     )
     .unwrap();
-    let queue = ppdb.delta_queue();
-    let ppdb = Arc::new(Mutex::new(ppdb));
 
-    let writer = {
-        let ppdb = Arc::clone(&ppdb);
-        std::thread::spawn(move || {
-            for op in script() {
-                perform(&mut ppdb.lock().unwrap(), op);
-            }
-        })
-    };
-
-    // Consumer: maintain the index from an empty population via the
-    // shared handle, skipping the already-applied prefix on every peek.
+    // Maintain the index from an empty population, one write at a time.
     let mut index = LiveViolationIndex::new(race_engine(), CompiledPopulation::from_profiles(&[]));
-    let mut applied_through = 0u64;
     let mut applied_seqs = Vec::new();
-    while (applied_through as usize) < total {
-        let (base, ops) = queue.peek();
-        assert!(base <= applied_through, "queue acked past the consumer");
-        let skip = (applied_through - base) as usize;
-        for (i, op) in ops.ops().iter().enumerate().skip(skip) {
-            let mut one = PopulationDelta::new();
-            one.push(op.clone());
-            index.apply_delta(&one).unwrap();
-            applied_seqs.push(base + i as u64);
-            applied_through += 1;
-        }
-        queue.ack_through(applied_through);
-        std::thread::yield_now();
+    for op in script() {
+        perform(&mut ppdb, op);
+        let (base, ops) = ppdb.peek_delta_seq();
+        assert_eq!(
+            base,
+            applied_seqs.len() as u64,
+            "queue acked up to the index"
+        );
+        assert_eq!(ops.len(), 1, "one write pushes one op");
+        index.apply_delta(&ops).unwrap();
+        applied_seqs.push(base);
+        ppdb.ack_delta_through(base + 1);
     }
-    writer.join().unwrap();
-    assert!(queue.is_empty());
+    assert!(ppdb.delta_queue().is_empty());
     assert_eq!(
         applied_seqs,
         (0..total as u64).collect::<Vec<_>>(),
         "every op exactly once, in seq order"
     );
 
-    // Serial oracle: the same script replayed onto plain profiles.
+    // Serial oracle: the same script's whole backlog, from a second
+    // store, replayed onto plain profiles.
     let mut profiles: Vec<ProviderProfile> = Vec::new();
-    let mut serial = PopulationDelta::new();
-    {
-        let mut oracle_ppdb = Ppdb::create(
-            Database::in_memory(),
-            PpdbConfig::new("people", "provider_id").with_delta_capacity(1024),
-            data_schema(),
-        )
-        .unwrap();
-        for op in script() {
-            perform(&mut oracle_ppdb, op);
-        }
-        let (base, ops) = oracle_ppdb.peek_delta_seq();
-        assert_eq!(base, 0);
-        serial.merge(ops);
+    let mut oracle_ppdb = Ppdb::create(
+        Database::in_memory(),
+        PpdbConfig::new("people", "provider_id"),
+        data_schema(),
+    )
+    .unwrap();
+    for op in script() {
+        perform(&mut oracle_ppdb, op);
     }
+    let (base, serial) = oracle_ppdb.peek_delta_seq();
+    assert_eq!(base, 0);
     serial.apply_to_profiles(&mut profiles);
     assert_eq!(
         index.violations_all(None).unwrap(),
         reference_rows(&race_engine(), &profiles),
-        "racing consumer converged on the serial oracle"
+        "maintained index converged on the serial oracle"
     );
     assert_eq!(index.deltas_applied(), total as u64);
 }

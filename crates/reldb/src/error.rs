@@ -43,15 +43,6 @@ pub enum DbError {
     Eval(String),
     /// Transaction misuse (commit/abort without begin, nested begin).
     Txn(String),
-    /// The delta backlog is at capacity: the producer must wait for the
-    /// consumer to drain (ack) before issuing more writes. The operation
-    /// was *not* performed — no storage mutation happened.
-    Backpressure {
-        /// Entries currently queued.
-        pending: usize,
-        /// The configured backlog cap.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -73,10 +64,6 @@ impl fmt::Display for DbError {
             DbError::SqlBind(msg) => write!(f, "sql bind error: {msg}"),
             DbError::Eval(msg) => write!(f, "evaluation error: {msg}"),
             DbError::Txn(msg) => write!(f, "transaction error: {msg}"),
-            DbError::Backpressure { pending, capacity } => write!(
-                f,
-                "backpressure: delta backlog full ({pending}/{capacity}); consumer must ack before more writes"
-            ),
         }
     }
 }
@@ -132,18 +119,6 @@ mod tests {
         assert!(DbError::Transient("x".into())
             .to_string()
             .contains("transient"));
-    }
-
-    #[test]
-    fn backpressure_is_typed_and_permanent() {
-        // It does not clear on a blind retry of the same call: the producer
-        // must wait for acks. `retry_transient` must not spin on it.
-        let e = DbError::Backpressure {
-            pending: 128,
-            capacity: 128,
-        };
-        assert!(!e.is_transient());
-        assert!(e.to_string().contains("128/128"));
     }
 
     #[test]

@@ -8,8 +8,6 @@
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #                                   #   and every workspace test in release
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
-#   scripts/tier1.sh --concurrency  # gate + delta-handoff exactly-once
-#                                   #   property (release)
 #   scripts/tier1.sh --packed       # scoring-kernel stage only (release
 #                                   #   counts and witness equivalence
 #                                   #   suites, kernel bench smokes, and
@@ -134,10 +132,11 @@ if [[ "${1:-}" == "--live-index" ]]; then
     # The PR 10 gate: the incrementally-maintained violation index. The
     # release-mode property suite pins the maintained index byte-identical
     # to a fresh compile + `run_reference` audit under random synthetic
-    # churn, across a two-thread delta handoff, and at every crash point
-    # of a delta-log recovery, plus the snapshot-cache regression test and
-    # the live-index bench in smoke mode (every sample asserted against
-    # the full-sweep oracle, planner crossover shape included).
+    # churn, when maintained op by op from a Ppdb's write stream, and at
+    # every crash point of a delta-log recovery, plus the snapshot-cache
+    # regression test and the live-index bench in smoke mode (every sample
+    # asserted against the full-sweep oracle, planner crossover shape
+    # included).
     LIVE_BUDGET="${QPV_LIVE_BUDGET:-300}"
     echo "== live-index: equivalence / handoff / recovery (release, ${LIVE_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$LIVE_BUDGET" \
@@ -201,6 +200,11 @@ echo "== delta equivalence (release) =="
 # a fresh compile+audit of the mutated profiles, flat and lattice.
 cargo test -q --release -p qpv-core --test delta_equivalence
 
+echo "== delta handoff (release) =="
+# The Ppdb's peek/ack protocol: a consumer that crashes between any two
+# steps, or drains at any interval, applies every delta exactly once.
+cargo test -q --release -p qpv-core --test delta_handoff
+
 bench_smoke
 
 echo "== end-to-end benchmark: unit tests + smoke run of every workload =="
@@ -238,21 +242,6 @@ if [[ "${1:-}" == "--monitor" ]]; then
     echo "== monitor: kill-and-recover under churn (release) =="
     RUST_BACKTRACE=1 timeout "$MONITOR_BUDGET" \
         cargo test -q --release --test monitor_recovery
-fi
-
-if [[ "${1:-}" == "--concurrency" ]]; then
-    # The one concurrent path left: a consumer thread peeking and acking
-    # the Ppdb's delta queue while the writer keeps pushing. The
-    # exactly-once handoff property runs under the release optimizer
-    # (real-thread stress only races usefully with optimized codegen);
-    # its invariants are schedule-independent. The budget catches
-    # deadlocks, not slowness.
-    CONC_BUDGET="${QPV_CONC_BUDGET:-300}"
-    echo "== concurrency: delta handoff exactly-once property (release, ${CONC_BUDGET}s budget) =="
-    RUST_BACKTRACE=1 timeout "$CONC_BUDGET" \
-        cargo test -q --release -p qpv-core --test concurrent_handoff
-    echo "tier-1 concurrency: OK"
-    exit 0
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then
