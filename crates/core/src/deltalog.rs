@@ -6,17 +6,20 @@
 //! closes both gaps with the same machinery the relational engine
 //! already trusts:
 //!
-//! * **[`DeltaLog`]** persists every applied delta as a checksummed
-//!   frame — `[len: u32 LE][crc32(payload): u32 LE][payload]`, the exact
-//!   `qpv_reldb::wal` frame format — group-committed with one fsync per
-//!   [`DeltaLog::sync`]. Replay stops at the first invalid frame, so a
-//!   torn tail degrades to prefix durability, never corruption.
+//! * **[`DeltaLog`]** persists every applied delta as one frame of a
+//!   [`qpv_reldb::wal::Wal`] — `[len: u32 LE][crc32(lsn ‖ payload): u32
+//!   LE][lsn: u64 LE][payload]`, the database log's own frame format and
+//!   code — group-committed with one fsync per [`DeltaLog::sync`]. Replay
+//!   stops at the first invalid frame, so a torn tail degrades to prefix
+//!   durability, never corruption. This module owns only the payload
+//!   codec.
 //! * **Snapshots** bound the tail: [`DeltaLog::snapshot`] serialises the
 //!   live [`CompiledPopulation`] — its SoA arrays dumped as bulk
 //!   fixed-width little-endian runs, not per-profile structs — to a
-//!   generation-numbered snapshot file, starts a fresh log, and atomically
-//!   publishes the new generation by rewriting `CURRENT` (write-temp +
-//!   fsync + rename + dir-sync — PR 3's checkpoint publish trick).
+//!   generation-numbered snapshot file, starts a fresh log
+//!   ([`Wal::create`]), and atomically publishes the new generation
+//!   through [`qpv_reldb::disk::publish_current`], the database
+//!   checkpoint's own `CURRENT` swing.
 //!   Recovery = decode snapshot ⊕ replay tail through
 //!   [`CompiledPopulation::apply_delta`]: `O(snapshot + tail)` at memcpy
 //!   speed, with no profile re-assembly and no store rescan.
@@ -30,23 +33,23 @@
 //!   can never lag what the live monitor reported.
 //!
 //! Every durable op routes through the shared
-//! [`qpv_reldb::fault::FaultInjector`] failpoints ([`FaultOp::DeltaSync`],
-//! [`FaultOp::DeltaReplay`], [`FaultOp::DeltaTruncate`],
-//! [`FaultOp::SnapshotWrite`], [`FaultOp::SnapshotPublish`],
-//! [`FaultOp::SnapshotRead`]), so the crash-torture suite can kill the
-//! log at every op index and assert recovery byte-for-byte
-//! (`crates/core/tests/deltalog_torture.rs`).
+//! [`qpv_reldb::fault::FaultInjector`] failpoints: the log's own
+//! ([`FaultOp::WalSync`], [`FaultOp::WalReplay`], [`FaultOp::WalTruncate`]
+//! for a fresh log) and the snapshot's ([`FaultOp::SnapshotWrite`],
+//! [`FaultOp::SnapshotPublish`], [`FaultOp::SnapshotRead`]), so the
+//! crash-torture suite can kill the log at every op index and assert
+//! recovery byte-for-byte (`crates/core/tests/deltalog_torture.rs`).
 
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use qpv_policy::{HousePolicy, ProviderId};
-use qpv_reldb::disk::sync_dir;
+use qpv_reldb::disk::{current_path, publish_current, read_current, sync_dir};
 use qpv_reldb::encoding::{get_varint, put_varint};
 use qpv_reldb::error::{DbError, DbResult};
 use qpv_reldb::fault::{crash_error, FaultDecision, FaultInjector, FaultOp};
-use qpv_reldb::wal::{crc32, get_string, put_string};
+use qpv_reldb::wal::{crc32, get_string, put_string, Wal};
 use qpv_taxonomy::{Dim, PrivacyPoint, PrivacyTuple};
 
 use crate::audit::AuditEngine;
@@ -265,13 +268,8 @@ fn decode_delta(mut payload: &[u8]) -> DbResult<PopulationDelta> {
 }
 
 // ---------------------------------------------------------------------------
-// Paths and generation publish
+// Paths and snapshot files
 // ---------------------------------------------------------------------------
-
-/// Path of the generation pointer file inside a delta-log directory.
-pub fn current_path(dir: &Path) -> PathBuf {
-    dir.join("CURRENT")
-}
 
 /// Path of generation `g`'s population snapshot.
 pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
@@ -281,21 +279,6 @@ pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
 /// Path of generation `g`'s delta log file.
 pub fn log_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("deltas.{generation}.log"))
-}
-
-/// The published generation, or `None` when the directory was never
-/// initialised (no `CURRENT` file).
-pub fn read_current(dir: &Path) -> DbResult<Option<u64>> {
-    let path = current_path(dir);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path)?;
-    let g = text
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| DbError::Corruption(format!("bad CURRENT contents: {text:?}")))?;
-    Ok(Some(g))
 }
 
 fn check_failpoint(injector: &Option<FaultInjector>, op: FaultOp) -> DbResult<()> {
@@ -384,28 +367,11 @@ fn read_snapshot_file(
     Ok(pop)
 }
 
-/// Durably create generation `g`'s fresh, empty delta log.
-fn create_empty_log(dir: &Path, generation: u64, injector: &Option<FaultInjector>) -> DbResult<()> {
-    check_failpoint(injector, FaultOp::DeltaTruncate)?;
-    let path = log_path(dir, generation);
-    let file = File::create(&path)?;
-    file.sync_all()?;
-    sync_dir(&path)?;
-    Ok(())
-}
-
-/// Atomically publish `generation` as current: write `CURRENT.tmp`
-/// durably, rename over `CURRENT`, fsync the directory. The rename is the
-/// commit point — a crash on either side leaves a consistent generation.
-fn publish_current(dir: &Path, generation: u64, injector: &Option<FaultInjector>) -> DbResult<()> {
+/// Publish `generation` as current, through the `SnapshotPublish`
+/// failpoint.
+fn publish(dir: &Path, generation: u64, injector: &Option<FaultInjector>) -> DbResult<()> {
     check_failpoint(injector, FaultOp::SnapshotPublish)?;
-    let tmp = dir.join("CURRENT.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(generation.to_string().as_bytes())?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, current_path(dir))?;
-    sync_dir(current_path(dir))?;
-    Ok(())
+    publish_current(dir, generation)
 }
 
 // ---------------------------------------------------------------------------
@@ -440,16 +406,10 @@ pub struct Recovery {
 /// See the module docs for the format and crash-consistency argument.
 pub struct DeltaLog {
     dir: PathBuf,
-    file: File,
+    /// This generation's log: framing, group commit and replay.
+    wal: Wal,
     generation: u64,
-    /// Bytes of valid frames in this generation's log: where the next
-    /// durable write goes.
-    durable: u64,
-    /// The file holds bytes past `durable` (a torn tail recovery stopped
-    /// at); the next durable write cuts them off first.
-    stale_tail: bool,
-    /// Encoded frames awaiting the next group commit.
-    pending: Vec<u8>,
+    /// Delta frames appended since the last successful group commit.
     pending_deltas: u64,
     /// Delta frames durably in this generation's log (as known to this
     /// handle; recovery recounts from disk).
@@ -481,16 +441,12 @@ impl DeltaLog {
             )));
         }
         write_snapshot_file(dir, 0, pop, &injector)?;
-        create_empty_log(dir, 0, &injector)?;
-        publish_current(dir, 0, &injector)?;
-        let file = OpenOptions::new().write(true).open(log_path(dir, 0))?;
+        let wal = Wal::create(log_path(dir, 0), injector.clone())?;
+        publish(dir, 0, &injector)?;
         Ok(DeltaLog {
             dir: dir.to_path_buf(),
-            file,
+            wal,
             generation: 0,
-            durable: 0,
-            stale_tail: false,
-            pending: Vec::new(),
             pending_deltas: 0,
             committed_deltas: 0,
             injector,
@@ -520,127 +476,64 @@ impl DeltaLog {
             ))
         })?;
         let mut population = read_snapshot_file(dir, generation, &injector)?;
-        let (deltas, durable, stale_tail) = Self::replay_frames(dir, generation, &injector)?;
-        let mut ops_replayed = 0u64;
-        let mut ops_skipped = 0u64;
-        for delta in &deltas {
-            ops_replayed += delta.len() as u64;
-            let outcome = population.apply_delta(delta).map_err(|e| {
-                DbError::Corruption(format!("delta tail refused by snapshot population: {e}"))
-            })?;
-            ops_skipped += outcome.skipped;
+        // A published generation's log was created before `CURRENT`
+        // named it; refuse rather than create a missing one.
+        let path = log_path(dir, generation);
+        if !path.exists() {
+            return Err(DbError::Corruption(format!(
+                "delta log {} is missing",
+                path.display()
+            )));
         }
+        let mut wal = Wal::open_with(path, injector.clone())?;
+        let (mut deltas_replayed, mut ops_replayed, mut ops_skipped) = (0u64, 0u64, 0u64);
         // Recovery writes nothing: a torn tail stays on disk until the
         // next durable write cuts it off, so recovering twice observes the
         // same state.
-        let file = OpenOptions::new()
-            .write(true)
-            .open(log_path(dir, generation))?;
+        wal.replay(|_, payload| {
+            let delta = decode_delta(payload)?;
+            let outcome = population.apply_delta(&delta).map_err(|e| {
+                DbError::Corruption(format!("delta tail refused by snapshot population: {e}"))
+            })?;
+            deltas_replayed += 1;
+            ops_replayed += delta.len() as u64;
+            ops_skipped += outcome.skipped;
+            Ok(())
+        })?;
         let recovery = Recovery {
             population,
             generation,
-            deltas_replayed: deltas.len() as u64,
+            deltas_replayed,
             ops_replayed,
             ops_skipped,
         };
         Ok((
             DeltaLog {
                 dir: dir.to_path_buf(),
-                file,
+                wal,
                 generation,
-                durable,
-                stale_tail,
-                pending: Vec::new(),
                 pending_deltas: 0,
-                committed_deltas: recovery.deltas_replayed,
+                committed_deltas: deltas_replayed,
                 injector,
             },
             recovery,
         ))
     }
 
-    /// Read every valid delta frame of generation `g`, stopping cleanly at
-    /// the first invalid frame (torn tail = prefix durability, exactly the
-    /// WAL's replay contract). Also returns the valid prefix's byte length
-    /// and whether bytes follow it.
-    fn replay_frames(
-        dir: &Path,
-        generation: u64,
-        injector: &Option<FaultInjector>,
-    ) -> DbResult<(Vec<PopulationDelta>, u64, bool)> {
-        check_failpoint(injector, FaultOp::DeltaReplay)?;
-        let bytes = std::fs::read(log_path(dir, generation))?;
-        let mut deltas = Vec::new();
-        let mut slice = bytes.as_slice();
-        while slice.len() >= 8 {
-            let len = u32::from_le_bytes([slice[0], slice[1], slice[2], slice[3]]) as usize;
-            let crc = u32::from_le_bytes([slice[4], slice[5], slice[6], slice[7]]);
-            if slice.len() < 8 + len {
-                break; // torn tail
-            }
-            let payload = &slice[8..8 + len];
-            if crc32(payload) != crc {
-                break; // torn/corrupt tail
-            }
-            deltas.push(decode_delta(payload)?);
-            slice = &slice[8 + len..];
-        }
-        let durable = (bytes.len() - slice.len()) as u64;
-        Ok((deltas, durable, !slice.is_empty()))
-    }
-
     /// Frame a delta into the group-commit buffer. Nothing is durable
     /// until [`DeltaLog::sync`].
     pub fn append(&mut self, delta: &PopulationDelta) {
-        let payload = encode_delta(delta);
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
+        self.wal.append(&encode_delta(delta));
         self.pending_deltas += 1;
     }
 
     /// Group commit: durably append every buffered frame with one write +
-    /// one fsync. On a transient injected fault nothing is written and the
-    /// buffer is retained (retrying persists the complete batch); a torn
-    /// fault persists a deterministic byte prefix and crash-stops.
+    /// one fsync ([`Wal::sync`]). A failed commit retains the batch, so
+    /// retrying persists it exactly once.
     pub fn sync(&mut self) -> DbResult<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        if let Some(injector) = &self.injector {
-            match injector.check(FaultOp::DeltaSync, self.pending.len()) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Torn { keep } => {
-                    let pending = std::mem::take(&mut self.pending);
-                    self.pending_deltas = 0;
-                    self.write_durable(&pending[..keep])?;
-                    return Err(crash_error(FaultOp::DeltaSync));
-                }
-                // Pending is retained: the op was not performed.
-                FaultDecision::Fail(e) => return Err(e),
-            }
-        }
-        let pending = std::mem::take(&mut self.pending);
-        self.write_durable(&pending)?;
+        self.wal.sync()?;
         self.committed_deltas += self.pending_deltas;
         self.pending_deltas = 0;
-        Ok(())
-    }
-
-    /// Write `bytes` after the last valid frame and fsync. A torn tail
-    /// left by a crash is cut off first, so frames synced after recovery
-    /// never land behind garbage that the next recovery would stop at.
-    fn write_durable(&mut self, bytes: &[u8]) -> DbResult<()> {
-        if self.stale_tail {
-            self.file.set_len(self.durable)?;
-            self.stale_tail = false;
-        }
-        self.file.seek(SeekFrom::Start(self.durable))?;
-        self.file.write_all(bytes)?;
-        self.file.sync_data()?;
-        self.durable += bytes.len() as u64;
         Ok(())
     }
 
@@ -657,16 +550,12 @@ impl DeltaLog {
         self.sync()?;
         let next = self.generation + 1;
         write_snapshot_file(&self.dir, next, pop, &self.injector)?;
-        create_empty_log(&self.dir, next, &self.injector)?;
-        publish_current(&self.dir, next, &self.injector)?;
+        let wal = Wal::create(log_path(&self.dir, next), self.injector.clone())?;
+        publish(&self.dir, next, &self.injector)?;
         // Commit point passed: swing the handle, then GC.
-        self.file = OpenOptions::new()
-            .write(true)
-            .open(log_path(&self.dir, next))?;
+        self.wal = wal;
         let old = self.generation;
         self.generation = next;
-        self.durable = 0;
-        self.stale_tail = false;
         self.committed_deltas = 0;
         let _ = std::fs::remove_file(snapshot_path(&self.dir, old));
         let _ = std::fs::remove_file(log_path(&self.dir, old));
@@ -890,8 +779,8 @@ impl Monitor {
 
     /// Force the buffered batch durable and apply it to the live index,
     /// then re-check α-certification and cut a snapshot if one is due.
-    /// Transient sync faults leave the batch staged — retrying flushes the
-    /// complete batch.
+    /// A failed sync (a transient fault or an I/O error) leaves the batch
+    /// staged — retrying flushes the complete batch.
     pub fn flush(&mut self) -> DbResult<()> {
         if self.staged.is_empty() {
             return Ok(());
@@ -993,6 +882,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use qpv_reldb::fault::{FaultKind, FaultPlan};
+    use std::fs::OpenOptions;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1169,11 +1059,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A crash between creating the next generation's log and publishing
+    /// it can leave that log holding valid frames. The next rotation must
+    /// start the generation empty, not replay the leftovers as its tail.
+    #[test]
+    fn rotation_over_a_leftover_log_starts_it_empty() {
+        let dir = temp_dir("leftover");
+        let initial: Vec<ProviderProfile> = (0..3).map(|i| profile(i, 20)).collect();
+        let pop = CompiledPopulation::from_profiles(&initial);
+        // Two valid frames, recorded elsewhere, left under generation 1's
+        // log name.
+        let donor = temp_dir("leftover-donor");
+        let mut other = DeltaLog::create(&donor, &pop).unwrap();
+        other.append(&PopulationDelta::new().set_threshold(ProviderId(0), 1));
+        other.append(&PopulationDelta::new().set_threshold(ProviderId(1), 2));
+        other.sync().unwrap();
+        drop(other);
+        let mut log = DeltaLog::create(&dir, &pop).unwrap();
+        std::fs::copy(log_path(&donor, 0), log_path(&dir, 1)).unwrap();
+
+        log.snapshot(&pop).unwrap();
+        assert_eq!(log.generation(), 1);
+        let d = PopulationDelta::new().set_threshold(ProviderId(2), 3);
+        log.append(&d);
+        log.sync().unwrap();
+        drop(log);
+
+        let (_, rec) = DeltaLog::recover(&dir).unwrap();
+        assert_eq!(rec.generation, 1);
+        assert_eq!(
+            rec.deltas_replayed, 1,
+            "only the delta synced after rotation"
+        );
+        let mut expected = initial.clone();
+        d.apply_to_profiles(&mut expected);
+        assert_eq!(report(&rec.population), report_of(&expected));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&donor);
+    }
+
     #[test]
     fn transient_sync_fault_retains_the_batch() {
         let dir = temp_dir("transient");
-        // Op indices: 0 SnapshotWrite, 1 DeltaTruncate, 2 SnapshotPublish,
-        // 3 first DeltaSync.
+        // Op indices: 0 SnapshotWrite, 1 WalTruncate, 2 SnapshotPublish,
+        // 3 first WalSync.
         let injector = FaultInjector::new(FaultPlan::fail_at(3, FaultKind::Transient));
         let pop = CompiledPopulation::from_profiles(&[profile(0, 10)]);
         let mut log = DeltaLog::create_with(&dir, &pop, Some(injector)).unwrap();

@@ -28,14 +28,23 @@
 //!    is first published) must leave the directory recoverable by
 //!    re-running `create` — and [`DeltaLog::recover`] must refuse it
 //!    with an error, not invent an empty population.
+//!
+//! 4. Flip any single bit or byte of a recorded delta log (the properties
+//!    mirror `qpv-reldb`'s `wal_corruption.rs`): recovery must land on
+//!    exactly the deltas whose frames end before the flip, or refuse with
+//!    `DbError::Corruption`, and never panic or apply a frame past it.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use qpv_core::deltalog::DeltaLog;
+use proptest::prelude::*;
+use qpv_core::deltalog::{log_path, snapshot_path, DeltaLog};
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
 use qpv_core::{AuditEngine, CompiledPopulation, PopulationDelta, ProviderProfile};
 use qpv_policy::{HousePolicy, ProviderId};
+use qpv_reldb::disk::current_path;
 use qpv_reldb::fault::{FaultInjector, FaultKind, FaultPlan};
+use qpv_reldb::DbError;
 use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
 
 fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
@@ -414,5 +423,104 @@ fn transient_retries_then_crash_preserve_the_prefix() {
             result.appended
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A clean delta log, recorded once for the corruption properties, with
+/// one delta per group commit.
+struct RecordedLog {
+    current: Vec<u8>,
+    snapshot: Vec<u8>,
+    log: Vec<u8>,
+    /// `ends[d]` = log length (bytes) once delta `d` was acknowledged.
+    ends: Vec<u64>,
+}
+
+fn recorded_log() -> &'static RecordedLog {
+    static RECORDED: OnceLock<RecordedLog> = OnceLock::new();
+    RECORDED.get_or_init(|| {
+        let dir = temp_dir("flip-record");
+        let mut log =
+            DeltaLog::create(&dir, &CompiledPopulation::from_profiles(&initial())).unwrap();
+        let mut ends = Vec::new();
+        for delta in deltas() {
+            log.append(&delta);
+            log.sync().unwrap();
+            ends.push(std::fs::metadata(log_path(&dir, 0)).unwrap().len());
+        }
+        drop(log);
+        let recorded = RecordedLog {
+            current: std::fs::read(current_path(&dir)).unwrap(),
+            snapshot: std::fs::read(snapshot_path(&dir, 0)).unwrap(),
+            log: std::fs::read(log_path(&dir, 0)).unwrap(),
+            ends,
+        };
+        assert_eq!(
+            recorded.ends.last().copied(),
+            Some(recorded.log.len() as u64)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        recorded
+    })
+}
+
+/// Recover from the recorded log with `mask` XORed into the byte at
+/// `offset % len`, and check the prefix contract.
+fn check_flip(tag: &str, case: usize, offset: usize, mask: u8) {
+    let recorded = recorded_log();
+    let flip_at = offset % recorded.log.len();
+    // The first delta whose frame extends past the flip: it and every
+    // later delta must be gone, every earlier one recovered exactly.
+    let broken = recorded
+        .ends
+        .iter()
+        .position(|&end| end > flip_at as u64)
+        .expect("flip offset is inside the log");
+    let mut corrupted = recorded.log.clone();
+    corrupted[flip_at] ^= mask;
+
+    let dir = temp_dir(&format!("flip-{tag}-{case}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(current_path(&dir), &recorded.current).unwrap();
+    std::fs::write(snapshot_path(&dir, 0), &recorded.snapshot).unwrap();
+    std::fs::write(log_path(&dir, 0), &corrupted).unwrap();
+    match DeltaLog::recover(&dir) {
+        Err(e) => assert!(
+            matches!(e, DbError::Corruption(_)),
+            "flip at {flip_at}: refusal must be Corruption, got {e}"
+        ),
+        Ok((_, rec)) => {
+            assert_eq!(
+                rec.deltas_replayed, broken as u64,
+                "flip at {flip_at}: replayed a frame past the flip or lost one before it"
+            );
+            assert_eq!(
+                report_pop(&rec.population),
+                report_json(&model_states()[broken]),
+                "flip at {flip_at} (delta {broken}): recovered population is not the prefix"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+proptest! {
+    /// Flip one whole byte (XOR 0xff) anywhere in the delta log.
+    #[test]
+    fn delta_log_byte_flip_recovers_prefix_or_refuses(
+        offset in 0usize..1_000_000,
+        case in 0usize..1_000_000,
+    ) {
+        check_flip("byte", case, offset, 0xff);
+    }
+
+    /// Flip one single bit anywhere in the delta log.
+    #[test]
+    fn delta_log_bit_flip_recovers_prefix_or_refuses(
+        offset in 0usize..1_000_000,
+        bit in 0u32..8,
+        case in 0usize..1_000_000,
+    ) {
+        check_flip("bit", case, offset, 1u8 << bit);
     }
 }

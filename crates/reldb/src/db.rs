@@ -54,7 +54,7 @@ use crate::audit_bridge::{AuditBridge, ViolationStats};
 use crate::btree::{BTreeIndex, IndexKey};
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, IndexId, TableId};
-use crate::disk::{sync_dir, FileStore, MemStore, PageStore};
+use crate::disk::{publish_current, read_current, FileStore, MemStore, PageStore};
 use crate::encoding::{decode_row, decode_row_ref, encode_row, ValueRef};
 use crate::error::{DbError, DbResult};
 use crate::exec::{execute, ExecContext, Plan, ResultSet};
@@ -96,11 +96,6 @@ pub struct Database {
     violation_stats: Option<ViolationStats>,
 }
 
-/// Path of the `CURRENT` generation pointer file.
-pub fn current_path(dir: &Path) -> PathBuf {
-    dir.join("CURRENT")
-}
-
 /// Path of generation `generation`'s page snapshot.
 pub fn pages_snap_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("pages.{generation}.snap"))
@@ -116,37 +111,10 @@ pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal.{generation}.log"))
 }
 
-/// Read the live generation from `CURRENT` (0 when the file is absent —
-/// a freshly created database).
-pub fn read_current(dir: &Path) -> DbResult<u64> {
-    let path = current_path(dir);
-    if !path.exists() {
-        return Ok(0);
-    }
-    let text = std::fs::read_to_string(&path)?;
-    text.trim()
-        .parse::<u64>()
-        .map_err(|_| DbError::Corruption(format!("CURRENT holds {:?}, not a generation", text)))
-}
-
 /// Fsync an already-written file by path.
 fn fsync_file(path: &Path) -> DbResult<()> {
     std::fs::File::open(path)?.sync_all()?;
     Ok(())
-}
-
-/// Atomically point `CURRENT` at `generation`: write `CURRENT.tmp`, fsync
-/// it, rename over `CURRENT`, fsync the directory.
-fn publish_current(dir: &Path, generation: u64) -> DbResult<()> {
-    let tmp = dir.join("CURRENT.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        use std::io::Write as _;
-        f.write_all(generation.to_string().as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, current_path(dir))?;
-    sync_dir(current_path(dir))
 }
 
 /// What a non-query statement did.
@@ -190,7 +158,7 @@ impl Database {
     ) -> DbResult<Database> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let generation = read_current(&dir)?;
+        let generation = read_current(&dir)?.unwrap_or(0);
         let pages_path = dir.join("pages.db");
         let snap_path = pages_snap_path(&dir, generation);
         let catalog_path = catalog_snap_path(&dir, generation);
@@ -252,7 +220,11 @@ impl Database {
 
     /// Apply the WAL's committed transactions on top of the snapshot state.
     fn recover(&mut self) -> DbResult<()> {
-        let records = self.wal.replay()?;
+        let mut records = Vec::new();
+        self.wal.replay(|_, payload| {
+            records.push(WalRecord::decode(payload)?);
+            Ok(())
+        })?;
         // Pass 1: which transactions committed?
         let committed: std::collections::HashSet<u64> = records
             .iter()
@@ -395,11 +367,11 @@ impl Database {
         fsync_file(&pages_snap_path(&dir, next))?;
         std::fs::write(catalog_snap_path(&dir, next), self.catalog.encode())?;
         fsync_file(&catalog_snap_path(&dir, next))?;
-        // 2. Create G+1's empty WAL; truncate defensively in case a crashed
-        //    earlier checkpoint attempt left bytes under this name.
-        let mut new_wal = Wal::open_with(wal_path(&dir, next), self.faults.clone())?;
-        retry_transient(self.retry, || new_wal.truncate())?;
-        sync_dir(wal_path(&dir, next))?;
+        // 2. Create G+1's empty WAL, emptied in case a crashed earlier
+        //    checkpoint attempt left bytes under this name.
+        let mut new_wal = retry_transient(self.retry, || {
+            Wal::create(wal_path(&dir, next), self.faults.clone())
+        })?;
         // 3. Atomically swing CURRENT. This is the commit point.
         publish_current(&dir, next)?;
         // 4. Generation G is now garbage; delete best-effort.
@@ -613,7 +585,7 @@ impl Database {
     pub fn create_table(&mut self, name: &str, schema: Schema) -> DbResult<TableId> {
         let heap = TableHeap::create(&mut self.pool)?;
         let id = self.catalog.create_table(name, schema.clone(), heap)?;
-        self.wal.append(&WalRecord::CreateTable {
+        self.append_wal(WalRecord::CreateTable {
             name: name.to_string(),
             schema,
         });
@@ -636,7 +608,7 @@ impl Database {
         // Build from current contents (the table's other indexes are
         // re-packed in the same heap walk).
         self.rebuild_indexes(table_id)?;
-        self.wal.append(&WalRecord::CreateIndex {
+        self.append_wal(WalRecord::CreateIndex {
             name: name.to_string(),
             table: table.to_string(),
             columns: col_idxs.iter().map(|c| *c as u32).collect(),
@@ -657,7 +629,7 @@ impl Database {
         for id in dropped {
             self.indexes.remove(&id);
         }
-        self.wal.append(&WalRecord::DropTable {
+        self.append_wal(WalRecord::DropTable {
             name: name.to_string(),
         });
         self.sync_wal()
@@ -667,7 +639,7 @@ impl Database {
     pub fn drop_index(&mut self, name: &str) -> DbResult<()> {
         let meta = self.catalog.drop_index(name)?;
         self.indexes.remove(&meta.id);
-        self.wal.append(&WalRecord::DropIndex {
+        self.append_wal(WalRecord::DropIndex {
             name: name.to_string(),
         });
         self.sync_wal()
@@ -788,10 +760,10 @@ impl Database {
         })?;
         let mut new_heap = TableHeap::create(&mut self.pool)?;
         let txn_id = self.txn.autocommit_id();
-        self.wal.append(&WalRecord::Begin { txn: txn_id });
+        self.append_wal(WalRecord::Begin { txn: txn_id });
         // Log as delete-all + reinsert: replay reproduces the rewrite.
         for &(rid, _) in &rows {
-            self.wal.append(&WalRecord::Delete {
+            self.append_wal(WalRecord::Delete {
                 txn: txn_id,
                 table: table_id.0,
                 rid,
@@ -800,7 +772,7 @@ impl Database {
         let n = rows.len();
         for (_, bytes) in rows {
             let rid = new_heap.insert(&mut self.pool, &bytes)?;
-            self.wal.append(&WalRecord::Insert {
+            self.append_wal(WalRecord::Insert {
                 txn: txn_id,
                 table: table_id.0,
                 rid,
@@ -815,7 +787,7 @@ impl Database {
             .table_by_id_mut(table_id)
             .expect("looked up above")
             .heap = new_heap;
-        self.wal.append(&WalRecord::Commit { txn: txn_id });
+        self.append_wal(WalRecord::Commit { txn: txn_id });
         self.sync_wal()?;
         self.rebuild_indexes(table_id)?;
         Ok(n)
@@ -829,14 +801,14 @@ impl Database {
             self.checkpoint_if_due()?;
         }
         let id = self.txn.begin()?;
-        self.wal.append(&WalRecord::Begin { txn: id });
+        self.append_wal(WalRecord::Begin { txn: id });
         Ok(())
     }
 
     /// Commit the open transaction.
     pub fn commit(&mut self) -> DbResult<()> {
         let id = self.txn.take_commit()?;
-        self.wal.append(&WalRecord::Commit { txn: id });
+        self.append_wal(WalRecord::Commit { txn: id });
         self.sync_wal()
     }
 
@@ -846,7 +818,7 @@ impl Database {
         for op in undo {
             self.apply_undo(op)?;
         }
-        self.wal.append(&WalRecord::Abort { txn: id });
+        self.append_wal(WalRecord::Abort { txn: id });
         self.sync_wal()
     }
 
@@ -858,6 +830,12 @@ impl Database {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
+
+    /// Buffer `record`'s encoding as one WAL frame (durable at the next
+    /// [`Database::sync_wal`]).
+    fn append_wal(&mut self, record: WalRecord) {
+        self.wal.append(&record.encode());
+    }
 
     /// Durably sync the WAL, retrying transient faults per the retry
     /// policy. Safe to retry: on a transient failure [`Wal::sync`] retains
@@ -895,9 +873,9 @@ impl Database {
         } else {
             self.checkpoint_if_due()?;
             let id = self.txn.autocommit_id();
-            self.wal.append(&WalRecord::Begin { txn: id });
+            self.append_wal(WalRecord::Begin { txn: id });
             body(self, id)?;
-            self.wal.append(&WalRecord::Commit { txn: id });
+            self.append_wal(WalRecord::Commit { txn: id });
             self.sync_wal()
         }
     }
@@ -931,7 +909,7 @@ impl Database {
         let bytes = encode_row(row);
         let rid = self.heap_insert_bytes(table, &bytes)?;
         self.index_add(table, row, rid);
-        self.wal.append(&WalRecord::Insert {
+        self.append_wal(WalRecord::Insert {
             txn: txn_id,
             table: table.0,
             rid,
@@ -954,7 +932,7 @@ impl Database {
         let old_row = decode_row(&old_bytes)?;
         heap.delete(&mut self.pool, rid)?;
         self.index_remove(table, &old_row, rid);
-        self.wal.append(&WalRecord::Delete {
+        self.append_wal(WalRecord::Delete {
             txn: txn_id,
             table: table.0,
             rid,
@@ -984,7 +962,7 @@ impl Database {
         let new_rid = self.heap_update_bytes(table, rid, &new_bytes)?;
         self.index_remove(table, &old_row, rid);
         self.index_add(table, new_row, new_rid);
-        self.wal.append(&WalRecord::Update {
+        self.append_wal(WalRecord::Update {
             txn: txn_id,
             table: table.0,
             rid,
@@ -2039,7 +2017,7 @@ mod tests {
             (db.generation(), contents(&mut db))
         };
         assert_eq!(written, floor_contents(200, 200, 70));
-        assert_eq!(read_current(&dir).unwrap(), generation);
+        assert_eq!(read_current(&dir).unwrap(), Some(generation));
         assert!(!wal_path(&dir, generation - 1).exists(), "retired log kept");
         let mut db = Database::open(&dir).unwrap();
         assert!(

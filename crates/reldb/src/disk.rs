@@ -4,10 +4,14 @@
 //! file-backed store for durability and an in-memory store for tests and for
 //! the privacy layer's default configuration (the violation model is
 //! analytical and usually does not need durability).
+//!
+//! It also holds the generation pointer protocol ([`read_current`],
+//! [`publish_current`]) that both the database checkpoint and the delta
+//! log's snapshot rotation publish through.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::error::{DbError, DbResult};
 use crate::page::PAGE_SIZE;
@@ -26,6 +30,39 @@ pub fn sync_dir(path: impl AsRef<Path>) -> DbResult<()> {
         handle.sync_all()?;
     }
     Ok(())
+}
+
+/// Path of the `CURRENT` generation pointer file inside `dir`.
+pub fn current_path(dir: &Path) -> PathBuf {
+    dir.join("CURRENT")
+}
+
+/// The generation `CURRENT` points at, or `None` when the file is absent
+/// (nothing was ever published in `dir`).
+pub fn read_current(dir: &Path) -> DbResult<Option<u64>> {
+    let path = current_path(dir);
+    if !path.exists() {
+        return Ok(None);
+    }
+    let text = std::fs::read_to_string(&path)?;
+    let generation = text
+        .trim()
+        .parse::<u64>()
+        .map_err(|_| DbError::Corruption(format!("CURRENT holds {text:?}, not a generation")))?;
+    Ok(Some(generation))
+}
+
+/// Atomically point `CURRENT` at `generation`: write `CURRENT.tmp`, fsync
+/// it, rename over `CURRENT`, fsync the directory. The rename is the
+/// commit point: a crash on either side of it leaves one whole generation
+/// published.
+pub fn publish_current(dir: &Path, generation: u64) -> DbResult<()> {
+    let tmp = dir.join("CURRENT.tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(generation.to_string().as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, current_path(dir))?;
+    sync_dir(current_path(dir))
 }
 
 /// A medium that stores fixed-size pages addressed by page id.

@@ -62,19 +62,14 @@ pub enum FaultOp {
     PageWrite,
     /// [`PageStore::sync`].
     PageSync,
-    /// WAL append + fsync ([`crate::wal::Wal::sync`]).
+    /// Log append + fsync ([`crate::wal::Wal::sync`]): a database commit,
+    /// or a delta-log group commit (`qpv_core::deltalog`).
     WalSync,
-    /// WAL truncation ([`crate::wal::Wal::truncate`]).
+    /// Log truncation ([`crate::wal::Wal::truncate`]), including the
+    /// fresh log [`crate::wal::Wal::create`] starts for a new generation.
     WalTruncate,
-    /// WAL read-back ([`crate::wal::Wal::replay`]).
+    /// Log read-back during recovery ([`crate::wal::Wal::replay`]).
     WalReplay,
-    /// Delta-log group commit: append + fsync of buffered delta frames
-    /// (`qpv_core::deltalog`).
-    DeltaSync,
-    /// Delta-log read-back during recovery.
-    DeltaReplay,
-    /// Delta-log tail reset after a published snapshot.
-    DeltaTruncate,
     /// Compiled-population snapshot file write + fsync.
     SnapshotWrite,
     /// Snapshot generation publish (the `CURRENT` rename swing).
@@ -88,7 +83,7 @@ impl FaultOp {
     fn is_write(self) -> bool {
         matches!(
             self,
-            FaultOp::PageWrite | FaultOp::WalSync | FaultOp::DeltaSync | FaultOp::SnapshotWrite
+            FaultOp::PageWrite | FaultOp::WalSync | FaultOp::SnapshotWrite
         )
     }
 }

@@ -1,10 +1,17 @@
 //! The write-ahead log.
 //!
-//! The engine uses *logical* logging: every DDL statement and every committed
-//! row mutation since the last checkpoint is recorded, and replayed through
-//! the normal heap/catalog code paths on recovery (see
-//! [`crate::db::Database::open`]). A checkpoint flushes all pages, snapshots
-//! the catalog, and truncates the log.
+//! A [`Wal`] is a checksummed, group-committed log of opaque byte
+//! payloads. It has two clients, each with its own payload codec:
+//!
+//! * the database uses *logical* logging: every DDL statement and every
+//!   committed row mutation since the last checkpoint is recorded as an
+//!   encoded [`WalRecord`], and replayed through the normal heap/catalog
+//!   code paths on recovery (see [`crate::db::Database::open`]). A
+//!   checkpoint flushes all pages, snapshots the catalog, and starts the
+//!   next generation's empty log ([`Wal::create`]);
+//! * the monitor's delta log (`qpv_core::deltalog`) records one encoded
+//!   population delta per frame, and starts a fresh log at every snapshot
+//!   rotation the same way.
 //!
 //! ## Frame format
 //!
@@ -16,7 +23,9 @@
 //! and cleanly ignored: replay stops at the first invalid frame, which is
 //! exactly the prefix-durability WAL semantics require. The next durable
 //! write cuts the invalid bytes off before it appends, so frames committed
-//! after a recovery land where later replays reach them.
+//! after a recovery land where later replays reach them. A write that
+//! fails with an I/O error is treated the same way: its batch stays
+//! pending, and the retry first cuts whatever part of it reached the file.
 //!
 //! The log counts its valid durable bytes as it writes them
 //! ([`Wal::durable_len`]); the database's automatic checkpoint reads that
@@ -444,6 +453,20 @@ impl WalRecord {
     }
 }
 
+/// Bytes of frame header: length, checksum and LSN.
+const FRAME_HEADER: usize = 16;
+
+/// Write `bytes` at offset `at` and fsync, first cutting the file back to
+/// `at` when `cut` says bytes past it are stale.
+fn write_at(file: &mut File, at: u64, cut: bool, bytes: &[u8]) -> std::io::Result<()> {
+    if cut {
+        file.set_len(at)?;
+    }
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(bytes)?;
+    file.sync_data()
+}
+
 enum WalBackend {
     Memory(Vec<u8>),
     File(File),
@@ -499,15 +522,31 @@ impl Wal {
     pub fn open_with(path: impl AsRef<Path>, injector: Option<FaultInjector>) -> DbResult<Wal> {
         let path = path.as_ref();
         let created = !path.exists();
+        let wal = Wal::open_file(path, injector)?;
+        if created {
+            sync_dir(path)?;
+        }
+        Ok(wal)
+    }
+
+    /// Create a fresh, empty, durable log at `path`: open it, then
+    /// [`Wal::truncate`] it through its failpoint, which fsyncs the file
+    /// and its directory. Bytes a crashed earlier attempt left under the
+    /// name are discarded. This is how a new generation's log starts, for
+    /// the database checkpoint and the delta log's rotation alike.
+    pub fn create(path: impl AsRef<Path>, injector: Option<FaultInjector>) -> DbResult<Wal> {
+        let mut wal = Wal::open_file(path.as_ref(), injector)?;
+        wal.truncate()?;
+        Ok(wal)
+    }
+
+    fn open_file(path: &Path, injector: Option<FaultInjector>) -> DbResult<Wal> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        if created {
-            sync_dir(path)?;
-        }
         let durable = file.metadata()?.len();
         Ok(Wal {
             backend: WalBackend::File(file),
@@ -520,17 +559,20 @@ impl Wal {
         })
     }
 
-    /// Append a record. Buffered until [`Wal::sync`]. The frame is stamped
-    /// with the in-flight batch's LSN (`end_lsn + 1`).
-    pub fn append(&mut self, record: &WalRecord) {
-        let payload = record.encode();
-        let lsn = self.end_lsn + 1;
-        let mut checked = Vec::with_capacity(8 + payload.len());
-        checked.put_u64_le(lsn);
-        checked.put_slice(&payload);
+    /// Append one frame holding `payload`, stamped with the in-flight
+    /// batch's LSN (`end_lsn + 1`). Buffered until [`Wal::sync`]. The frame
+    /// is built in place in the pending buffer, its checksum patched in
+    /// last.
+    pub fn append(&mut self, payload: &[u8]) {
+        let start = self.pending.len();
         self.pending.put_u32_le(payload.len() as u32);
-        self.pending.put_u32_le(crc32(&checked));
-        self.pending.put_slice(&checked);
+        self.pending.put_u32_le(0);
+        // The checksummed part grows the buffer in one step.
+        self.pending.reserve(8 + payload.len());
+        self.pending.put_u64_le(self.end_lsn + 1);
+        self.pending.put_slice(payload);
+        let crc = crc32(&self.pending[start + 8..]);
+        self.pending[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// LSN of the newest durable commit boundary.
@@ -551,13 +593,16 @@ impl Wal {
         self.end_lsn = self.end_lsn.max(end_lsn);
     }
 
-    /// Durably write all appended records.
+    /// Durably write all appended frames.
     ///
-    /// On a transient injected fault nothing is written and the pending
-    /// buffer is retained, so a retried `sync` persists the complete batch
-    /// — retrying is always safe. A torn fault persists a deterministic
-    /// byte prefix of the batch (a real power-loss torn tail) and then
-    /// crash-stops the injector.
+    /// The pending batch is cleared only once it is written and fsynced.
+    /// On a transient injected fault nothing is written; on an I/O error
+    /// the file may hold part of the batch, which the next write cuts off.
+    /// Either way the batch is retained, so a retried `sync` persists the
+    /// complete batch exactly once — retrying is always safe. A torn fault
+    /// persists a deterministic byte prefix of the batch (a real
+    /// power-loss torn tail), drops the batch and crash-stops the
+    /// injector.
     pub fn sync(&mut self) -> DbResult<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -566,55 +611,51 @@ impl Wal {
             match injector.check(FaultOp::WalSync, self.pending.len()) {
                 FaultDecision::Proceed => {}
                 FaultDecision::Torn { keep } => {
-                    let pending = std::mem::take(&mut self.pending);
-                    self.write_durable(&pending[..keep])?;
+                    self.write_durable(keep)?;
+                    self.pending.clear();
                     return Err(crash_error(FaultOp::WalSync));
                 }
                 // Pending is retained: the op was not performed.
                 FaultDecision::Fail(e) => return Err(e),
             }
         }
-        let pending = std::mem::take(&mut self.pending);
-        self.write_durable(&pending)?;
+        self.write_durable(self.pending.len())?;
+        // Drop the buffer, not just its bytes: a bulk batch's capacity
+        // should not stay pinned for the life of the log.
+        self.pending = Vec::new();
         self.end_lsn += 1;
         Ok(())
     }
 
-    /// Append `bytes` to the durable log, after its last valid frame, and
-    /// fsync.
-    fn write_durable(&mut self, bytes: &[u8]) -> DbResult<()> {
+    /// Write the first `len` pending bytes after the log's last valid
+    /// frame, and fsync. A failed write marks the tail stale, so the next
+    /// one starts by cutting the file back to its valid prefix.
+    fn write_durable(&mut self, len: usize) -> DbResult<()> {
+        let bytes = &self.pending[..len];
         match &mut self.backend {
             WalBackend::Memory(buf) => {
                 buf.truncate(self.durable as usize);
                 buf.extend_from_slice(bytes);
             }
             WalBackend::File(file) => {
-                if self.stale_tail {
-                    file.set_len(self.durable)?;
-                    self.stale_tail = false;
-                }
-                file.seek(SeekFrom::Start(self.durable))?;
-                file.write_all(bytes)?;
-                file.sync_data()?;
+                let written = write_at(file, self.durable, self.stale_tail, bytes);
+                self.stale_tail = written.is_err();
+                written?;
             }
         }
-        self.durable += bytes.len() as u64;
+        self.durable += len as u64;
         Ok(())
     }
 
-    /// Read every valid record from the start of the log. Stops cleanly at a
-    /// torn tail: frames after the first invalid one were never acknowledged
-    /// as durable, so ignoring them is exactly prefix durability.
+    /// Hand every valid frame, from the start of the log, to `visit` as
+    /// `(lsn, payload)`. Stops cleanly at a torn tail: frames after the
+    /// first invalid one were never acknowledged as durable, so ignoring
+    /// them is exactly prefix durability. An error from `visit` ends the
+    /// replay with that error.
     ///
     /// As a side effect, `end_lsn` advances to the newest LSN seen among
     /// valid frames, so LSNs assigned after recovery continue the sequence.
-    pub fn replay(&mut self) -> DbResult<Vec<WalRecord>> {
-        Ok(self.replay_frames()?.into_iter().map(|(_, r)| r).collect())
-    }
-
-    /// Like [`Wal::replay`], but yields each record with the LSN of the
-    /// commit boundary it belongs to.
-    pub fn replay_frames(&mut self) -> DbResult<Vec<(u64, WalRecord)>> {
+    pub fn replay(&mut self, mut visit: impl FnMut(u64, &[u8]) -> DbResult<()>) -> DbResult<()> {
         if let Some(injector) = &self.injector {
             match injector.check(FaultOp::WalReplay, 0) {
                 FaultDecision::Proceed => {}
@@ -631,26 +672,25 @@ impl Wal {
                 buf
             }
         };
-        let mut records = Vec::new();
         let mut slice = bytes.as_slice();
-        while slice.len() >= 16 {
+        while slice.len() >= FRAME_HEADER {
             let len = u32::from_le_bytes([slice[0], slice[1], slice[2], slice[3]]) as usize;
             let crc = u32::from_le_bytes([slice[4], slice[5], slice[6], slice[7]]);
-            if slice.len() < 16 + len {
+            if slice.len() < FRAME_HEADER + len {
                 break; // torn tail
             }
-            let checked = &slice[8..16 + len];
+            let checked = &slice[8..FRAME_HEADER + len];
             if crc32(checked) != crc {
                 break; // torn/corrupt tail
             }
             let lsn = u64::from_le_bytes(checked[..8].try_into().unwrap());
-            records.push((lsn, WalRecord::decode(&checked[8..])?));
+            visit(lsn, &checked[8..])?;
             self.end_lsn = self.end_lsn.max(lsn);
-            slice = &slice[16 + len..];
+            slice = &slice[FRAME_HEADER + len..];
         }
         self.durable = (bytes.len() - slice.len()) as u64;
         self.stale_tail = !slice.is_empty();
-        Ok(records)
+        Ok(())
     }
 
     /// Discard the log contents (after a checkpoint made them redundant).
@@ -707,6 +747,22 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
+
+    /// Every valid frame's LSN and decoded record, in log order.
+    fn frames(wal: &mut Wal) -> Vec<(u64, WalRecord)> {
+        let mut frames = Vec::new();
+        wal.replay(|lsn, payload| {
+            frames.push((lsn, WalRecord::decode(payload)?));
+            Ok(())
+        })
+        .unwrap();
+        frames
+    }
+
+    /// Every valid frame's decoded record, in log order.
+    fn records(wal: &mut Wal) -> Vec<WalRecord> {
+        frames(wal).into_iter().map(|(_, r)| r).collect()
+    }
 
     #[test]
     fn crc32_matches_reference_vectors() {
@@ -802,14 +858,14 @@ mod tests {
     fn memory_wal_append_sync_replay() {
         let mut wal = Wal::in_memory();
         for r in sample_records() {
-            wal.append(&r);
+            wal.append(&r.encode());
         }
         // Nothing durable before sync.
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(records(&mut wal).is_empty());
         wal.sync().unwrap();
-        assert_eq!(wal.replay().unwrap(), sample_records());
+        assert_eq!(records(&mut wal), sample_records());
         wal.truncate().unwrap();
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(records(&mut wal).is_empty());
         assert!(wal.is_empty());
     }
 
@@ -822,7 +878,7 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r);
+                wal.append(&r.encode());
             }
             wal.sync().unwrap();
         }
@@ -832,7 +888,7 @@ mod tests {
             f.write_all(&[0x10, 0x00, 0x00, 0x00, 0xde, 0xad]).unwrap();
         }
         let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap(), sample_records());
+        assert_eq!(records(&mut wal), sample_records());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -846,7 +902,7 @@ mod tests {
         let second = WalRecord::Commit { txn: 1 };
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&first);
+            wal.append(&first.encode());
             wal.sync().unwrap();
         }
         {
@@ -856,9 +912,9 @@ mod tests {
         {
             // Recover past the torn half-frame, then commit more.
             let mut wal = Wal::open(&path).unwrap();
-            assert_eq!(wal.replay().unwrap(), vec![first.clone()]);
+            assert_eq!(records(&mut wal), vec![first.clone()]);
             let valid = wal.durable_len();
-            wal.append(&second);
+            wal.append(&second.encode());
             wal.sync().unwrap();
             assert_eq!(wal.len(), wal.durable_len());
             assert!(wal.durable_len() > valid);
@@ -866,8 +922,40 @@ mod tests {
         // The new frame landed on the valid prefix, not behind the torn
         // bytes where replay would never reach it.
         let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.replay().unwrap(), vec![first, second]);
+        assert_eq!(records(&mut wal), vec![first, second]);
         assert_eq!(wal.durable_len(), wal.len());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A sync whose write fails keeps its batch: the retry persists it
+    /// exactly once, after the frames already durable.
+    #[test]
+    fn failed_write_keeps_the_batch_for_the_retry() {
+        let dir = std::env::temp_dir().join(format!("qpv-wal-failed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-failed.log");
+        let _ = std::fs::remove_file(&path);
+        let first = WalRecord::Begin { txn: 1 };
+        let second = WalRecord::Commit { txn: 1 };
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&first.encode());
+        wal.sync().unwrap();
+        wal.append(&second.encode());
+        // A read-only handle makes `write_all` fail.
+        wal.backend = WalBackend::File(File::open(&path).unwrap());
+        assert!(wal.sync().is_err());
+        wal.backend = WalBackend::File(
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap(),
+        );
+        wal.sync().unwrap();
+        assert_eq!(wal.end_lsn(), 2);
+        let mut reopened = Wal::open(&path).unwrap();
+        assert_eq!(records(&mut reopened), vec![first, second]);
+        assert_eq!(reopened.durable_len(), reopened.len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -875,7 +963,7 @@ mod tests {
     fn durable_len_counts_synced_bytes_without_a_syscall() {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.durable_len(), 0);
-        wal.append(&WalRecord::Begin { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
         assert_eq!(wal.durable_len(), 0, "pending frames are not durable");
         wal.sync().unwrap();
         assert_eq!(wal.durable_len(), wal.len());
@@ -887,15 +975,15 @@ mod tests {
     #[test]
     fn corrupted_payload_ends_replay() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 });
-        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(&WalRecord::Commit { txn: 1 }.encode());
         wal.sync().unwrap();
         // Flip a byte in the first frame's payload.
         if let WalBackend::Memory(buf) = &mut wal.backend {
             buf[9] ^= 0xff;
         }
         // Checksum catches it; replay returns the valid prefix (none).
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(records(&mut wal).is_empty());
     }
 
     #[test]
@@ -903,14 +991,17 @@ mod tests {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.end_lsn(), 0);
         // One batch of three records = one boundary.
-        wal.append(&WalRecord::Begin { txn: 1 });
-        wal.append(&WalRecord::Insert {
-            txn: 1,
-            table: 0,
-            rid: RowId::new(0, 0),
-            bytes: vec![7],
-        });
-        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(
+            &WalRecord::Insert {
+                txn: 1,
+                table: 0,
+                rid: RowId::new(0, 0),
+                bytes: vec![7],
+            }
+            .encode(),
+        );
+        wal.append(&WalRecord::Commit { txn: 1 }.encode());
         assert_eq!(wal.next_lsn(), 1);
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
@@ -918,11 +1009,11 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
         // Second batch.
-        wal.append(&WalRecord::Begin { txn: 2 });
-        wal.append(&WalRecord::Abort { txn: 2 });
+        wal.append(&WalRecord::Begin { txn: 2 }.encode());
+        wal.append(&WalRecord::Abort { txn: 2 }.encode());
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 2);
-        let frames = wal.replay_frames().unwrap();
+        let frames = frames(&mut wal);
         assert_eq!(
             frames.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>(),
             vec![1, 1, 1, 2, 2]
@@ -938,15 +1029,15 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             for txn in 1..=3u64 {
-                wal.append(&WalRecord::Begin { txn });
-                wal.append(&WalRecord::Commit { txn });
+                wal.append(&WalRecord::Begin { txn }.encode());
+                wal.append(&WalRecord::Commit { txn }.encode());
                 wal.sync().unwrap();
             }
             assert_eq!(wal.end_lsn(), 3);
         }
         let mut wal = Wal::open(&path).unwrap();
         assert_eq!(wal.end_lsn(), 0, "fresh handle before replay");
-        wal.replay().unwrap();
+        records(&mut wal);
         assert_eq!(wal.end_lsn(), 3, "replay restores the boundary counter");
         assert_eq!(wal.next_lsn(), 4);
         std::fs::remove_file(&path).unwrap();
@@ -955,29 +1046,29 @@ mod tests {
     #[test]
     fn checksum_covers_the_lsn() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 });
-        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(&WalRecord::Commit { txn: 1 }.encode());
         wal.sync().unwrap();
         // Flip a byte inside the first frame's LSN field (header is
         // [len:4][crc:4][lsn:8]); the checksum must catch it.
         if let WalBackend::Memory(buf) = &mut wal.backend {
             buf[10] ^= 0xff;
         }
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(records(&mut wal).is_empty());
     }
 
     #[test]
     fn truncate_preserves_lsn_monotonicity() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 });
-        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(&WalRecord::Commit { txn: 1 }.encode());
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
         wal.truncate().unwrap();
         assert!(wal.is_empty());
         assert_eq!(wal.end_lsn(), 1, "checkpoint never rewinds the clock");
-        wal.append(&WalRecord::Begin { txn: 2 });
-        wal.append(&WalRecord::Commit { txn: 2 });
+        wal.append(&WalRecord::Begin { txn: 2 }.encode());
+        wal.append(&WalRecord::Commit { txn: 2 }.encode());
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 2);
     }
@@ -990,11 +1081,11 @@ mod tests {
         assert_eq!(wal.end_lsn(), 5);
         wal.inherit_lsn(3);
         assert_eq!(wal.end_lsn(), 5, "inheriting an older clock is a no-op");
-        wal.append(&WalRecord::Begin { txn: 1 });
-        wal.append(&WalRecord::Commit { txn: 1 });
+        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(&WalRecord::Commit { txn: 1 }.encode());
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 6);
-        let frames = wal.replay_frames().unwrap();
+        let frames = frames(&mut wal);
         assert!(frames.iter().all(|(lsn, _)| *lsn == 6));
     }
 

@@ -1,10 +1,11 @@
 //! Property suite: single-byte and single-bit corruption anywhere in a
 //! recorded WAL.
 //!
-//! The WAL's frame format (`[len][crc32][payload]`) checksums every frame,
-//! and replay stops at the first invalid frame. Flipping any one bit or
-//! byte of the log therefore invalidates exactly the frame containing the
-//! flip, and recovery must:
+//! The WAL's frame format (`[len][crc32(lsn‖payload)][lsn][payload]`,
+//! shared with the delta log) checksums every frame, and replay stops at
+//! the first invalid frame. Flipping any one bit or byte of the log
+//! therefore invalidates exactly the frame containing the flip, and
+//! recovery must:
 //!
 //! * **never panic** — a panic anywhere fails the harness;
 //! * **succeed on the committed prefix** (or refuse with

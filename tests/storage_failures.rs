@@ -7,9 +7,8 @@
 //! refuses to open.
 
 use quantifying_privacy_violations::prelude::*;
-use quantifying_privacy_violations::reldb::db::{
-    catalog_snap_path, pages_snap_path, read_current, wal_path,
-};
+use quantifying_privacy_violations::reldb::db::{catalog_snap_path, pages_snap_path, wal_path};
+use quantifying_privacy_violations::reldb::disk::read_current;
 use quantifying_privacy_violations::reldb::DbError;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -184,7 +183,7 @@ fn corrupted_prefs_record_fails_the_audit_with_corruption() {
         ppdb.db_mut().checkpoint().unwrap();
     }
     // Break the marker text's UTF-8 wherever it sits in the page snapshot.
-    let snap = pages_snap_path(&dir, read_current(&dir).unwrap());
+    let snap = pages_snap_path(&dir, read_current(&dir).unwrap().unwrap_or(0));
     let mut bytes = std::fs::read(&snap).unwrap();
     let mut hits = 0;
     for at in 0..bytes.len() - marker.len() {
