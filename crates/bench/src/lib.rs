@@ -1,9 +1,10 @@
 //! # qpv-bench
 //!
 //! The experiment harness for the reproduction: one binary per paper
-//! artefact (see `src/bin/`) and one Criterion benchmark per performance /
-//! ablation question (see `benches/`). `EXPERIMENTS.md` at the repository
-//! root records paper-reported versus measured values.
+//! artefact (see `src/bin/`). `EXPERIMENTS.md` at the repository root
+//! records paper-reported versus measured values. Timing lives in one
+//! place, the end-to-end benchmark under `src/bin/benchmark/` (a package
+//! of its own, driven by `BENCHMARK.json` at the repository root).
 //!
 //! | target | artefact |
 //! |---|---|
@@ -11,10 +12,6 @@
 //! | `exp_fig1` | E2 — Figure 1's violation geometry panels |
 //! | `exp_policy_expansion` | E3 — §9 Equations 25–31 |
 //! | `exp_alpha_ppdb` | E4 — Definitions 2/3/5 at population scale |
-//! | `violation_throughput` | P1 — model evaluation throughput |
-//! | `reldb_primitives` | P2 — storage-engine primitives |
-//! | `purpose_lattice` | A2 — flat vs lattice purpose matching |
-//! | `audit_storage` | A3 — indexed vs scanned metadata access |
 
 use std::path::PathBuf;
 
@@ -32,19 +29,6 @@ pub fn write_result(name: &str, value: &impl serde::Serialize) -> PathBuf {
     let json = serde_json::to_string_pretty(value).expect("serialisable result");
     std::fs::write(&path, json).expect("write result file");
     path
-}
-
-/// The population size a bench should use: `full` normally, or a tiny
-/// fraction of it when `QPV_BENCH_SMOKE=1` is set. The smoke mode is how
-/// `scripts/tier1.sh --bench-smoke` runs every bench binary as a
-/// correctness test (each sample still asserts against its oracle) in
-/// seconds instead of minutes — the timings it prints are meaningless.
-pub fn bench_n(full: usize) -> usize {
-    if std::env::var("QPV_BENCH_SMOKE").is_ok_and(|v| v == "1") {
-        (full / 64).clamp(32, 2048)
-    } else {
-        full
-    }
 }
 
 /// A paper-vs-measured comparison line for EXPERIMENTS.md-style output.

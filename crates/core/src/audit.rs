@@ -149,8 +149,7 @@ impl AuditEngine {
 
     /// Audit a population through the original string-resolving path —
     /// the direct transcription of the paper's definitions. Kept as the
-    /// oracle the compiled plan is property-tested against, and as the
-    /// baseline leg of `benches/audit_plan.rs`.
+    /// oracle the compiled plan is property-tested against.
     pub fn run_reference(&self, profiles: &[ProviderProfile]) -> AuditReport {
         let (sensitivity, thresholds) = assemble(profiles, &self.attribute_weights);
         let attrs: Vec<&str> = self.attributes.iter().map(String::as_str).collect();

@@ -243,13 +243,11 @@ fn get_op(buf: &mut &[u8]) -> DbResult<DeltaOp> {
     }
 }
 
-fn encode_delta(delta: &PopulationDelta) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, delta.len() as u64);
+fn put_delta(buf: &mut Vec<u8>, delta: &PopulationDelta) {
+    put_varint(buf, delta.len() as u64);
     for op in delta.ops() {
-        put_op(&mut buf, op);
+        put_op(buf, op);
     }
-    buf
 }
 
 fn decode_delta(mut payload: &[u8]) -> DbResult<PopulationDelta> {
@@ -523,7 +521,7 @@ impl DeltaLog {
     /// Frame a delta into the group-commit buffer. Nothing is durable
     /// until [`DeltaLog::sync`].
     pub fn append(&mut self, delta: &PopulationDelta) {
-        self.wal.append(&encode_delta(delta));
+        self.wal.append(|buf| put_delta(buf, delta));
         self.pending_deltas += 1;
     }
 
@@ -944,7 +942,8 @@ mod tests {
     #[test]
     fn codec_round_trips_every_op_kind() {
         let delta = sample_delta();
-        let bytes = encode_delta(&delta);
+        let mut bytes = Vec::new();
+        put_delta(&mut bytes, &delta);
         let back = decode_delta(&bytes).unwrap();
         assert_eq!(back, delta);
         // Trailing bytes are rejected, like the WAL's record decoder.

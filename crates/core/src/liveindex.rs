@@ -33,13 +33,12 @@
 //! The same index serves SQL ([`AuditBridge`]) and the §10 monitor
 //! ([`crate::Monitor`]), flat or lattice, whichever the engine compiles.
 //!
-//! Crash recovery composes with [`crate::deltalog`]: rebuild from the
-//! durable snapshot ⊕ tail replay ([`LiveViolationIndex::recover`]), and
-//! the result is identical to an index that lived through every delta —
-//! the equivalence suite pins this at every crash point.
+//! Crash recovery composes with [`crate::deltalog`]: a fresh index over
+//! the population [`crate::deltalog::DeltaLog::recover`] returns (durable
+//! snapshot ⊕ tail replay) is identical to an index that lived through
+//! every delta — the equivalence suite pins this at every crash point.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use qpv_reldb::audit_bridge::{provider_in_bounds, AuditBridge, ViolationRow, ViolationStats};
 use qpv_reldb::error::DbResult;
@@ -47,7 +46,6 @@ use std::ops::Bound;
 
 use crate::audit::AuditEngine;
 use crate::default_model::defaults;
-use crate::deltalog::DeltaLog;
 use crate::packed::{Buffers, Kernel, RowAudit};
 use crate::pop::{CompiledPopulation, DeltaError, DeltaEvent, PolicyOutcome, PopulationDelta};
 use crate::selective::{check_policy, id_stats, occurrences_of, push_witness_rows};
@@ -135,20 +133,6 @@ impl LiveViolationIndex {
             index.replace(i, &audits[u]);
         }
         index
-    }
-
-    /// Rebuild from a [`DeltaLog`] directory: durable snapshot ⊕ tail
-    /// replay, then one cold build over the recovered population. The
-    /// result is identical to an index that applied every logged delta
-    /// live — re-scoring from the recovered population and replaying
-    /// per-delta converge on the same state because both go through
-    /// [`CompiledPopulation::apply_delta`]'s mutation semantics.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        engine: AuditEngine,
-    ) -> DbResult<(DeltaLog, LiveViolationIndex)> {
-        let (log, recovery) = DeltaLog::recover(dir)?;
-        Ok((log, LiveViolationIndex::new(engine, recovery.population)))
     }
 
     /// Occurrence `i`'s witness rows and `default_i` from its unique

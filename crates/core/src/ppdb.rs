@@ -999,20 +999,11 @@ impl Ppdb {
         Ok(report.is_alpha_ppdb(alpha))
     }
 
-    /// Snapshot the stored policy and population into a
-    /// [`SelectiveAuditor`] — the audit bridge SQL queries evaluate
-    /// `VIOLATES(...)` and `_qpv_violations` against. The snapshot is
-    /// owned: later writes to this PPDB don't affect it (take a fresh one
-    /// per query batch, as [`Ppdb::query_violations`] does).
-    pub fn selective_auditor(&mut self) -> DbResult<SelectiveAuditor> {
-        let engine = self.audit_engine()?;
-        let pop = self.compiled_population()?;
-        Ok(SelectiveAuditor::new(engine, pop))
-    }
-
     /// Ensure the cached [`SelectiveAuditor`] snapshot reflects the
     /// current model and store: reuse it when nothing changed since it
-    /// was built (keyed by model epoch + delta seq), rebuild otherwise.
+    /// was built (keyed by model epoch + delta seq), rebuild otherwise
+    /// from the stored policy and a fresh compile of the population. The
+    /// snapshot is owned, so later writes never reach into it.
     /// Returns the database alongside the refreshed snapshot, so callers
     /// can query through both.
     fn refresh_snapshot(&mut self) -> DbResult<(&mut Database, &CachedSnapshot)> {
@@ -1020,7 +1011,8 @@ impl Ppdb {
         let snapshot = match self.snapshot.take() {
             Some(s) if s.model_epoch == self.model_epoch && s.seq == seq => s,
             _ => {
-                let auditor = self.selective_auditor()?;
+                let auditor =
+                    SelectiveAuditor::new(self.audit_engine()?, self.compiled_population()?);
                 self.snapshot_builds += 1;
                 CachedSnapshot {
                     stats: auditor.stats(),

@@ -35,8 +35,8 @@ use crate::violation::ViolationWitness;
 
 /// An owned audit snapshot implementing [`AuditBridge`].
 ///
-/// Built by [`crate::Ppdb::selective_auditor`] (or directly from an
-/// engine + compiled population). Later writes to the source database do
+/// Built from an engine + compiled population; [`crate::Ppdb::query_violations`]
+/// caches one per store state. Later writes to the source database do
 /// not affect it; take a fresh one per query batch.
 pub struct SelectiveAuditor {
     engine: AuditEngine,

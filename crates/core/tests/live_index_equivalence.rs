@@ -18,8 +18,9 @@
 //!   the seq tags must deliver every op exactly once and the final index
 //!   must match the serial oracle.
 //! * **Crash-at-every-delta rebuild torture** — the [`DeltaLog`]
-//!   recovery model: for every prefix of a logged delta stream, rebuild
-//!   via [`LiveViolationIndex::recover`] and check byte-identity at the
+//!   recovery model: for every prefix of a logged delta stream, recover
+//!   the population with [`DeltaLog::recover`], build a fresh
+//!   [`LiveViolationIndex`] over it, and check byte-identity at the
 //!   crash point *and* after resuming maintenance on the recovered
 //!   index (including across a snapshot rotation).
 //! * **Snapshot/live caching regression** — two back-to-back
@@ -485,7 +486,8 @@ fn recovery_at_every_crash_point_matches_reference() {
         }
         drop(log); // the crash: everything synced survives, nothing else
 
-        let (_log, mut index) = LiveViolationIndex::recover(&dir, engine.clone()).unwrap();
+        let (_log, recovery) = DeltaLog::recover(&dir).unwrap();
+        let mut index = LiveViolationIndex::new(engine.clone(), recovery.population);
         assert_eq!(
             index.violations_all(None).unwrap(),
             reference_rows(&engine, &model[crash_after]),

@@ -391,3 +391,34 @@ fn attr_pushdown_matches_the_reference_on_both_paths() {
         assert_eq!(result_tuples(&snapshot), want, "{sql}: snapshot path");
     }
 }
+
+/// The planner's crossover on the snapshot path: a 10% provider range
+/// walks the index-selected candidates, the full id span prices as a
+/// sweep, and both answer exactly the reference rows.
+#[test]
+fn provider_range_width_picks_candidates_or_sweep() {
+    let n = 200;
+    let mut ppdb = ppdb_with_providers(n);
+    let oracle = reference_rows(&mut ppdb);
+    for (lo, hi, strategy) in [
+        (70, 90, "strategy=candidates"),
+        (0, n as i64, "strategy=sweep"),
+    ] {
+        let sql =
+            format!("SELECT * FROM _qpv_violations WHERE provider >= {lo} AND provider < {hi}");
+        let rows = ppdb.query_violations(&sql).unwrap();
+        // `explain` prices with the stats the query just registered.
+        let plan = ppdb.explain(&sql).unwrap();
+        assert!(
+            plan.contains(&format!("provider=[incl {lo} .. excl {hi}] {strategy}")),
+            "{sql}:\n{plan}"
+        );
+        let want: Vec<_> = oracle
+            .iter()
+            .filter(|r| (lo..hi).contains(&r.0))
+            .cloned()
+            .collect();
+        assert!(!want.is_empty(), "{sql}: fixture must violate in range");
+        assert_eq!(result_tuples(&rows), want, "{sql}");
+    }
+}

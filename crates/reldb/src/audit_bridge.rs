@@ -109,8 +109,8 @@ impl ViolationStats {
     /// Whether an estimated candidate count is small enough for the
     /// index-selected walk to beat the full sweep. Scoring a candidate
     /// through the B+tree walk costs roughly 2.5× the sweep's
-    /// per-provider work (measured in `BENCH_selective_audit.json`), so
-    /// the crossover sits near 40% of the population — far below the
+    /// per-provider work (measured in EXPERIMENTS.md, P14), so the
+    /// crossover sits near 40% of the population — far below the
     /// old fixed `population/2` cap, which let near-full ranges pay an
     /// `O(N/2)` index walk *and then* sweep anyway.
     pub fn prefer_candidates(&self, estimated: usize) -> bool {

@@ -308,8 +308,7 @@ impl BTreeIndex {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Depth of the tree (1 = just a root leaf). Exposed for tests and the
-    /// storage benchmarks.
+    /// Depth of the tree (1 = just a root leaf). Exposed for tests.
     pub fn depth(&self) -> usize {
         let mut depth = 1;
         let mut node = self.root;

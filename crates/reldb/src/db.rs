@@ -834,7 +834,7 @@ impl Database {
     /// Buffer `record`'s encoding as one WAL frame (durable at the next
     /// [`Database::sync_wal`]).
     fn append_wal(&mut self, record: WalRecord) {
-        self.wal.append(&record.encode());
+        self.wal.append(|buf| record.encode_into(buf));
     }
 
     /// Durably sync the WAL, retrying transient faults per the retry

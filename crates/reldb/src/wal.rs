@@ -305,21 +305,20 @@ impl WalRecord {
     const T_DROP_TABLE: u8 = 9;
     const T_DROP_INDEX: u8 = 10;
 
-    /// Serialise into frame payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+    /// Serialise as frame payload bytes, appended to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { txn } => {
                 buf.put_u8(Self::T_BEGIN);
-                put_varint(&mut buf, *txn);
+                put_varint(buf, *txn);
             }
             WalRecord::Commit { txn } => {
                 buf.put_u8(Self::T_COMMIT);
-                put_varint(&mut buf, *txn);
+                put_varint(buf, *txn);
             }
             WalRecord::Abort { txn } => {
                 buf.put_u8(Self::T_ABORT);
-                put_varint(&mut buf, *txn);
+                put_varint(buf, *txn);
             }
             WalRecord::Insert {
                 txn,
@@ -328,16 +327,16 @@ impl WalRecord {
                 bytes,
             } => {
                 buf.put_u8(Self::T_INSERT);
-                put_varint(&mut buf, *txn);
-                put_varint(&mut buf, *table as u64);
-                put_rid(&mut buf, *rid);
-                put_blob(&mut buf, bytes);
+                put_varint(buf, *txn);
+                put_varint(buf, *table as u64);
+                put_rid(buf, *rid);
+                put_blob(buf, bytes);
             }
             WalRecord::Delete { txn, table, rid } => {
                 buf.put_u8(Self::T_DELETE);
-                put_varint(&mut buf, *txn);
-                put_varint(&mut buf, *table as u64);
-                put_rid(&mut buf, *rid);
+                put_varint(buf, *txn);
+                put_varint(buf, *table as u64);
+                put_rid(buf, *rid);
             }
             WalRecord::Update {
                 txn,
@@ -346,15 +345,15 @@ impl WalRecord {
                 bytes,
             } => {
                 buf.put_u8(Self::T_UPDATE);
-                put_varint(&mut buf, *txn);
-                put_varint(&mut buf, *table as u64);
-                put_rid(&mut buf, *rid);
-                put_blob(&mut buf, bytes);
+                put_varint(buf, *txn);
+                put_varint(buf, *table as u64);
+                put_rid(buf, *rid);
+                put_blob(buf, bytes);
             }
             WalRecord::CreateTable { name, schema } => {
                 buf.put_u8(Self::T_CREATE_TABLE);
-                put_string(&mut buf, name);
-                put_schema(&mut buf, schema);
+                put_string(buf, name);
+                put_schema(buf, schema);
             }
             WalRecord::CreateIndex {
                 name,
@@ -362,23 +361,22 @@ impl WalRecord {
                 columns,
             } => {
                 buf.put_u8(Self::T_CREATE_INDEX);
-                put_string(&mut buf, name);
-                put_string(&mut buf, table);
-                put_varint(&mut buf, columns.len() as u64);
+                put_string(buf, name);
+                put_string(buf, table);
+                put_varint(buf, columns.len() as u64);
                 for &c in columns {
-                    put_varint(&mut buf, c as u64);
+                    put_varint(buf, c as u64);
                 }
             }
             WalRecord::DropTable { name } => {
                 buf.put_u8(Self::T_DROP_TABLE);
-                put_string(&mut buf, name);
+                put_string(buf, name);
             }
             WalRecord::DropIndex { name } => {
                 buf.put_u8(Self::T_DROP_INDEX);
-                put_string(&mut buf, name);
+                put_string(buf, name);
             }
         }
-        buf
     }
 
     /// Deserialise from frame payload bytes.
@@ -559,18 +557,18 @@ impl Wal {
         })
     }
 
-    /// Append one frame holding `payload`, stamped with the in-flight
-    /// batch's LSN (`end_lsn + 1`). Buffered until [`Wal::sync`]. The frame
-    /// is built in place in the pending buffer, its checksum patched in
-    /// last.
-    pub fn append(&mut self, payload: &[u8]) {
+    /// Append one frame whose payload `encode` writes, stamped with the
+    /// in-flight batch's LSN (`end_lsn + 1`). Buffered until [`Wal::sync`].
+    /// The payload is encoded straight into the pending buffer behind a
+    /// placeholder header; its length and checksum are patched in last.
+    pub fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         let start = self.pending.len();
-        self.pending.put_u32_le(payload.len() as u32);
         self.pending.put_u32_le(0);
-        // The checksummed part grows the buffer in one step.
-        self.pending.reserve(8 + payload.len());
+        self.pending.put_u32_le(0);
         self.pending.put_u64_le(self.end_lsn + 1);
-        self.pending.put_slice(payload);
+        encode(&mut self.pending);
+        let len = (self.pending.len() - start - FRAME_HEADER) as u32;
+        self.pending[start..start + 4].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&self.pending[start + 8..]);
         self.pending[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     }
@@ -759,6 +757,13 @@ mod tests {
         frames
     }
 
+    /// `record`'s frame payload bytes.
+    fn encoded(record: &WalRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        record.encode_into(&mut buf);
+        buf
+    }
+
     /// Every valid frame's decoded record, in log order.
     fn records(wal: &mut Wal) -> Vec<WalRecord> {
         frames(wal).into_iter().map(|(_, r)| r).collect()
@@ -840,14 +845,14 @@ mod tests {
     #[test]
     fn records_encode_decode_round_trip() {
         for record in sample_records() {
-            let bytes = record.encode();
+            let bytes = encoded(&record);
             assert_eq!(WalRecord::decode(&bytes).unwrap(), record, "{record:?}");
         }
     }
 
     #[test]
     fn decode_rejects_trailing_and_unknown() {
-        let mut bytes = WalRecord::Begin { txn: 1 }.encode();
+        let mut bytes = encoded(&WalRecord::Begin { txn: 1 });
         bytes.push(0);
         assert!(WalRecord::decode(&bytes).is_err());
         assert!(WalRecord::decode(&[200]).is_err());
@@ -858,7 +863,7 @@ mod tests {
     fn memory_wal_append_sync_replay() {
         let mut wal = Wal::in_memory();
         for r in sample_records() {
-            wal.append(&r.encode());
+            wal.append(|buf| r.encode_into(buf));
         }
         // Nothing durable before sync.
         assert!(records(&mut wal).is_empty());
@@ -867,6 +872,34 @@ mod tests {
         wal.truncate().unwrap();
         assert!(records(&mut wal).is_empty());
         assert!(wal.is_empty());
+    }
+
+    /// A frame is `[len][crc32(lsn ‖ payload)][lsn][payload]`, with the
+    /// length and checksum patched in after the payload is encoded.
+    #[test]
+    fn frame_is_len_crc_lsn_payload() {
+        let record = WalRecord::Insert {
+            txn: 3,
+            table: 1,
+            rid: RowId::new(2, 5),
+            bytes: vec![4; 300],
+        };
+        let payload = encoded(&record);
+        let mut checked = 1u64.to_le_bytes().to_vec();
+        checked.extend_from_slice(&payload);
+        let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&crc32(&checked).to_le_bytes());
+        want.extend_from_slice(&checked);
+
+        let mut wal = Wal::in_memory();
+        wal.append(|buf| record.encode_into(buf));
+        wal.append(|buf| record.encode_into(buf));
+        wal.sync().unwrap();
+        let WalBackend::Memory(bytes) = &wal.backend else {
+            unreachable!("in-memory log")
+        };
+        assert_eq!(bytes[..want.len()], want[..]);
+        assert_eq!(bytes[want.len()..], want[..]);
     }
 
     #[test]
@@ -878,7 +911,7 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r.encode());
+                wal.append(|buf| r.encode_into(buf));
             }
             wal.sync().unwrap();
         }
@@ -902,7 +935,7 @@ mod tests {
         let second = WalRecord::Commit { txn: 1 };
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&first.encode());
+            wal.append(|buf| first.encode_into(buf));
             wal.sync().unwrap();
         }
         {
@@ -914,7 +947,7 @@ mod tests {
             let mut wal = Wal::open(&path).unwrap();
             assert_eq!(records(&mut wal), vec![first.clone()]);
             let valid = wal.durable_len();
-            wal.append(&second.encode());
+            wal.append(|buf| second.encode_into(buf));
             wal.sync().unwrap();
             assert_eq!(wal.len(), wal.durable_len());
             assert!(wal.durable_len() > valid);
@@ -938,9 +971,9 @@ mod tests {
         let first = WalRecord::Begin { txn: 1 };
         let second = WalRecord::Commit { txn: 1 };
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&first.encode());
+        wal.append(|buf| first.encode_into(buf));
         wal.sync().unwrap();
-        wal.append(&second.encode());
+        wal.append(|buf| second.encode_into(buf));
         // A read-only handle makes `write_all` fail.
         wal.backend = WalBackend::File(File::open(&path).unwrap());
         assert!(wal.sync().is_err());
@@ -963,7 +996,7 @@ mod tests {
     fn durable_len_counts_synced_bytes_without_a_syscall() {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.durable_len(), 0);
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
         assert_eq!(wal.durable_len(), 0, "pending frames are not durable");
         wal.sync().unwrap();
         assert_eq!(wal.durable_len(), wal.len());
@@ -975,8 +1008,8 @@ mod tests {
     #[test]
     fn corrupted_payload_ends_replay() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
-        wal.append(&WalRecord::Commit { txn: 1 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Commit { txn: 1 }.encode_into(buf));
         wal.sync().unwrap();
         // Flip a byte in the first frame's payload.
         if let WalBackend::Memory(buf) = &mut wal.backend {
@@ -991,17 +1024,17 @@ mod tests {
         let mut wal = Wal::in_memory();
         assert_eq!(wal.end_lsn(), 0);
         // One batch of three records = one boundary.
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
-        wal.append(
-            &WalRecord::Insert {
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
+        wal.append(|buf| {
+            WalRecord::Insert {
                 txn: 1,
                 table: 0,
                 rid: RowId::new(0, 0),
                 bytes: vec![7],
             }
-            .encode(),
-        );
-        wal.append(&WalRecord::Commit { txn: 1 }.encode());
+            .encode_into(buf)
+        });
+        wal.append(|buf| WalRecord::Commit { txn: 1 }.encode_into(buf));
         assert_eq!(wal.next_lsn(), 1);
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
@@ -1009,8 +1042,8 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
         // Second batch.
-        wal.append(&WalRecord::Begin { txn: 2 }.encode());
-        wal.append(&WalRecord::Abort { txn: 2 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 2 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Abort { txn: 2 }.encode_into(buf));
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 2);
         let frames = frames(&mut wal);
@@ -1029,8 +1062,8 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             for txn in 1..=3u64 {
-                wal.append(&WalRecord::Begin { txn }.encode());
-                wal.append(&WalRecord::Commit { txn }.encode());
+                wal.append(|buf| WalRecord::Begin { txn }.encode_into(buf));
+                wal.append(|buf| WalRecord::Commit { txn }.encode_into(buf));
                 wal.sync().unwrap();
             }
             assert_eq!(wal.end_lsn(), 3);
@@ -1046,8 +1079,8 @@ mod tests {
     #[test]
     fn checksum_covers_the_lsn() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
-        wal.append(&WalRecord::Commit { txn: 1 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Commit { txn: 1 }.encode_into(buf));
         wal.sync().unwrap();
         // Flip a byte inside the first frame's LSN field (header is
         // [len:4][crc:4][lsn:8]); the checksum must catch it.
@@ -1060,15 +1093,15 @@ mod tests {
     #[test]
     fn truncate_preserves_lsn_monotonicity() {
         let mut wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
-        wal.append(&WalRecord::Commit { txn: 1 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Commit { txn: 1 }.encode_into(buf));
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 1);
         wal.truncate().unwrap();
         assert!(wal.is_empty());
         assert_eq!(wal.end_lsn(), 1, "checkpoint never rewinds the clock");
-        wal.append(&WalRecord::Begin { txn: 2 }.encode());
-        wal.append(&WalRecord::Commit { txn: 2 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 2 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Commit { txn: 2 }.encode_into(buf));
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 2);
     }
@@ -1081,8 +1114,8 @@ mod tests {
         assert_eq!(wal.end_lsn(), 5);
         wal.inherit_lsn(3);
         assert_eq!(wal.end_lsn(), 5, "inheriting an older clock is a no-op");
-        wal.append(&WalRecord::Begin { txn: 1 }.encode());
-        wal.append(&WalRecord::Commit { txn: 1 }.encode());
+        wal.append(|buf| WalRecord::Begin { txn: 1 }.encode_into(buf));
+        wal.append(|buf| WalRecord::Commit { txn: 1 }.encode_into(buf));
         wal.sync().unwrap();
         assert_eq!(wal.end_lsn(), 6);
         let frames = frames(&mut wal);

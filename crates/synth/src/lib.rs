@@ -15,8 +15,8 @@
 //!   [`qpv_core::ProviderProfile`]s and matching data rows;
 //! * [`scenario`] — fully assembled experiment scenarios (the paper's
 //!   worked example, a healthcare registry, a social network);
-//! * [`workload`] — policy sweeps, sizing grids, and seeded churn streams
-//!   ([`workload::churn`]) for the delta-audit benchmarks.
+//! * [`workload`] — policy sweeps and seeded churn streams
+//!   ([`workload::churn`]) for the delta and monitor workloads.
 
 pub mod population;
 pub mod scenario;

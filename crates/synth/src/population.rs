@@ -310,8 +310,8 @@ fn segment_template(
 /// modeling real populations where stated postures cluster into a
 /// handful of shapes. The unique-row dedup in
 /// `qpv_core::CompiledPopulation` collapses such a population to at most
-/// `3 × templates_per_segment` rows regardless of `n` — the layout the
-/// packed 10M bench exercises.
+/// `3 × templates_per_segment` rows regardless of `n` — the layout
+/// EXPERIMENTS.md P12 measured at 10M providers.
 ///
 /// Deterministic per `(spec, seed, templates_per_segment)`; provider `i`
 /// depends only on its own index (index-stable). No full `Vec` is ever
@@ -540,5 +540,45 @@ mod tests {
         let distinct_thresholds: std::collections::HashSet<u64> =
             a.iter().map(|p| p.threshold).collect();
         assert!(distinct_thresholds.len() > 12, "thresholds are individual");
+
+        // The streamed build: the stream pushed one profile at a time,
+        // then every 37th provider restated with a new `weight`
+        // sensitivity and threshold (a repeated id, which `finish` merges
+        // into the earlier occurrence). Counts and the K-policy sweep
+        // equal the string-path reference, policy by policy.
+        use qpv_core::{AuditEngine, DatumSensitivity, PolicyOutcome};
+        let mut stated = a;
+        for id in (0..400).step_by(37) {
+            let mut p = ProviderProfile::new(ProviderId(id), 5);
+            p.sensitivities
+                .insert("weight".into(), DatumSensitivity::new(5, 5, 5, 5));
+            stated.push(p);
+        }
+        let mut builder = qpv_core::PopulationBuilder::new();
+        for p in &stated {
+            builder.push_profile(p);
+        }
+        let built = builder.finish();
+        let reference = |policy: &qpv_policy::HousePolicy| {
+            let engine =
+                AuditEngine::new(policy.clone(), s.attribute_names(), s.attribute_weights());
+            let r = engine.run_reference(&stated);
+            PolicyOutcome {
+                total_violations: r.total_violations,
+                violated: r.providers.iter().filter(|p| p.violated).count(),
+                defaulted: r.providers.iter().filter(|p| p.defaulted).count(),
+                population: r.providers.len(),
+            }
+        };
+        let base = s.baseline_policy("base");
+        let engine = AuditEngine::new(base.clone(), s.attribute_names(), s.attribute_weights());
+        let counts = engine.counts(&built);
+        assert!(counts.violated > 0 && counts.defaulted > 0, "{counts:?}");
+        assert_eq!(counts, reference(&base));
+        let policies: Vec<_> = (0..4).map(|w| base.widened_uniform(w)).collect();
+        let sweep = engine.audit_many_policies(&built, &policies);
+        for (w, (outcome, policy)) in sweep.iter().zip(&policies).enumerate() {
+            assert_eq!(*outcome, reference(policy), "widened by {w}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Experiment workloads: policy sweeps, sizing grids, and churn streams.
+//! Experiment workloads: policy sweeps and churn streams.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -59,38 +59,6 @@ impl PolicySweep {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
-}
-
-/// Standard population sizes for scaling benchmarks.
-pub const SCALING_SIZES: [usize; 4] = [100, 1_000, 5_000, 20_000];
-
-/// Provider-id ranges at target selectivities, for selective-audit query
-/// sweeps (the P14 experiment): each fraction `f` in `fractions` becomes
-/// a half-open id range `[lo, lo + w)` over a population with ids
-/// `0..n`, where `w = max(1, round(f · n))` and `lo` is drawn
-/// deterministically from `seed` — reproducible, but not always
-/// prefix-aligned, so a sweep also exercises interior index ranges.
-///
-/// Labels carry the fraction in fixed-point per-mille (`sel_10pm` =
-/// 1%), keeping bench ids filesystem- and JSON-friendly.
-pub fn selectivity_ranges(
-    n: usize,
-    fractions: &[f64],
-    seed: u64,
-) -> Vec<(String, std::ops::Range<u64>)> {
-    const RANGE_SALT: u64 = 0x5E1E_C71F_5E1E_C71F;
-    fractions
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| {
-            assert!(f > 0.0 && f <= 1.0, "selectivity {f} outside (0, 1]");
-            let w = ((f * n as f64).round() as usize).clamp(1, n) as u64;
-            let mut rng = SmallRng::seed_from_u64(provider_seed(seed ^ RANGE_SALT, i as u64));
-            let lo = rng.gen_range(0..=(n as u64 - w));
-            let per_mille = (f * 1000.0).round() as u64;
-            (format!("sel_{per_mille}pm"), lo..lo + w)
-        })
-        .collect()
 }
 
 /// Generate a churn workload: `k` mutations against a population of `n`
@@ -337,29 +305,6 @@ mod tests {
         }
         // batch = 0 is clamped, not a panic or an infinite loop.
         assert_eq!(churn_batches(&s, 40, 5, 0, 13).len(), 5);
-    }
-
-    #[test]
-    fn selectivity_ranges_hit_their_widths() {
-        let n = 10_000;
-        let fractions = [0.001, 0.01, 0.1, 1.0];
-        let ranges = selectivity_ranges(n, &fractions, 7);
-        assert_eq!(ranges.len(), 4);
-        for ((label, range), f) in ranges.iter().zip(fractions) {
-            let w = (range.end - range.start) as usize;
-            assert_eq!(w, ((f * n as f64).round() as usize).clamp(1, n), "{label}");
-            assert!(range.end <= n as u64, "{label} overruns the population");
-        }
-        assert_eq!(ranges[1].0, "sel_10pm");
-        assert_eq!(ranges[3].0, "sel_1000pm");
-        // Deterministic per seed, different across seeds (the full-pop
-        // range is pinned to 0..n either way).
-        assert_eq!(ranges, selectivity_ranges(n, &fractions, 7));
-        let other = selectivity_ranges(n, &fractions, 8);
-        assert_ne!(ranges[..3], other[..3]);
-        // A tiny fraction still selects at least one id.
-        let tiny = selectivity_ranges(50, &[0.0001], 3);
-        assert_eq!(tiny[0].1.end - tiny[0].1.start, 1);
     }
 
     #[test]

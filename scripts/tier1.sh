@@ -2,24 +2,16 @@
 # Tier-1 gate: everything a PR must keep green, in the order that fails
 # fastest. Run from the repo root:
 #
-#   scripts/tier1.sh                # gate only (includes the bench smoke and
-#                                   #   the end-to-end benchmark smoke)
-#   scripts/tier1.sh --bench        # gate + bench JSONs
+#   scripts/tier1.sh                # gate only (includes the end-to-end
+#                                   #   benchmark's tests and smoke run)
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #                                   #   and every workspace test in release
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
-#   scripts/tier1.sh --packed       # scoring-kernel stage only (release
-#                                   #   counts and witness equivalence
-#                                   #   suites, kernel bench smokes, and
-#                                   #   the economics tests)
 #   scripts/tier1.sh --sql          # SQL / selective-audit stage only
 #                                   #   (shadow + crash-torture + Ppdb-level
-#                                   #   suites in release, selective bench
-#                                   #   smoke)
+#                                   #   suites in release)
 #   scripts/tier1.sh --live-index   # live-index stage only (release
-#                                   #   equivalence/handoff/recovery suite +
-#                                   #   live-index bench smoke)
-#   scripts/tier1.sh --bench-smoke  # bench smoke stage only
+#                                   #   equivalence/handoff/recovery suite)
 #
 # Besides fmt, clippy and the root package's tests, the default gate
 # builds the docs with warnings as errors (a broken intra-doc link
@@ -30,24 +22,13 @@
 # Int/Float order, LIKE against a reference matcher), next to the
 # compiled-plan, population and delta equivalence suites.
 #
-# The bench step writes BENCH_audit_plan.json,
-# BENCH_compiled_population.json, BENCH_delta_log.json,
-# BENCH_packed_population.json, BENCH_selective_audit.json, and
-# BENCH_live_index.json at the repo root (median/mean ns plus host
-# metadata; see crates/bench/benches/). It is the only stage that writes
-# repo-root BENCH_*.json files.
-#
-# The bench smoke runs every bench binary at tiny population sizes
-# (QPV_BENCH_SMOKE=1, see qpv_bench::bench_n) purely as a correctness
-# check: each sample asserts its reports against the oracle, so a broken
-# fast path fails here in seconds without waiting on full-size benches.
-#
 # The end-to-end benchmark (BENCHMARK.json, crates/bench/src/bin/benchmark)
-# is its own package: the gate runs its unit tests and one smoke-sized run
-# of every workload. Each workload checks its answers against an oracle
-# outside the timed ops — churn_monitor's Monitor P(W)/P(Default) against
-# Ppdb::audit(), recovery's restarted monitor against the pre-crash seq and
-# P(W) — and exits non-zero on any mismatch.
+# is the repository's one timing harness and its own package: the gate
+# runs its unit tests and one smoke-sized run of every workload. Each
+# workload checks its answers against an oracle outside the timed ops —
+# churn_monitor's Monitor P(W)/P(Default) against Ppdb::audit(),
+# recovery's restarted monitor against the pre-crash seq and P(W) — and
+# exits non-zero on any mismatch.
 #
 # The fault step re-runs the crash-torture matrix (crash-stop/torn-write at
 # every I/O op index) and the WAL bit/byte-flip corruption properties under
@@ -59,59 +40,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench_smoke() {
-    echo "== bench smoke (tiny populations, oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench
-}
-
-if [[ "${1:-}" == "--bench-smoke" ]]; then
-    bench_smoke
-    echo "tier-1 bench smoke: OK"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--packed" ]]; then
-    # Targeted gate for the scoring kernel (crates/core/src/packed.rs),
-    # the one compiled evaluator of Def. 1 + Eq. 15: it produces both the
-    # counts and the witnesses, so this stage gates both. The equivalence
-    # suites pin its counts / sweep / delta paths and its per-provider
-    # reports (batch, live index) byte-identical to
-    # `run_reference` under the release optimizer; the bench smokes assert
-    # every sample against the string-path oracle — the packed counts
-    # bench, the K-policy sweep (every total against the naive per-policy
-    # path), the full-report audit bench and the selective audit bench.
-    # The economics tests drive the Eq. 31 sweep through the kernel.
-    echo "== packed: population equivalence (release) =="
-    cargo test -q --release -p qpv-core --test pop_equivalence
-    echo "== packed: delta equivalence (release) =="
-    cargo test -q --release -p qpv-core --test delta_equivalence
-    echo "== packed: plan equivalence, witnesses (release) =="
-    cargo test -q --release -p qpv-core --test plan_equivalence
-    echo "== packed: live-index equivalence, witnesses (release) =="
-    cargo test -q --release -p qpv-core --test live_index_equivalence
-    echo "== packed: bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench packed_population
-    echo "== packed: K-policy sweep bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench compiled_population
-    echo "== packed: full-report audit bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench audit_plan
-    echo "== packed: selective audit bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench selective_audit
-    echo "== packed: economics (release) =="
-    cargo test -q --release -p qpv-economics
-    echo "tier-1 packed: OK"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--sql" ]]; then
-    # The PR 9 gate: audits as queries. The SQL shadow-model properties
+    # Audits as queries. The SQL shadow-model properties
     # (composite indexes, drop/recreate id monotonicity, the
     # `_qpv_violations` relation and `VIOLATES` against a rule-based
     # bridge oracle), the crash-torture matrix with its post-recovery
     # index-coherence probes, and the Ppdb-level end-to-end suite
     # (SQL results vs the `audit()` report across live writes), all
-    # under the release optimizer, plus the selective bench in smoke
-    # mode (every sample byte-asserted against the full-sweep oracle).
+    # under the release optimizer.
     SQL_BUDGET="${QPV_SQL_BUDGET:-300}"
     echo "== sql: shadow-model properties (release, ${SQL_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$SQL_BUDGET" \
@@ -122,27 +58,21 @@ if [[ "${1:-}" == "--sql" ]]; then
     echo "== sql: Ppdb audit queries end-to-end (release) =="
     RUST_BACKTRACE=1 timeout "$SQL_BUDGET" \
         cargo test -q --release -p qpv-core --test sql_audit_queries
-    echo "== sql: selective audit bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench selective_audit
     echo "tier-1 sql: OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "--live-index" ]]; then
-    # The PR 10 gate: the incrementally-maintained violation index. The
+    # The incrementally-maintained violation index. The
     # release-mode property suite pins the maintained index byte-identical
     # to a fresh compile + `run_reference` audit under random synthetic
     # churn, when maintained op by op from a Ppdb's write stream, and at
     # every crash point of a delta-log recovery, plus the snapshot-cache
-    # regression test and the live-index bench in smoke mode (every sample
-    # asserted against the full-sweep oracle, planner crossover shape
-    # included).
+    # regression test.
     LIVE_BUDGET="${QPV_LIVE_BUDGET:-300}"
     echo "== live-index: equivalence / handoff / recovery (release, ${LIVE_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$LIVE_BUDGET" \
         cargo test -q --release -p qpv-core --test live_index_equivalence
-    echo "== live-index: bench smoke (oracle-asserted) =="
-    QPV_BENCH_SMOKE=1 cargo bench -p qpv-bench --bench live_index
     echo "tier-1 live-index: OK"
     exit 0
 fi
@@ -170,7 +100,7 @@ cargo test -q --workspace
 
 echo "== plan equivalence (release) =="
 # The compiled-plan == string-path contract, re-checked under the exact
-# optimization level the benches and production builds use.
+# optimization level the benchmark and production builds use.
 cargo test -q --release -p qpv-core --test plan_equivalence
 
 echo "== population equivalence (release) =="
@@ -204,8 +134,6 @@ echo "== delta handoff (release) =="
 # The Ppdb's peek/ack protocol: a consumer that crashes between any two
 # steps, or drains at any interval, applies every delta exactly once.
 cargo test -q --release -p qpv-core --test delta_handoff
-
-bench_smoke
 
 echo "== end-to-end benchmark: unit tests + smoke run of every workload =="
 BENCH_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
@@ -242,27 +170,6 @@ if [[ "${1:-}" == "--monitor" ]]; then
     echo "== monitor: kill-and-recover under churn (release) =="
     RUST_BACKTRACE=1 timeout "$MONITOR_BUDGET" \
         cargo test -q --release --test monitor_recovery
-fi
-
-if [[ "${1:-}" == "--bench" ]]; then
-    echo "== audit plan bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_audit_plan.json" \
-        cargo bench -p qpv-bench --bench audit_plan
-    echo "== compiled population bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_compiled_population.json" \
-        cargo bench -p qpv-bench --bench compiled_population
-    echo "== delta log bench =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_delta_log.json" \
-        cargo bench -p qpv-bench --bench delta_log
-    echo "== packed population bench (10M providers) =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_packed_population.json" \
-        cargo bench -p qpv-bench --bench packed_population
-    echo "== selective audit bench (100k providers) =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_selective_audit.json" \
-        cargo bench -p qpv-bench --bench selective_audit
-    echo "== live index bench (100k providers) =="
-    QPV_BENCH_FULL=1 QPV_BENCH_JSON="$PWD/BENCH_live_index.json" \
-        cargo bench -p qpv-bench --bench live_index
 fi
 
 echo "tier-1: OK"
