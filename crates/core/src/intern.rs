@@ -11,16 +11,77 @@
 //! Names are stored behind `Arc<str>`, so resolving an id back to a name
 //! for witness construction ([`SymbolTable::resolve_shared`]) is a
 //! reference-count bump, never a string copy.
+//!
+//! # Hashing scan keys
+//!
+//! The maps on the storage-to-population path — [`SymbolTable`]'s name
+//! map, the row-intern table's `HashIndex` and the id → position map of
+//! [`crate::ppdb::Ppdb::compiled_population`] — hash with `ScanHasher`,
+//! not the standard library's `RandomState`. Their keys are plain
+//! integers, short names, or `SigHasher` fingerprints that are already
+//! mixed, so SipHash's per-key cost buys nothing here; a multiply-rotate
+//! round per word is enough to spread them. The hasher is deterministic
+//! (no per-map seed).
+//!
+//! Hash flooding: `RandomState`'s random keys defend a map against
+//! adversarial keys chosen to collide. Every key these maps see comes from
+//! the owner's own store (its provider ids, its attribute and purpose
+//! names, and fingerprints of its own rows), so the threat is out of
+//! scope. Maps keyed by input from elsewhere should keep `RandomState`.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// A `HashMap` hashed by [`ScanHasher`].
+pub(crate) type ScanMap<K, V> = HashMap<K, V, BuildHasherDefault<ScanHasher>>;
+
+/// A deterministic multiply-rotate hasher for keys the owner's own store
+/// supplies (see the module doc for the hash-flooding stance). Each 64-bit
+/// word is folded in as `(h.rotl(5) ^ word) * K`; `finish` rotates the
+/// well-mixed high bits down, where `hashbrown` picks the bucket.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanHasher(u64);
+
+impl ScanHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+}
+
+impl Hasher for ScanHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// A dense string → `u32` interner. Ids are assigned in first-intern order
 /// starting at 0, so a table of `n` symbols indexes a `Vec` of length `n`
 /// directly.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    ids: HashMap<Arc<str>, u32>,
+    ids: ScanMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
 }
 
@@ -117,7 +178,7 @@ impl SigHasher {
 /// full equality check, so a collision only costs an extra compare.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HashIndex {
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: ScanMap<u64, Vec<u32>>,
 }
 
 impl HashIndex {
@@ -174,6 +235,28 @@ mod tests {
             c.push(w);
         }
         assert_ne!(a.finish(), c.finish(), "order matters");
+    }
+
+    /// Deterministic (no per-map seed), one-to-one on integer keys, and
+    /// sensitive to every byte of a name.
+    #[test]
+    fn scan_hasher_is_deterministic_and_separates_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<ScanHasher>::default();
+        assert_eq!(build.hash_one(42u64), build.hash_one(42u64));
+        let ints: std::collections::HashSet<u64> =
+            (0..10_000u64).map(|k| build.hash_one(k)).collect();
+        assert_eq!(ints.len(), 10_000, "distinct integers hash apart");
+        let names = [
+            "weight",
+            "weigh",
+            "weighT",
+            "a_long_attribute_name",
+            "a_long_attribute_nam",
+        ];
+        let hashes: std::collections::HashSet<u64> =
+            names.iter().map(|n| build.hash_one(n)).collect();
+        assert_eq!(hashes.len(), names.len());
     }
 
     #[test]

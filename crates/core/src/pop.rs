@@ -1646,8 +1646,19 @@ fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
     }
 }
 
+/// Split `count` items of `width` bytes each off the front of `buf`. The
+/// count comes from the payload, so the product is checked: a count no
+/// buffer could hold is truncation, never an overflow or a huge
+/// allocation.
+fn take_items<'a>(buf: &mut &'a [u8], count: usize, width: usize) -> DbResult<&'a [u8]> {
+    let len = count
+        .checked_mul(width)
+        .ok_or_else(|| snap_corrupt("truncated"))?;
+    take(buf, len)
+}
+
 fn get_u32s(buf: &mut &[u8], n: usize) -> DbResult<Vec<u32>> {
-    Ok(take(buf, n * 4)?.chunks_exact(4).map(le_u32).collect())
+    Ok(take_items(buf, n, 4)?.chunks_exact(4).map(le_u32).collect())
 }
 
 /// Binary snapshot codec for the delta log ([`crate::deltalog`]): the
@@ -1705,14 +1716,14 @@ impl CompiledPopulation {
         let attrs = get_symbols(buf)?;
         let purposes = get_symbols(buf)?;
         let n = get_varint(buf)? as usize;
-        let ids: Vec<ProviderId> = take(buf, n * 8)?
+        let ids: Vec<ProviderId> = take_items(buf, n, 8)?
             .chunks_exact(8)
             .map(|c| ProviderId(le_u64(c)))
             .collect();
         let urow_of = get_u32s(buf, n)?;
         let row_of = get_u32s(buf, n)?;
         let id_rows = get_varint(buf)? as usize;
-        let thresholds: Vec<u64> = take(buf, id_rows * 8)?
+        let thresholds: Vec<u64> = take_items(buf, id_rows, 8)?
             .chunks_exact(8)
             .map(le_u64)
             .collect();
@@ -1721,7 +1732,7 @@ impl CompiledPopulation {
         let free_rows = get_u32s(buf, n_free_rows)?;
         let slots = get_varint(buf)? as usize;
         let lane_len = get_varint(buf)? as usize;
-        let ranges: Vec<(u32, u32)> = take(buf, slots * 8)?
+        let ranges: Vec<(u32, u32)> = take_items(buf, slots, 8)?
             .chunks_exact(8)
             .map(|c| (le_u32(&c[0..4]), le_u32(&c[4..8])))
             .collect();
@@ -1732,12 +1743,15 @@ impl CompiledPopulation {
         let p_gran = get_u32s(buf, lane_len)?;
         let p_ret = get_u32s(buf, lane_len)?;
         let stride = attrs.len();
-        let d_value = get_u32s(buf, slots * stride)?;
-        let d_vis = get_u32s(buf, slots * stride)?;
-        let d_gran = get_u32s(buf, slots * stride)?;
-        let d_ret = get_u32s(buf, slots * stride)?;
+        let cells = slots
+            .checked_mul(stride)
+            .ok_or_else(|| snap_corrupt("truncated"))?;
+        let d_value = get_u32s(buf, cells)?;
+        let d_vis = get_u32s(buf, cells)?;
+        let d_gran = get_u32s(buf, cells)?;
+        let d_ret = get_u32s(buf, cells)?;
         let n_free_pref = get_varint(buf)? as usize;
-        let free_pref: Vec<(u32, u32)> = take(buf, n_free_pref * 8)?
+        let free_pref: Vec<(u32, u32)> = take_items(buf, n_free_pref, 8)?
             .chunks_exact(8)
             .map(|c| (le_u32(&c[0..4]), le_u32(&c[4..8])))
             .collect();
@@ -2184,6 +2198,41 @@ mod tests {
         let outcome = engine.counts_with_policy(&pop, &ghost);
         assert_eq!(outcome.total_violations, 0);
         assert_eq!(outcome.violated, 0);
+    }
+
+    /// A crafted count is `Corruption` in debug and release alike. The
+    /// first payload claims 2^62 ids: `n * 8` overflowed in debug builds
+    /// and wrapped to 0 in release, where a capacity-overflow panic
+    /// followed. Then every count field of an empty population's snapshot
+    /// is set to each huge value in turn.
+    #[test]
+    fn snapshot_with_a_crafted_count_is_corruption_not_a_panic() {
+        let decode = |payload: &[u8]| CompiledPopulation::decode_snapshot(&mut &payload[..]);
+        let mut payload = Vec::new();
+        put_symbols(&mut payload, &SymbolTable::new());
+        put_symbols(&mut payload, &SymbolTable::new());
+        put_varint(&mut payload, 1 << 62);
+        assert!(matches!(decode(&payload), Err(DbError::Corruption(_))));
+
+        let mut empty = Vec::new();
+        CompiledPopulation::from_profiles(&[]).encode_snapshot(&mut empty);
+        assert!(
+            empty.iter().all(|&b| b < 0x80),
+            "one one-byte varint per field"
+        );
+        for at in 0..empty.len() {
+            for huge in [1u64 << 61, 1 << 62, 1 << 63, u64::MAX] {
+                let mut crafted = empty[..at].to_vec();
+                put_varint(&mut crafted, huge);
+                crafted.extend_from_slice(&empty[at + 1..]);
+                match decode(&crafted) {
+                    // The epoch is the one field that is not a count.
+                    Ok(pop) => assert_eq!(pop.epoch(), huge, "field {at} = {huge}"),
+                    Err(DbError::Corruption(_)) => {}
+                    Err(e) => panic!("field {at} = {huge}: {e}"),
+                }
+            }
+        }
     }
 
     /// The snapshot codec round-trips the packed layout exactly, and the

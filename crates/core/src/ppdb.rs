@@ -35,6 +35,7 @@ use qpv_taxonomy::{Level, PrivacyPoint, PrivacyTuple};
 use qpv_reldb::fault::RetryPolicy;
 
 use crate::audit::{AuditEngine, AuditReport};
+use crate::intern::ScanMap;
 use crate::liveindex::LiveViolationIndex;
 use crate::pop::{CompiledPopulation, DeltaOp, PopulationBuilder, PopulationDelta, PrefRow};
 use crate::profile::ProviderProfile;
@@ -850,7 +851,8 @@ impl Ppdb {
         let ids = self.provider_ids()?;
         // Distinct ids get dense positions; a repeated id shares its first
         // occurrence's position.
-        let mut positions: HashMap<i64, u32> = HashMap::with_capacity(ids.len());
+        let mut positions: ScanMap<i64, u32> =
+            ScanMap::with_capacity_and_hasher(ids.len(), Default::default());
         let occurrences: Vec<u32> = ids
             .iter()
             .map(|id| {

@@ -18,6 +18,24 @@
 //! ```text
 //! varint(column_count) ( tag value-bytes )*
 //! ```
+//!
+//! # How the decoder walks a record
+//!
+//! The decoder holds the whole record as one borrowed slice and a position
+//! into it. Each value is one bounds-checked load of its tag and a `match`;
+//! an integer or a length is read inline by the varint core (a one-byte
+//! varint, the common case for column counts, short lengths and small
+//! integers, is one load and one branch), and text is validated with
+//! `str::from_utf8` on the sub-slice it borrows. [`get_varint`] runs the
+//! same core over a [`Buf`]'s bytes, so the WAL, catalog, delta-log and
+//! population-snapshot parsers read varints the same way.
+//!
+//! Every failed check only returns a small `Copy` value naming the check
+//! (`Fault`). The `DbError::Corruption` message is built from it in
+//! `corrupt`, a `#[cold]`, never-inlined function, so the success path
+//! carries no `String` and no formatting code. A byte-at-a-time `Buf`
+//! decoder in the tests is the oracle: the walk must accept exactly the
+//! bytes it accepts and fail with the same messages.
 
 use bytes::{Buf, BufMut};
 
@@ -46,25 +64,74 @@ pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
     }
 }
 
-/// Read a LEB128 varint.
+/// Read a LEB128 varint. The vendored [`Buf::chunk`] is every unconsumed
+/// byte, so this is the row decoder's varint core over that slice; on an
+/// error nothing is consumed.
 pub fn get_varint(buf: &mut impl Buf) -> DbResult<u64> {
+    let (value, end) = read_varint(buf.chunk(), 0).map_err(corrupt)?;
+    buf.advance(end);
+    Ok(value)
+}
+
+/// Which check a decode failed; [`corrupt`] turns it into the error.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    VarintTruncated,
+    VarintTooLong,
+    VarintOverflow,
+    Columns { count: usize, left: usize },
+    TagTruncated,
+    Truncated(&'static str),
+    Utf8,
+    Tag(u8),
+    Trailing(usize),
+}
+
+/// The error for a failed check, kept off the decode path.
+#[cold]
+#[inline(never)]
+fn corrupt(fault: Fault) -> DbError {
+    DbError::Corruption(match fault {
+        Fault::VarintTruncated => "truncated varint".into(),
+        Fault::VarintTooLong => "varint too long".into(),
+        Fault::VarintOverflow => "varint overflows u64".into(),
+        Fault::Columns { count, left } => format!("row claims {count} columns in {left} bytes"),
+        Fault::TagTruncated => "truncated value tag".into(),
+        Fault::Truncated(what) => format!("truncated {what}"),
+        Fault::Utf8 => "invalid utf-8 in text value".into(),
+        Fault::Tag(tag) => format!("unknown value tag {tag}"),
+        Fault::Trailing(n) => format!("{n} trailing bytes after row"),
+    })
+}
+
+/// The varint core: the LEB128 varint starting at `bytes[pos]`, and the
+/// position just past it.
+#[inline(always)]
+fn read_varint(bytes: &[u8], pos: usize) -> Result<(u64, usize), Fault> {
+    match bytes.get(pos) {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), pos + 1)),
+        _ => read_long_varint(bytes, pos),
+    }
+}
+
+/// [`read_varint`] past its one-byte case.
+#[inline]
+fn read_long_varint(bytes: &[u8], mut pos: usize) -> Result<(u64, usize), Fault> {
     let mut out: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(DbError::Corruption("truncated varint".into()));
-        }
-        let byte = buf.get_u8();
+        let &byte = bytes.get(pos).ok_or(Fault::VarintTruncated)?;
+        pos += 1;
         if shift >= 64 {
-            return Err(DbError::Corruption("varint too long".into()));
+            return Err(Fault::VarintTooLong);
         }
         // The final byte may not overflow the 64-bit value.
         if shift == 63 && (byte & 0x7e) != 0 {
-            return Err(DbError::Corruption("varint overflows u64".into()));
+            return Err(Fault::VarintOverflow);
         }
         out |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(out);
+            return Ok((out, pos));
         }
         shift += 7;
     }
@@ -154,47 +221,6 @@ impl From<ValueRef<'_>> for Value {
     }
 }
 
-/// Split `len` bytes off the front of `buf`.
-fn take_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> DbResult<&'a [u8]> {
-    if buf.len() < len {
-        return Err(DbError::Corruption(format!("truncated {what}")));
-    }
-    let (head, tail) = buf.split_at(len);
-    *buf = tail;
-    Ok(head)
-}
-
-/// Read one value, borrowing text and bytes from `buf`.
-fn decode_value_ref<'a>(buf: &mut &'a [u8]) -> DbResult<ValueRef<'a>> {
-    if !buf.has_remaining() {
-        return Err(DbError::Corruption("truncated value tag".into()));
-    }
-    let tag = buf.get_u8();
-    match tag {
-        TAG_NULL => Ok(ValueRef::Null),
-        TAG_FALSE => Ok(ValueRef::Bool(false)),
-        TAG_TRUE => Ok(ValueRef::Bool(true)),
-        TAG_INT => Ok(ValueRef::Int(zigzag_decode(get_varint(buf)?))),
-        TAG_FLOAT => {
-            let bytes = take_bytes(buf, 8, "float")?;
-            Ok(ValueRef::Float(f64::from_le_bytes(
-                bytes.try_into().expect("took 8 bytes"),
-            )))
-        }
-        TAG_TEXT => {
-            let len = get_varint(buf)? as usize;
-            std::str::from_utf8(take_bytes(buf, len, "text")?)
-                .map(ValueRef::Text)
-                .map_err(|_| DbError::Corruption("invalid utf-8 in text value".into()))
-        }
-        TAG_BYTES => {
-            let len = get_varint(buf)? as usize;
-            Ok(ValueRef::Bytes(take_bytes(buf, len, "bytes")?))
-        }
-        other => Err(DbError::Corruption(format!("unknown value tag {other}"))),
-    }
-}
-
 /// Encode a whole row.
 pub fn encode_row(row: &Row) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + row.values.len() * 8);
@@ -208,31 +234,75 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
 /// The one row decoder: validate `bytes` as a whole row and append its
 /// values to the cleared `out`, converted to `T`. The buffer must be fully
 /// consumed.
-fn decode_row_into<'a, T: From<ValueRef<'a>>>(
-    mut bytes: &'a [u8],
-    out: &mut Vec<T>,
-) -> DbResult<()> {
+fn decode_row_into<'a, T: From<ValueRef<'a>>>(bytes: &'a [u8], out: &mut Vec<T>) -> DbResult<()> {
     out.clear();
-    let count = get_varint(&mut bytes)? as usize;
+    walk_row(bytes, out).map_err(corrupt)
+}
+
+/// [`decode_row_into`]'s walk: one position into `bytes`, advanced past
+/// each tag and value.
+#[inline(always)]
+fn walk_row<'a, T: From<ValueRef<'a>>>(bytes: &'a [u8], out: &mut Vec<T>) -> Result<(), Fault> {
+    let (count, mut pos) = read_varint(bytes, 0)?;
+    let count = count as usize;
     // Cap pathological counts before allocating (a corrupt varint could
     // claim 2^60 columns).
-    if count > bytes.len() + 1 {
-        return Err(DbError::Corruption(format!(
-            "row claims {count} columns in {} bytes",
-            bytes.len()
-        )));
+    let left = bytes.len() - pos;
+    if count > left + 1 {
+        return Err(Fault::Columns { count, left });
     }
     out.reserve(count);
     for _ in 0..count {
-        out.push(decode_value_ref(&mut bytes)?.into());
+        let &tag = bytes.get(pos).ok_or(Fault::TagTruncated)?;
+        pos += 1;
+        let value = match tag {
+            TAG_NULL => ValueRef::Null,
+            TAG_FALSE => ValueRef::Bool(false),
+            TAG_TRUE => ValueRef::Bool(true),
+            TAG_INT => {
+                let (raw, end) = read_varint(bytes, pos)?;
+                pos = end;
+                ValueRef::Int(zigzag_decode(raw))
+            }
+            TAG_FLOAT => {
+                let raw = take_field(bytes, &mut pos, 8, "float")?;
+                ValueRef::Float(f64::from_le_bytes(raw.try_into().expect("took 8 bytes")))
+            }
+            TAG_TEXT => {
+                let (len, end) = read_varint(bytes, pos)?;
+                pos = end;
+                let raw = take_field(bytes, &mut pos, len as usize, "text")?;
+                ValueRef::Text(std::str::from_utf8(raw).map_err(|_| Fault::Utf8)?)
+            }
+            TAG_BYTES => {
+                let (len, end) = read_varint(bytes, pos)?;
+                pos = end;
+                ValueRef::Bytes(take_field(bytes, &mut pos, len as usize, "bytes")?)
+            }
+            other => return Err(Fault::Tag(other)),
+        };
+        out.push(value.into());
     }
-    if bytes.has_remaining() {
-        return Err(DbError::Corruption(format!(
-            "{} trailing bytes after row",
-            bytes.remaining()
-        )));
+    match bytes.len() - pos {
+        0 => Ok(()),
+        trailing => Err(Fault::Trailing(trailing)),
     }
-    Ok(())
+}
+
+/// The `len` bytes at `*pos`, moving `*pos` past them.
+#[inline(always)]
+fn take_field<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    len: usize,
+    what: &'static str,
+) -> Result<&'a [u8], Fault> {
+    let start = *pos;
+    if bytes.len() - start < len {
+        return Err(Fault::Truncated(what));
+    }
+    *pos = start + len;
+    Ok(&bytes[start..*pos])
 }
 
 /// Decode a whole row without copying: `out` is cleared and refilled with
@@ -275,6 +345,29 @@ mod tests {
         let long = [0xffu8; 11];
         let mut slice: &[u8] = &long;
         assert!(get_varint(&mut slice).is_err());
+    }
+
+    /// Every varint length up to 11 bytes, with each kind of final byte,
+    /// reads as the oracle reads it: the 10-byte limit and the 64-bit
+    /// overflow check fire at the same byte with the same text.
+    #[test]
+    fn varint_edges_match_oracle() {
+        for fill in [0x80u8, 0xff] {
+            for len in 0..=11 {
+                for last in [0x00u8, 0x01, 0x02, 0x7e, 0x7f, 0x80, 0x81, 0xff] {
+                    let mut bytes = vec![fill; len];
+                    bytes.push(last);
+                    for cut in 0..=bytes.len() {
+                        let (mut ours, mut theirs) = (&bytes[..cut], &bytes[..cut]);
+                        match (get_varint(&mut ours), oracle::get_varint(&mut theirs)) {
+                            (Ok(a), Ok(b)) => assert_eq!((a, ours.len()), (b, theirs.len())),
+                            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                            (a, b) => panic!("{:?}: {a:?} vs {b:?}", &bytes[..cut]),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -377,40 +470,239 @@ mod tests {
         }
 
         #[test]
-        fn prop_borrowed_decoder_agrees_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            assert_decoders_agree(&bytes);
+        fn prop_decoder_matches_oracle_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            assert_matches_oracle(&bytes);
         }
 
         #[test]
-        fn prop_borrowed_decoder_agrees_on_truncated_and_flipped_rows(
+        fn prop_decoder_matches_oracle_on_truncated_and_flipped_rows(
             values in proptest::collection::vec(arb_value(), 0..16),
             flip_at in any::<u16>(),
             flip_mask in 1u8..=255,
         ) {
             let bytes = encode_row(&Row::new(values));
             for cut in 0..=bytes.len() {
-                assert_decoders_agree(&bytes[..cut]);
+                assert_matches_oracle(&bytes[..cut]);
             }
             let mut flipped = bytes.clone();
             let at = flip_at as usize % flipped.len();
             flipped[at] ^= flip_mask;
-            assert_decoders_agree(&flipped);
+            assert_matches_oracle(&flipped);
+        }
+
+        /// Mutants of valid encodings: the decoder must agree with the
+        /// oracle on each, values or error text.
+        #[test]
+        fn prop_decoder_matches_oracle_on_mutated_rows(
+            values in proptest::collection::vec(arb_value(), 0..12),
+            donor in proptest::collection::vec(arb_value(), 0..12),
+            tail in proptest::collection::vec(any::<u8>(), 1..24),
+            at in any::<u16>(),
+        ) {
+            let row = encode_row(&Row::new(values.clone()));
+            for mutant in mutants(&values, &donor, &tail, at as usize) {
+                assert_matches_oracle(&mutant);
+            }
+            // The unmutated encoding decodes back to its values.
+            assert_matches_oracle(&row);
+            prop_assert_eq!(decode_row(&row).unwrap(), Row::new(values));
+        }
+
+        /// [`get_varint`] reads what the oracle's byte loop reads, consumes
+        /// the same bytes, and fails with the same error text.
+        #[test]
+        fn prop_get_varint_matches_oracle(bytes in proptest::collection::vec(any::<u8>(), 0..14)) {
+            let mut ours = bytes.as_slice();
+            let mut theirs = bytes.as_slice();
+            match (get_varint(&mut ours), oracle::get_varint(&mut theirs)) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(ours.len(), theirs.len());
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("get_varint disagrees with the oracle on {bytes:?}: {a:?} vs {b:?}"),
+            }
         }
     }
 
-    /// [`decode_row_ref`] and [`decode_row`] accept exactly the same inputs,
-    /// decode them to the same values (compared by `Debug`, which tells
-    /// `Int(2)` from `Float(2.0)` and prints NaN), and fail with the same
-    /// error.
-    fn assert_decoders_agree(bytes: &[u8]) {
-        let mut borrowed = vec![ValueRef::Null; 3]; // stale contents must be cleared
-        match (decode_row(bytes), decode_row_ref(bytes, &mut borrowed)) {
-            (Ok(row), Ok(())) => {
-                let owned: Vec<Value> = borrowed.into_iter().map(Value::from).collect();
-                assert_eq!(format!("{:?}", row.values), format!("{owned:?}"));
+    /// Every mutant of `values`' encoding: the column count set to 0, 1,
+    /// `u64::MAX`, each 2^k and the true count ± 1; every truncation; the
+    /// encoding extended by `tail`, by one of `donor`'s fields and by each
+    /// bare tag; a field of `donor` spliced over each field of `values`;
+    /// and the encoding cut at `at` with `donor`'s encoding spliced on.
+    fn mutants(values: &[Value], donor: &[Value], tail: &[u8], at: usize) -> Vec<Vec<u8>> {
+        let fields = |vs: &[Value]| -> Vec<Vec<u8>> {
+            vs.iter()
+                .map(|v| {
+                    let mut f = Vec::new();
+                    encode_value(&mut f, v);
+                    f
+                })
+                .collect()
+        };
+        let with_count = |count: u64, fields: &[Vec<u8>]| -> Vec<u8> {
+            let mut out = Vec::new();
+            put_varint(&mut out, count);
+            for f in fields {
+                out.extend_from_slice(f);
             }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            (owned, borrowed) => panic!("decoders disagree: {owned:?} vs {borrowed:?}"),
+            out
+        };
+        let ours = fields(values);
+        let theirs = fields(donor);
+        let n = ours.len() as u64;
+        let row = with_count(n, &ours);
+        let mut out = Vec::new();
+
+        let mut counts = vec![0, 1, u64::MAX, n.wrapping_sub(1), n + 1];
+        counts.extend((0..64).map(|k| 1u64 << k));
+        for count in counts {
+            out.push(with_count(count, &ours));
+        }
+        for cut in 0..row.len() {
+            out.push(row[..cut].to_vec());
+        }
+        out.push([row.as_slice(), tail].concat());
+        if let Some(field) = theirs.first() {
+            out.push([row.as_slice(), field].concat());
+            // The extension counted in: a valid row one column longer.
+            let mut longer = ours.clone();
+            longer.push(field.clone());
+            out.push(with_count(n + 1, &longer));
+        }
+        for tag in 0..=u8::MAX {
+            out.push([row.as_slice(), &[tag]].concat());
+        }
+        for (i, field) in theirs.iter().enumerate() {
+            if ours.is_empty() {
+                break;
+            }
+            let mut spliced = ours.clone();
+            spliced[i % ours.len()] = field.clone();
+            out.push(with_count(n, &spliced));
+        }
+        let donor_row = with_count(theirs.len() as u64, &theirs);
+        let cut = at % (row.len() + 1);
+        out.push([&row[..cut], &donor_row[at % (donor_row.len() + 1)..]].concat());
+        out
+    }
+
+    /// [`decode_row`] and [`decode_row_ref`] accept exactly what the
+    /// oracle accepts, decode it to the same values (compared by `Debug`,
+    /// which tells `Int(2)` from `Float(2.0)` and prints NaN), and fail
+    /// with the same error text.
+    fn assert_matches_oracle(bytes: &[u8]) {
+        let expected = oracle::decode_row(bytes).map(|row| format!("{:?}", row.values));
+        let owned = decode_row(bytes).map(|row| format!("{:?}", row.values));
+        let mut borrowed = vec![ValueRef::Null; 3]; // stale contents must be cleared
+        let borrowed = decode_row_ref(bytes, &mut borrowed).map(|()| {
+            let values: Vec<Value> = borrowed.into_iter().map(Value::from).collect();
+            format!("{values:?}")
+        });
+        for (name, got) in [("decode_row", owned), ("decode_row_ref", borrowed)] {
+            match (&expected, &got) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{name} on {bytes:?}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{name} on {bytes:?}"),
+                _ => {
+                    panic!("{name} disagrees with the oracle on {bytes:?}: {expected:?} vs {got:?}")
+                }
+            }
+        }
+    }
+
+    /// The test-only oracle: a byte-at-a-time [`Buf`] decoder with a
+    /// `Result` per value, written for clarity, not speed.
+    mod oracle {
+        use bytes::Buf;
+
+        use crate::encoding::{
+            zigzag_decode, ValueRef, TAG_BYTES, TAG_FALSE, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_TEXT,
+            TAG_TRUE,
+        };
+        use crate::error::{DbError, DbResult};
+        use crate::row::Row;
+        use crate::value::Value;
+
+        pub(super) fn get_varint(buf: &mut impl Buf) -> DbResult<u64> {
+            let mut out: u64 = 0;
+            let mut shift = 0u32;
+            loop {
+                if !buf.has_remaining() {
+                    return Err(DbError::Corruption("truncated varint".into()));
+                }
+                let byte = buf.get_u8();
+                if shift >= 64 {
+                    return Err(DbError::Corruption("varint too long".into()));
+                }
+                if shift == 63 && (byte & 0x7e) != 0 {
+                    return Err(DbError::Corruption("varint overflows u64".into()));
+                }
+                out |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(out);
+                }
+                shift += 7;
+            }
+        }
+
+        fn take_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> DbResult<&'a [u8]> {
+            if buf.len() < len {
+                return Err(DbError::Corruption(format!("truncated {what}")));
+            }
+            let (head, tail) = buf.split_at(len);
+            *buf = tail;
+            Ok(head)
+        }
+
+        fn decode_value_ref<'a>(buf: &mut &'a [u8]) -> DbResult<ValueRef<'a>> {
+            if !buf.has_remaining() {
+                return Err(DbError::Corruption("truncated value tag".into()));
+            }
+            let tag = buf.get_u8();
+            match tag {
+                TAG_NULL => Ok(ValueRef::Null),
+                TAG_FALSE => Ok(ValueRef::Bool(false)),
+                TAG_TRUE => Ok(ValueRef::Bool(true)),
+                TAG_INT => Ok(ValueRef::Int(zigzag_decode(get_varint(buf)?))),
+                TAG_FLOAT => {
+                    let bytes = take_bytes(buf, 8, "float")?;
+                    Ok(ValueRef::Float(f64::from_le_bytes(
+                        bytes.try_into().expect("took 8 bytes"),
+                    )))
+                }
+                TAG_TEXT => {
+                    let len = get_varint(buf)? as usize;
+                    std::str::from_utf8(take_bytes(buf, len, "text")?)
+                        .map(ValueRef::Text)
+                        .map_err(|_| DbError::Corruption("invalid utf-8 in text value".into()))
+                }
+                TAG_BYTES => {
+                    let len = get_varint(buf)? as usize;
+                    Ok(ValueRef::Bytes(take_bytes(buf, len, "bytes")?))
+                }
+                other => Err(DbError::Corruption(format!("unknown value tag {other}"))),
+            }
+        }
+
+        pub(super) fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
+            let count = get_varint(&mut bytes)? as usize;
+            if count > bytes.len() + 1 {
+                return Err(DbError::Corruption(format!(
+                    "row claims {count} columns in {} bytes",
+                    bytes.len()
+                )));
+            }
+            let mut values = Vec::with_capacity(count);
+            for _ in 0..count {
+                values.push(Value::from(decode_value_ref(&mut bytes)?));
+            }
+            if bytes.has_remaining() {
+                return Err(DbError::Corruption(format!(
+                    "{} trailing bytes after row",
+                    bytes.remaining()
+                )));
+            }
+            Ok(Row::new(values))
         }
     }
 }

@@ -40,6 +40,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+USAGE="usage: scripts/tier1.sh [--faults | --monitor | --sql | --live-index]"
+case "${1:-}" in
+    "" | --faults | --monitor | --sql | --live-index) ;;
+    *)
+        # A mode that does not exist (a deleted one such as --bench, or a
+        # typo such as --fault) must not quietly run the default gate.
+        echo "tier1.sh: unknown argument '$1'" >&2
+        echo "$USAGE" >&2
+        exit 2
+        ;;
+esac
+if [[ $# -gt 1 ]]; then
+    echo "tier1.sh: one mode at a time" >&2
+    echo "$USAGE" >&2
+    exit 2
+fi
+
 if [[ "${1:-}" == "--sql" ]]; then
     # Audits as queries. The SQL shadow-model properties
     # (composite indexes, drop/recreate id monotonicity, the
@@ -110,9 +127,12 @@ echo "== population equivalence (release) =="
 cargo test -q --release -p qpv-core --test pop_equivalence
 
 echo "== row decoding (release) =="
-# The borrowed decoder the population scans run on must accept, decode,
-# and reject exactly what the owned decoder does, garbage and truncated
-# rows included, under the optimizer that builds the scan path.
+# The index-walking row decoder behind both the borrowed scans and the
+# owned rows must accept, decode, and reject exactly what the test-only
+# `Buf`-based oracle does, with the same error text, under the optimizer
+# that builds the scan path: the differential property over mutated valid
+# encodings (column count 0, 1, u64::MAX and 2^k, truncation, extension,
+# spliced fields), garbage, flipped bytes, and every varint edge.
 cargo test -q --release -p qpv-reldb encoding
 
 echo "== value order and predicates (release) =="
