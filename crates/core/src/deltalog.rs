@@ -73,8 +73,10 @@ const OP_SET_PREFS: u8 = 2;
 const OP_SET_SENSITIVITY: u8 = 3;
 const OP_SET_THRESHOLD: u8 = 4;
 
-/// Snapshot file magic: `QPVS` little-endian.
-const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"QPVS");
+/// Snapshot file magic: `QPS2` little-endian. The first format, `QPVS`,
+/// also stored a merged threshold row per id; its files fail the header
+/// check rather than decode wrongly.
+const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"QPS2");
 
 fn get_u32(buf: &mut &[u8]) -> DbResult<u32> {
     u32::try_from(get_varint(buf)?)
@@ -355,14 +357,7 @@ fn read_snapshot_file(
             "snapshot {generation} fails its checksum"
         )));
     }
-    let mut cursor = payload;
-    let pop = CompiledPopulation::decode_snapshot(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(DbError::Corruption(format!(
-            "trailing bytes after snapshot {generation}"
-        )));
-    }
-    Ok(pop)
+    CompiledPopulation::decode_snapshot(payload)
 }
 
 /// Publish `generation` as current, through the `SnapshotPublish`
@@ -1055,6 +1050,29 @@ mod tests {
             "tail holds only post-snapshot deltas"
         );
         assert_eq!(report(&rec.population), report_of(&mirror));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot file under the first format's magic is refused as
+    /// `Corruption` even when its checksum holds, so a file written before
+    /// the threshold rows moved per occurrence is never decoded as one.
+    #[test]
+    fn snapshot_under_the_old_magic_is_corruption() {
+        let dir = temp_dir("old-magic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let pop = CompiledPopulation::from_profiles(&[profile(0, 20), profile(1, 30)]);
+        write_snapshot_file(&dir, 0, &pop, &None).unwrap();
+        assert_eq!(
+            report(&read_snapshot_file(&dir, 0, &None).unwrap()),
+            report(&pop)
+        );
+        let mut bytes = std::fs::read(snapshot_path(&dir, 0)).unwrap();
+        bytes[..4].copy_from_slice(b"QPVS");
+        std::fs::write(snapshot_path(&dir, 0), &bytes).unwrap();
+        assert!(matches!(
+            read_snapshot_file(&dir, 0, &None),
+            Err(DbError::Corruption(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

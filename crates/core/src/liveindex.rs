@@ -57,8 +57,9 @@ use crate::selective::{check_policy, id_stats, occurrences_of, push_witness_rows
 /// [`AuditBridge`], so it plugs into the SQL layer anywhere a
 /// [`crate::SelectiveAuditor`] does — with
 /// [`AuditBridge::violations_indexed`] answered from the maintained
-/// postings and [`AuditBridge::stats`] reporting `indexed: true`, which
-/// is what makes the planner choose `LiveIndexScan`.
+/// postings, and its [`LiveViolationIndex::stats`] report
+/// `indexed: true`: registered with the planner (as `Ppdb::query_live`
+/// does), that is what makes it choose `LiveIndexScan`.
 pub struct LiveViolationIndex {
     engine: AuditEngine,
     /// The house plan's kernel, re-prepared when a delta interns a symbol.
@@ -402,10 +403,6 @@ impl AuditBridge for LiveViolationIndex {
             .map(|&(_, occ)| occ)
             .collect();
         Ok(self.emit(occs))
-    }
-
-    fn stats(&self) -> Option<ViolationStats> {
-        Some(LiveViolationIndex::stats(self))
     }
 }
 

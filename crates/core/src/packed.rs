@@ -54,14 +54,11 @@
 //!    one fused multiply by the attribute's datum-product lanes lands the
 //!    Eq. 14 severity sum in the block's score lane. The factoring
 //!    `Σ_r (diff_r·w_r)·(value·along) = (Σ_r diff_r·w_r)·(value·along)`
-//!    holds exactly because every plan row of an attribute shares the same
-//!    datum product — *provided nothing saturates*. A conservative `u128`
-//!    bound over the plan's maximal diffs and the block's maximal datum
-//!    product is checked per plan and block; where it cannot rule
-//!    saturation out, that plan runs a fallback sweep over the block that
-//!    replays `crate::severity::conf`'s exact `saturating_mul`/
-//!    `saturating_add` chain in plan-row order, while the other plans
-//!    stay factored;
+//!    holds because every plan row of an attribute shares the same datum
+//!    product, and saturating ops give the same `min(exact, u64::MAX)`
+//!    whatever the association. One sweep body runs on plain `u64` ops
+//!    where a per-plan, per-block `u128` bound rules saturation out, else
+//!    on saturating ops (slower: SIMD has no saturating `u64` add);
 //! 3. **output**, per plan. Witnesses come out in plan-row order, read
 //!    from the shared lanes: a stamped lane gives the stated point, an
 //!    unstamped one the implicit ZERO. Counts weigh violation masks and
@@ -69,9 +66,10 @@
 //!    Defaults compare each *occurrence's* threshold with its unique
 //!    row's score, counted one of three ways, each reading a threshold
 //!    from memory once per call whatever K:
-//!    - a population stored in slot order (every all-unique one built
-//!      from profiles or storage) lends its threshold array, and each
-//!      block counts its own occurrences against its score lane;
+//!    - a population whose occurrences are stored in slot order (every
+//!      all-unique one built from profiles or storage) lends its
+//!      threshold array, and each block counts its own occurrences
+//!      against its score lane;
 //!    - otherwise, while K × unique rows fits a 2^20-entry score table
 //!      (any segment-clustered population), the block walk fills the
 //!      table and one chunked pass over the occurrences in storage order
@@ -84,13 +82,13 @@
 //!
 //! The regrouped arithmetic is identical to [`crate::severity::conf`]'s
 //! chain — all factors are non-negative, `u32 × u32` is exact in `u64`,
-//! saturating ops over non-negatives compute `min(true value, MAX)`, and
-//! the factored path only runs when the precheck proves the true value
-//! stays below every saturation point. `tests/pop_equivalence.rs` and
+//! saturating ops over non-negatives compute `min(true value, MAX)` in
+//! any order, and the plain ops only run when the precheck proves the true
+//! value stays below `u64::MAX`. `tests/pop_equivalence.rs` and
 //! `tests/plan_equivalence.rs` pin every count, score and witness
 //! byte-identical to `AuditEngine::run_reference` of the same policy,
 //! including heterogeneous sweeps and saturating magnitudes that force the
-//! fallback sweep.
+//! saturating ops.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -182,7 +180,7 @@ impl Lanes {
 /// One plan's side of the kernel: its rows against the shared lanes and
 /// its saturation bound.
 struct PlanSweep {
-    /// Plan-row order (the fallback sweep and the witnesses replay it).
+    /// Plan-row order (the witnesses replay it).
     rows: Vec<RowParam>,
     /// Row indices grouped by plan attribute, each non-empty group with
     /// the attribute's datum-product lane.
@@ -306,8 +304,21 @@ struct Accumulators {
 
 impl PlanSweep {
     /// Sweep the plan over one block, leaving its scores in `acc.score`
-    /// and its violation predicates in `acc.vmask`.
+    /// and its violation predicates in `acc.vmask`. The precheck bounds
+    /// the exact Eq. 14 sum of every row in the block — each diff by its
+    /// policy point, each datum product by the block's maximum; below
+    /// `u64::MAX` nothing can clip, so plain ops equal the reference's
+    /// saturating chain.
     fn run_block(&self, block: &Block, acc: &mut Accumulators) {
+        if self.diff_bound.saturating_mul(block.max_prod as u128) < u64::MAX as u128 {
+            self.sweep::<false>(block, acc);
+        } else {
+            self.sweep::<true>(block, acc);
+        }
+    }
+
+    /// The factored sweep over one block, on saturating ops iff `SAT`.
+    fn sweep<const SAT: bool>(&self, block: &Block, acc: &mut Accumulators) {
         let bl = block.len;
         let gen = block.gen;
         let Accumulators {
@@ -322,87 +333,62 @@ impl PlanSweep {
         let vms = &mut vmask[..bl];
         let scs = &mut score[..bl];
         vms.fill(0);
-        // Saturation precheck: an upper bound on the exact Eq. 14 sum of
-        // every row in the block — each diff bounded by its policy point,
-        // each datum product by the block's maximum. Below u64::MAX no
-        // saturating op anywhere in the reference chain can clip, so the
-        // factored arithmetic is exact and byte-identical; otherwise the
-        // plan takes the reference-ordered saturating sweep for the block.
-        if self.diff_bound.saturating_mul(block.max_prod as u128) < u64::MAX as u128 {
-            let mut first_attr = true;
-            for (d, rows) in &self.attr_groups {
-                // Per-dimension weighted diffs over the attribute's plan
-                // rows: u32 lane math, widening mul-accumulate.
-                let mut first = true;
-                for &r in rows {
-                    let row = &self.rows[r as usize];
-                    let eb = row.lane as usize * BLOCK;
-                    let evs = &block.ev[eb..eb + bl];
-                    let egs = &block.eg[eb..eb + bl];
-                    let ers = &block.er[eb..eb + bl];
-                    let sts = &block.stamp[eb..eb + bl];
-                    let svs = &mut sv[..bl];
-                    let sgs = &mut sg[..bl];
-                    let srs = &mut sr[..bl];
-                    let w = row.w as u64;
-                    for ub in 0..bl {
-                        let live = 0u32.wrapping_sub((sts[ub] == gen) as u32);
-                        let dv = row.pv.saturating_sub(evs[ub] & live);
-                        let dg = row.pg.saturating_sub(egs[ub] & live);
-                        let dr = row.pr.saturating_sub(ers[ub] & live);
-                        vms[ub] |= dv | dg | dr;
-                        if first {
-                            svs[ub] = dv as u64 * w;
-                            sgs[ub] = dg as u64 * w;
-                            srs[ub] = dr as u64 * w;
-                        } else {
-                            svs[ub] += dv as u64 * w;
-                            sgs[ub] += dg as u64 * w;
-                            srs[ub] += dr as u64 * w;
-                        }
-                    }
-                    first = false;
-                }
-                // Fused datum products: one multiply per dimension lands
-                // the attribute's exact severity contribution.
-                let db = *d as usize * BLOCK;
-                let pvs = &block.prod_v[db..db + bl];
-                let pgs = &block.prod_g[db..db + bl];
-                let prs = &block.prod_r[db..db + bl];
-                for ub in 0..bl {
-                    let term = sv[ub] * pvs[ub] + sg[ub] * pgs[ub] + sr[ub] * prs[ub];
-                    if first_attr {
-                        scs[ub] = term;
-                    } else {
-                        scs[ub] += term;
-                    }
-                }
-                first_attr = false;
-            }
-            if first_attr {
-                scs.fill(0); // no plan rows at all
-            }
-        } else {
-            // Fallback: replay the reference's exact saturating chain in
-            // plan-row order (saturation points depend on the
-            // association, so no factoring here).
-            scs.fill(0);
-            for row in &self.rows {
+        let mut first_attr = true;
+        for (d, rows) in &self.attr_groups {
+            // Per-dimension weighted diffs over the attribute's plan
+            // rows: u32 lane math, widening mul-accumulate.
+            let mut first = true;
+            for &r in rows {
+                let row = &self.rows[r as usize];
                 let eb = row.lane as usize * BLOCK;
-                let db = row.datum as usize * BLOCK;
+                let evs = &block.ev[eb..eb + bl];
+                let egs = &block.eg[eb..eb + bl];
+                let ers = &block.er[eb..eb + bl];
+                let sts = &block.stamp[eb..eb + bl];
+                let svs = &mut sv[..bl];
+                let sgs = &mut sg[..bl];
+                let srs = &mut sr[..bl];
                 let w = row.w as u64;
                 for ub in 0..bl {
-                    let live = 0u32.wrapping_sub((block.stamp[eb + ub] == gen) as u32);
-                    let dv = row.pv.saturating_sub(block.ev[eb + ub] & live);
-                    let dg = row.pg.saturating_sub(block.eg[eb + ub] & live);
-                    let dr = row.pr.saturating_sub(block.er[eb + ub] & live);
+                    let live = 0u32.wrapping_sub((sts[ub] == gen) as u32);
+                    let dv = row.pv.saturating_sub(evs[ub] & live);
+                    let dg = row.pg.saturating_sub(egs[ub] & live);
+                    let dr = row.pr.saturating_sub(ers[ub] & live);
                     vms[ub] |= dv | dg | dr;
-                    scs[ub] = scs[ub]
-                        .saturating_add((dv as u64 * w).saturating_mul(block.prod_v[db + ub]))
-                        .saturating_add((dg as u64 * w).saturating_mul(block.prod_g[db + ub]))
-                        .saturating_add((dr as u64 * w).saturating_mul(block.prod_r[db + ub]));
+                    // `u32 × u32` is exact in `u64`.
+                    if first {
+                        svs[ub] = dv as u64 * w;
+                        sgs[ub] = dg as u64 * w;
+                        srs[ub] = dr as u64 * w;
+                    } else {
+                        svs[ub] = add::<SAT>(svs[ub], dv as u64 * w);
+                        sgs[ub] = add::<SAT>(sgs[ub], dg as u64 * w);
+                        srs[ub] = add::<SAT>(srs[ub], dr as u64 * w);
+                    }
+                }
+                first = false;
+            }
+            // Fused datum products: one multiply per dimension lands
+            // the attribute's severity contribution.
+            let db = *d as usize * BLOCK;
+            let pvs = &block.prod_v[db..db + bl];
+            let pgs = &block.prod_g[db..db + bl];
+            let prs = &block.prod_r[db..db + bl];
+            for ub in 0..bl {
+                let term = add::<SAT>(
+                    add::<SAT>(mul::<SAT>(sv[ub], pvs[ub]), mul::<SAT>(sg[ub], pgs[ub])),
+                    mul::<SAT>(sr[ub], prs[ub]),
+                );
+                if first_attr {
+                    scs[ub] = term;
+                } else {
+                    scs[ub] = add::<SAT>(scs[ub], term);
                 }
             }
+            first_attr = false;
+        }
+        if first_attr {
+            scs.fill(0); // no plan rows at all
         }
     }
 
@@ -437,6 +423,27 @@ impl PlanSweep {
                 })
             })
             .collect()
+    }
+}
+
+/// The sweep's add: plain where the precheck rules clipping out
+/// (`SAT = false`), else saturating — `min(exact, u64::MAX)` in any order.
+#[inline(always)]
+fn add<const SAT: bool>(a: u64, b: u64) -> u64 {
+    if SAT {
+        a.saturating_add(b)
+    } else {
+        a + b
+    }
+}
+
+/// The sweep's multiply, plain or saturating like [`add`].
+#[inline(always)]
+fn mul<const SAT: bool>(a: u64, b: u64) -> u64 {
+    if SAT {
+        a.saturating_mul(b)
+    } else {
+        a * b
     }
 }
 
@@ -798,29 +805,18 @@ impl Kernel {
 
         if let DefaultCount::Table(table) = &count {
             // Occurrences in storage order, a chunk at a time: the first plan
-            // gathers the chunk's thresholds into L1 as it counts, and every
-            // other plan compares against them there, so memory streams each
-            // threshold once whatever K.
-            let thresholds = pop.thresholds_slice();
-            let mut ts = [0u64; OCC_CHUNK];
+            // pulls the chunk's unique rows and thresholds into L1 as it
+            // counts, and every other plan reads them there, so memory
+            // streams each threshold once whatever K.
             let chunks = pop
                 .urows()
                 .chunks(OCC_CHUNK)
-                .zip(pop.rows().chunks(OCC_CHUNK));
-            for (urows, rows) in chunks {
-                let ts = &mut ts[..rows.len()];
-                let mut plans = aggs.iter_mut().zip(table.chunks(slots));
-                let (first, scores) = plans.next().expect("at least one plan");
-                let mut defaulted = 0;
-                for ((t, &u), &row) in ts.iter_mut().zip(urows).zip(rows) {
-                    *t = thresholds[row as usize];
-                    defaulted += defaults(scores[u as usize], *t) as usize;
-                }
-                first.defaulted += defaulted;
-                for (agg, scores) in plans {
+                .zip(pop.thresholds_slice().chunks(OCC_CHUNK));
+            for (urows, ts) in chunks {
+                for (agg, scores) in aggs.iter_mut().zip(table.chunks(slots)) {
                     agg.defaulted += urows
                         .iter()
-                        .zip(ts.iter())
+                        .zip(ts)
                         .filter(|&(&u, &t)| defaults(scores[u as usize], t))
                         .count();
                 }
@@ -914,12 +910,12 @@ impl DefaultCount<'_> {
     /// Lend the thresholds if they are in slot order; else keep scores
     /// if they fit the table; else group the thresholds.
     fn new(pop: &CompiledPopulation, k_plans: usize) -> DefaultCount<'_> {
-        let (urows, rows, thresholds) = (pop.urows(), pop.rows(), pop.thresholds_slice());
-        // A population that stores its occurrences in slot order, each on
-        // its own id-row (every all-unique one built from profiles or
-        // storage), lends its threshold array as is.
-        if urows.is_sorted() && rows.iter().enumerate().all(|(i, &r)| r as usize == i) {
-            return DefaultCount::Grouped(Cow::Borrowed(&thresholds[..rows.len()]));
+        let (urows, thresholds) = (pop.urows(), pop.thresholds_slice());
+        // A population that stores its occurrences in slot order (every
+        // all-unique one built from profiles or storage) lends its
+        // threshold array as is.
+        if urows.is_sorted() {
+            return DefaultCount::Grouped(Cow::Borrowed(thresholds));
         }
         let refs = pop.table().refs_slice();
         if k_plans * refs.len() <= SCORE_TABLE {
@@ -933,9 +929,9 @@ impl DefaultCount<'_> {
             end += r as usize;
         }
         let mut grouped = vec![0u64; end];
-        for (&u, &row) in urows.iter().zip(rows) {
+        for (&u, &t) in urows.iter().zip(thresholds) {
             let at = &mut next[u as usize];
-            grouped[*at] = thresholds[row as usize];
+            grouped[*at] = t;
             *at += 1;
         }
         DefaultCount::Grouped(Cow::Owned(grouped))

@@ -21,12 +21,13 @@
 //!   and a `slots × attrs` datum-lane table), which the one scoring kernel
 //!   evaluates branch-free over whole blocks — see `crate::packed`.
 //!
-//! Per-occurrence state is three u32/u64 arrays (`urow_of` — the interned
-//! unique-row slot, `row_of` — the merged id-row for thresholds, and the
-//! id itself); everything content-sized lives in the `RowTable`.
-//! Thresholds stay per-id (merged last-wins across duplicate occurrences,
-//! matching [`crate::profile::assemble`]), and so does the datum row each
-//! unique row embeds.
+//! Per-occurrence state is three parallel arrays — the id, `urow_of` (the
+//! interned unique-row slot) and the threshold `v_i` — 20 bytes per
+//! occurrence; everything content-sized lives in the `RowTable`. When an
+//! id occurs more than once, its thresholds and the datum row each unique
+//! row embeds are merged last-wins across the occurrences, matching
+//! [`crate::profile::assemble`]: [`PopulationBuilder::finish`] writes the
+//! merged values into every occurrence of the id.
 //!
 //! A population is built by [`PopulationBuilder`], either from profiles
 //! ([`CompiledPopulation::from_profiles`]) or straight from storage
@@ -401,20 +402,28 @@ impl RowTable {
         self.d_gran = restride(&self.d_gran, slots, self.stride, new_stride, 1);
         self.d_ret = restride(&self.d_ret, slots, self.stride, new_stride, 1);
         self.stride = new_stride;
-        self.rebuild_index();
+        let distinct = self.rebuild_index();
+        debug_assert!(distinct, "neutral columns keep distinct rows distinct");
     }
 
     /// Recompute every live slot's hash and re-register it (decode path
-    /// and stride growth).
-    pub(crate) fn rebuild_index(&mut self) {
+    /// and stride growth). False if two live slots hold identical
+    /// content, which interning never produces.
+    pub(crate) fn rebuild_index(&mut self) -> bool {
         self.lookup.clear();
+        let mut distinct = true;
         for u in 0..self.refs.len() {
             if self.refs[u] > 0 {
                 let h = self.hash_slot(u);
+                distinct &= self
+                    .lookup
+                    .find(h, |v| self.slots_identical(u, v as usize))
+                    .is_none();
                 self.hashes[u] = h;
                 self.lookup.insert(h, u as u32);
             }
         }
+        distinct
     }
 
     /// Estimated resident bytes of the table (lanes + per-slot metadata +
@@ -460,52 +469,82 @@ impl RowTable {
         true
     }
 
-    /// Assert every structural invariant (tests and
+    /// The first broken structural invariant, if any, for a population
+    /// with `na` attributes and `np` purposes: lane lengths, dead slots
+    /// cleared and on the freelist exactly once, ranges in bounds and
+    /// disjoint, and live preference symbols in bounds. The snapshot
+    /// decoder refuses a table that fails it; [`RowTable::validate`]
+    /// asserts it.
+    fn structure_error(&self, na: usize, np: usize) -> Option<&'static str> {
+        let (slots, lane_len) = (self.refs.len(), self.p_attr.len());
+        let pref_lanes = [&self.p_purpose, &self.p_vis, &self.p_gran, &self.p_ret];
+        let datum_lanes = [&self.d_value, &self.d_vis, &self.d_gran, &self.d_ret];
+        if self.ranges.len() != slots
+            || self.hashes.len() != slots
+            || pref_lanes.iter().any(|l| l.len() != lane_len)
+            || datum_lanes.iter().any(|l| l.len() != slots * self.stride)
+        {
+            return Some("lane lengths disagree");
+        }
+        let mut freed = vec![false; slots];
+        for &u in &self.free_slots {
+            match freed.get_mut(u as usize) {
+                Some(f) if !*f && self.refs[u as usize] == 0 => *f = true,
+                _ => return Some("slot freelist disagrees with refcounts"),
+            }
+        }
+        if self
+            .free_pref
+            .iter()
+            .any(|&(s, e)| s >= e || e as usize > lane_len)
+        {
+            return Some("free preference range out of bounds");
+        }
+        // Every non-empty range, live or free, to check that none overlap.
+        let mut used = self.free_pref.clone();
+        for (u, &(s, e)) in self.ranges.iter().enumerate() {
+            if self.refs[u] == 0 {
+                if !freed[u] {
+                    return Some("slot freelist disagrees with refcounts");
+                }
+                if (s, e) != (0, 0) {
+                    return Some("dead slot keeps a preference range");
+                }
+            } else if s > e || e as usize > lane_len {
+                return Some("preference range out of bounds");
+            } else if (s as usize..e as usize)
+                .any(|j| self.p_attr[j] as usize >= na || self.p_purpose[j] as usize >= np)
+            {
+                return Some("preference symbol out of bounds");
+            } else if s < e {
+                used.push((s, e));
+            }
+        }
+        used.sort_unstable();
+        if used.windows(2).any(|w| w[0].1 > w[1].0) {
+            return Some("preference ranges overlap");
+        }
+        None
+    }
+
+    /// Assert every invariant of the table (tests and
     /// [`CompiledPopulation::debug_validate`]; O(table²) worst case on
     /// the hash-collision check, so keep it out of hot paths).
     pub(crate) fn validate(&self, na: usize, np: usize) {
-        let slots = self.refs.len();
-        assert_eq!(self.ranges.len(), slots);
-        assert_eq!(self.hashes.len(), slots);
-        assert_eq!(self.d_value.len(), slots * self.stride);
-        assert_eq!(self.d_vis.len(), slots * self.stride);
-        assert_eq!(self.d_gran.len(), slots * self.stride);
-        assert_eq!(self.d_ret.len(), slots * self.stride);
-        let lane_len = self.p_attr.len();
-        assert_eq!(self.p_purpose.len(), lane_len);
-        assert_eq!(self.p_vis.len(), lane_len);
-        assert_eq!(self.p_gran.len(), lane_len);
-        assert_eq!(self.p_ret.len(), lane_len);
-        for u in 0..slots {
-            let (s, e) = self.ranges[u];
-            assert!(s <= e && e as usize <= lane_len, "range in bounds");
+        if let Some(what) = self.structure_error(na, np) {
+            panic!("unique-row table: {what}");
+        }
+        for u in 0..self.refs.len() {
+            let registered = self.lookup.contains(self.hashes[u], u as u32);
             if self.refs[u] > 0 {
                 assert_eq!(self.hashes[u], self.hash_slot(u), "stale hash");
-                assert!(
-                    self.lookup.contains(self.hashes[u], u as u32),
-                    "live slot registered"
-                );
-                for j in s as usize..e as usize {
-                    assert!((self.p_attr[j] as usize) < na, "pref attr in bounds");
-                    assert!((self.p_purpose[j] as usize) < np, "pref purpose in bounds");
-                }
+                assert!(registered, "live slot registered");
             } else {
-                assert_eq!(self.ranges[u], (0, 0), "dead slot range cleared");
-                assert!(
-                    self.free_slots.contains(&(u as u32)),
-                    "dead slot on freelist"
-                );
-                assert!(
-                    !self.lookup.contains(self.hashes[u], u as u32),
-                    "dead slot deregistered"
-                );
+                assert!(!registered, "dead slot deregistered");
             }
         }
-        for &(s, e) in &self.free_pref {
-            assert!(s < e && e as usize <= lane_len, "free range in bounds");
-        }
-        for a in 0..slots {
-            for b in a + 1..slots {
+        for a in 0..self.refs.len() {
+            for b in a + 1..self.refs.len() {
                 if self.refs[a] > 0 && self.refs[b] > 0 && self.hashes[a] == self.hashes[b] {
                     assert!(
                         !self.slots_identical(a, b),
@@ -544,15 +583,11 @@ pub struct CompiledPopulation {
     /// per-occurrence: when an id occurs twice with different stated
     /// preferences, each occurrence references its own unique row.
     urow_of: Vec<u32>,
-    /// Occurrence index → merged id-row index into `thresholds`.
-    /// Thresholds (and the datum row baked into each unique row) are
-    /// per-*id*, merged last-wins across occurrences, matching
-    /// [`crate::profile::assemble`].
-    row_of: Vec<u32>,
+    /// Occurrence index → default threshold `v_i`. Every occurrence of a
+    /// repeated id carries the id's merged (last-wins) threshold.
+    thresholds: Vec<u64>,
     /// The deduplicated unique-row table.
     table: RowTable,
-    /// Per id-row default threshold `v_i` (last occurrence wins).
-    thresholds: Vec<u64>,
     /// Bumped once per applied delta; lets downstream caches (plan
     /// bindings, auditors, reports) detect staleness cheaply.
     epoch: u64,
@@ -562,9 +597,6 @@ pub struct CompiledPopulation {
     /// interned some id more than once: "the provider with id X" is then
     /// ambiguous and [`CompiledPopulation::apply_delta`] refuses to run.
     index: OnceLock<Option<HashMap<ProviderId, u32>>>,
-    /// Free merged id-rows (one `thresholds` slot each), reused by later
-    /// delta inserts.
-    free_rows: Vec<u32>,
 }
 
 impl CompiledPopulation {
@@ -594,7 +626,7 @@ impl CompiledPopulation {
 
     /// The resolved (merged, last-wins) threshold for occurrence `i`.
     pub fn threshold_of(&self, i: usize) -> u64 {
-        self.thresholds[self.row_of[i] as usize]
+        self.thresholds[i]
     }
 
     /// Total live preference rows across the *unique-row table* — the
@@ -620,19 +652,15 @@ impl CompiledPopulation {
         }
     }
 
-    /// Estimated resident bytes of the compiled state: per-occurrence
-    /// arrays + thresholds + the unique-row table + the delta index if it
-    /// has been built.
+    /// Estimated resident bytes of the compiled state: the per-occurrence
+    /// arrays (id, unique row, threshold) + the unique-row table + the
+    /// delta index if it has been built.
     pub fn resident_bytes(&self) -> usize {
         let idx = match self.index.get() {
             Some(Some(m)) => m.len() * 48,
             _ => 0,
         };
-        self.ids.len() * (8 + 4 + 4)
-            + self.thresholds.len() * 8
-            + self.free_rows.len() * 4
-            + self.table.resident_bytes()
-            + idx
+        self.ids.len() * (8 + 4 + 8) + self.table.resident_bytes() + idx
     }
 
     /// Number of distinct interned attribute / purpose names.
@@ -655,12 +683,7 @@ impl CompiledPopulation {
         &self.urow_of
     }
 
-    /// Occurrence → id-row.
-    pub(crate) fn rows(&self) -> &[u32] {
-        &self.row_of
-    }
-
-    /// Per id-row thresholds.
+    /// Occurrence → threshold.
     pub(crate) fn thresholds_slice(&self) -> &[u64] {
         &self.thresholds
     }
@@ -672,22 +695,29 @@ impl CompiledPopulation {
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         let n = self.ids.len();
-        assert_eq!(self.urow_of.len(), n);
-        assert_eq!(self.row_of.len(), n);
+        assert_eq!(self.urow_of.len(), n, "one unique row per occurrence");
+        assert_eq!(self.thresholds.len(), n, "one threshold per occurrence");
+        if let Some(what) = self.reference_error() {
+            panic!("population: {what}");
+        }
+        self.table.validate(self.attrs.len(), self.purposes.len());
+    }
+
+    /// The first disagreement between the occurrences and the table they
+    /// reference, if any: the datum stride must match the attribute
+    /// count, and each slot's refcount the occurrences that reference it.
+    fn reference_error(&self) -> Option<&'static str> {
+        if self.table.stride() != self.attrs.len() {
+            return Some("datum stride disagrees with the attributes");
+        }
         let mut derived = vec![0u32; self.table.slot_count()];
         for &u in &self.urow_of {
-            derived[u as usize] += 1;
+            match derived.get_mut(u as usize) {
+                Some(count) => *count += 1,
+                None => return Some("unique-row reference out of bounds"),
+            }
         }
-        assert_eq!(
-            derived,
-            self.table.refs_slice(),
-            "refcounts == occurrence references"
-        );
-        for &r in self.row_of.iter().chain(&self.free_rows) {
-            assert!((r as usize) < self.thresholds.len(), "id-row in bounds");
-        }
-        assert_eq!(self.table.stride(), self.attrs.len(), "stride == attrs");
-        self.table.validate(self.attrs.len(), self.purposes.len());
+        (derived != self.table.refs_slice()).then_some("refcounts disagree with occurrences")
     }
 
     /// The interned attribute and purpose names.
@@ -806,7 +836,9 @@ impl CompiledPopulation {
                 skipped += 1;
             }
         }
-        self.epoch += 1;
+        // A version stamp compared for equality only: wrap, never panic
+        // (a decoded snapshot may carry any epoch).
+        self.epoch = self.epoch.wrapping_add(1);
         Ok(DeltaOutcome {
             epoch: self.epoch,
             events,
@@ -864,25 +896,15 @@ impl CompiledPopulation {
                 let old_u = self.urow_of[i];
                 self.table.release(old_u);
                 self.urow_of[i] = new_u;
-                self.thresholds[self.row_of[i] as usize] = p.threshold;
+                self.thresholds[i] = p.threshold;
                 events.push(DeltaEvent::Touched(i as u32));
             }
             None => {
                 let u = self.table.intern(&prefs, &datums);
-                let row = match self.free_rows.pop() {
-                    Some(r) => {
-                        self.thresholds[r as usize] = p.threshold;
-                        r
-                    }
-                    None => {
-                        self.thresholds.push(p.threshold);
-                        (self.thresholds.len() - 1) as u32
-                    }
-                };
                 let i = self.ids.len() as u32;
                 self.ids.push(id);
                 self.urow_of.push(u);
-                self.row_of.push(row);
+                self.thresholds.push(p.threshold);
                 self.index_mut().insert(id, i);
                 events.push(DeltaEvent::Appended(i, id));
             }
@@ -895,10 +917,9 @@ impl CompiledPopulation {
         };
         let i_us = i as usize;
         self.table.release(self.urow_of[i_us]);
-        self.free_rows.push(self.row_of[i_us]);
         self.ids.swap_remove(i_us);
         self.urow_of.swap_remove(i_us);
-        self.row_of.swap_remove(i_us);
+        self.thresholds.swap_remove(i_us);
         if i_us < self.ids.len() {
             let moved = self.ids[i_us];
             self.index_mut().insert(moved, i);
@@ -970,7 +991,7 @@ impl CompiledPopulation {
         let Some(i) = self.occurrence_of(id) else {
             return false;
         };
-        self.thresholds[self.row_of[i] as usize] = threshold;
+        self.thresholds[i] = threshold;
         events.push(DeltaEvent::Touched(i as u32));
         true
     }
@@ -1250,38 +1271,43 @@ impl DeltaOutcome {
 /// * [`PopulationBuilder::push_profile`] — from materialized
 ///   [`ProviderProfile`]s (streaming-friendly: a one-shot push interns
 ///   straight into the unique-row table and retains nothing
-///   per-provider beyond three machine words, so millions-scale
-///   generators can feed it without a full `Vec` anywhere);
+///   per-provider beyond its id, unique row and threshold, so
+///   millions-scale generators can feed it without a full `Vec`
+///   anywhere);
 /// * the scan path, `PopulationBuilder::push_scanned` — used by
 ///   `Ppdb::compiled_population`, which interns every attribute and
 ///   purpose name during its table scans and then pushes each occurrence
 ///   once, in its final state.
 ///
-/// A duplicate id pushed through `push_profile` merges its datums into
-/// rows already interned; those rows are tracked in a dirty map and
-/// re-interned with their final datum state in [`PopulationBuilder::finish`].
+/// A repeated id merges its datums and threshold last-wins across its
+/// occurrences ([`crate::profile::assemble`] semantics). The merged state
+/// is tracked per repeated id and written into every occurrence of the id
+/// in [`PopulationBuilder::finish`].
 #[derive(Debug, Default)]
 pub struct PopulationBuilder {
     attrs: SymbolTable,
     purposes: SymbolTable,
     ids: Vec<ProviderId>,
     urow_of: Vec<u32>,
-    row_of: Vec<u32>,
-    /// id-row → its first occurrence (for reading a row's current datum
-    /// state back out of the table).
-    row_occ: Vec<u32>,
-    table: RowTable,
     thresholds: Vec<u64>,
-    /// id → id-row. `None` while pushed ids are strictly increasing (the
-    /// streaming fast path: no hash map at all; lookups binary-search
-    /// `ids`); materialized on the first out-of-order or duplicate push.
-    id_rows: Option<HashMap<ProviderId, u32>>,
-    /// id-rows whose authoritative dense datum state diverged from what
-    /// their occurrences were interned with by a duplicate-id
-    /// `push_profile` merge (fixed up in `finish`).
-    dirty: HashMap<u32, Vec<DatumSensitivity>>,
+    table: RowTable,
+    /// id → its first occurrence. `None` while pushed ids are strictly
+    /// increasing (the streaming fast path: no hash map at all);
+    /// materialized on the first out-of-order or repeated push.
+    first_of: Option<HashMap<ProviderId, u32>>,
+    /// Repeated ids → their merged state so far (fixed up in `finish`).
+    merged: HashMap<ProviderId, Merged>,
     pref_buf: Vec<PrefRow>,
     datum_buf: Vec<DatumSensitivity>,
+}
+
+/// The last-wins state of an id pushed more than once.
+#[derive(Debug)]
+struct Merged {
+    threshold: u64,
+    /// The id's dense datum row, once a later push changed it; until then
+    /// its first occurrence's unique row holds it.
+    datums: Option<Vec<DatumSensitivity>>,
 }
 
 impl PopulationBuilder {
@@ -1300,38 +1326,35 @@ impl PopulationBuilder {
         self.ids.is_empty()
     }
 
-    /// The id-row a new occurrence of `id` belongs to, plus whether it is
-    /// fresh. Materializes the id map only when the strictly-increasing
-    /// streaming order breaks.
-    fn id_row(&mut self, id: ProviderId) -> (u32, bool) {
-        if self.id_rows.is_none() {
-            if self.ids.last().is_none_or(|last| id.0 > last.0) {
-                return (self.thresholds.len() as u32, true);
+    /// The first occurrence of `id` if it was pushed before, registering
+    /// the next occurrence as its first otherwise. Materializes the id map
+    /// only when the strictly-increasing streaming order breaks.
+    fn first_occurrence(&mut self, id: ProviderId) -> Option<u32> {
+        let next = self.ids.len() as u32;
+        let first_of = match &mut self.first_of {
+            Some(m) => m,
+            None if self.ids.last().is_none_or(|last| id.0 > last.0) => return None,
+            None => {
+                let mut m = HashMap::with_capacity(self.ids.len() + 1);
+                for (i, &pid) in self.ids.iter().enumerate() {
+                    m.entry(pid).or_insert(i as u32);
+                }
+                self.first_of.insert(m)
             }
-            let mut m = HashMap::with_capacity(self.ids.len() + 1);
-            for (i, &pid) in self.ids.iter().enumerate() {
-                m.entry(pid).or_insert(self.row_of[i]);
-            }
-            self.id_rows = Some(m);
-        }
-        let next = self.thresholds.len() as u32;
-        match self.id_rows.as_mut().expect("materialized above").entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(next);
-                (next, true)
-            }
-        }
+        };
+        let first = *first_of.entry(id).or_insert(next);
+        (first != next).then_some(first)
     }
 
-    /// A row's authoritative dense datum state at the current stride.
-    fn current_datums(&self, row: u32) -> Vec<DatumSensitivity> {
-        let mut d = match self.dirty.get(&row) {
-            Some(v) => v.clone(),
+    /// A repeated id's authoritative dense datum state at the current
+    /// stride.
+    fn current_datums(&self, id: ProviderId, first: u32) -> Vec<DatumSensitivity> {
+        let mut d = match self.merged.get(&id).and_then(|m| m.datums.clone()) {
+            Some(v) => v,
             None => {
-                let occ = self.row_occ[row as usize] as usize;
                 let mut v = Vec::new();
-                self.table.copy_datums(self.urow_of[occ] as usize, &mut v);
+                let u = self.urow_of[first as usize] as usize;
+                self.table.copy_datums(u, &mut v);
                 v
             }
         };
@@ -1346,8 +1369,14 @@ impl PopulationBuilder {
         }
     }
 
+    fn push_occurrence(&mut self, id: ProviderId, u: u32, threshold: u64) {
+        self.ids.push(id);
+        self.urow_of.push(u);
+        self.thresholds.push(threshold);
+    }
+
     /// Intern one profile: its preferences as a fresh occurrence, its
-    /// sensitivities and threshold merged into the id's row (overwrite
+    /// sensitivities and threshold merged into the id's state (overwrite
     /// per attribute, threshold last-wins — [`crate::profile::assemble`]
     /// semantics).
     pub fn push_profile(&mut self, p: &ProviderProfile) {
@@ -1365,37 +1394,34 @@ impl PopulationBuilder {
             self.attrs.intern(attr);
         }
         self.sync_stride();
-        let na = self.attrs.len();
-        let (row, fresh) = self.id_row(p.id());
-        if fresh {
-            self.thresholds.push(p.threshold);
-            self.row_occ.push(self.ids.len() as u32);
+        let id = p.id();
+        let Some(first) = self.first_occurrence(id) else {
             self.datum_buf.clear();
-            self.datum_buf.resize(na, DatumSensitivity::neutral());
+            self.datum_buf
+                .resize(self.attrs.len(), DatumSensitivity::neutral());
             for (attr, s) in &p.sensitivities {
                 self.datum_buf[self.attrs.get(attr).expect("interned above") as usize] = *s;
             }
             let u = self.table.intern(&self.pref_buf, &self.datum_buf);
-            self.ids.push(p.id());
-            self.urow_of.push(u);
-            self.row_of.push(row);
-        } else {
-            // Duplicate id: merge sensitivities and threshold last-wins
-            // into the shared id-row; the occurrence still audits its own
-            // stated preferences. Earlier occurrences of the row are
-            // re-interned with the merged datums in `finish`.
-            let mut datums = self.current_datums(row);
-            for (attr, s) in &p.sensitivities {
-                datums[self.attrs.get(attr).expect("interned above") as usize] = *s;
-            }
-            self.thresholds[row as usize] = p.threshold;
-            let u = self.table.intern(&self.pref_buf, &datums);
-            self.ids.push(p.id());
-            self.urow_of.push(u);
-            self.row_of.push(row);
-            if !p.sensitivities.is_empty() {
-                self.dirty.insert(row, datums);
-            }
+            self.push_occurrence(id, u, p.threshold);
+            return;
+        };
+        // Repeated id: the occurrence still audits its own stated
+        // preferences. Earlier occurrences take the merged datums and
+        // threshold in `finish`.
+        let mut datums = self.current_datums(id, first);
+        for (attr, s) in &p.sensitivities {
+            datums[self.attrs.get(attr).expect("interned above") as usize] = *s;
+        }
+        let u = self.table.intern(&self.pref_buf, &datums);
+        self.push_occurrence(id, u, p.threshold);
+        let m = self.merged.entry(id).or_insert(Merged {
+            threshold: p.threshold,
+            datums: None,
+        });
+        m.threshold = p.threshold;
+        if !p.sensitivities.is_empty() {
+            m.datums = Some(datums);
         }
     }
 
@@ -1414,9 +1440,9 @@ impl PopulationBuilder {
     /// already interned (every name must be interned before the first
     /// push; a later sensitivity row for the same attribute wins), and its
     /// threshold. Every occurrence of a repeated id must carry the same
-    /// rows — the scan path resolves each id completely before pushing —
-    /// so each occurrence is interned exactly once and `finish` revisits
-    /// nothing.
+    /// datums and threshold — the scan path resolves each id completely
+    /// before pushing — so each occurrence is interned exactly once and
+    /// `finish` revisits nothing.
     pub(crate) fn push_scanned(
         &mut self,
         id: ProviderId,
@@ -1431,53 +1457,56 @@ impl PopulationBuilder {
         for &(attr, s) in sens {
             self.datum_buf[attr as usize] = s;
         }
-        let (row, fresh) = self.id_row(id);
-        if fresh {
-            self.thresholds.push(threshold);
-            self.row_occ.push(self.ids.len() as u32);
-        } else {
+        if let Some(first) = self.first_occurrence(id) {
             debug_assert_eq!(
-                self.current_datums(row),
+                self.current_datums(id, first),
                 self.datum_buf,
                 "repeated id {id:?}"
             );
-            self.thresholds[row as usize] = threshold;
+            debug_assert_eq!(
+                self.thresholds[first as usize], threshold,
+                "repeated id {id:?}"
+            );
         }
         let u = self.table.intern(prefs, &self.datum_buf);
-        self.ids.push(id);
-        self.urow_of.push(u);
-        self.row_of.push(row);
+        self.push_occurrence(id, u, threshold);
     }
 
-    /// Re-intern occurrences of dirty rows with their final datum state,
-    /// and freeze.
+    /// Write each repeated id's merged threshold into all its occurrences,
+    /// re-intern them with its merged datums, and freeze.
     pub fn finish(mut self) -> CompiledPopulation {
         self.sync_stride();
-        if !self.dirty.is_empty() {
-            let na = self.attrs.len();
-            for i in 0..self.ids.len() {
-                let Some(d) = self.dirty.get(&self.row_of[i]).cloned() else {
-                    continue;
-                };
-                let mut datums = d;
-                datums.resize(na, DatumSensitivity::neutral());
-                let prefs: Vec<PrefRow> = self.table.pref_rows(self.urow_of[i] as usize).collect();
-                let new_u = self.table.intern(&prefs, &datums);
-                self.table.release(self.urow_of[i]);
-                self.urow_of[i] = new_u;
-            }
+        let na = self.attrs.len();
+        // Only repeated ids have merged state to write back.
+        let repeats = if self.merged.is_empty() {
+            0
+        } else {
+            self.ids.len()
+        };
+        for i in 0..repeats {
+            let Some(m) = self.merged.get(&self.ids[i]) else {
+                continue;
+            };
+            self.thresholds[i] = m.threshold;
+            let Some(d) = &m.datums else {
+                continue;
+            };
+            let mut datums = d.clone();
+            datums.resize(na, DatumSensitivity::neutral());
+            let prefs: Vec<PrefRow> = self.table.pref_rows(self.urow_of[i] as usize).collect();
+            let new_u = self.table.intern(&prefs, &datums);
+            self.table.release(self.urow_of[i]);
+            self.urow_of[i] = new_u;
         }
         CompiledPopulation {
             attrs: self.attrs,
             purposes: self.purposes,
             ids: self.ids,
             urow_of: self.urow_of,
-            row_of: self.row_of,
-            table: self.table,
             thresholds: self.thresholds,
+            table: self.table,
             epoch: 0,
             index: OnceLock::new(),
-            free_rows: Vec::new(),
         }
     }
 }
@@ -1664,7 +1693,8 @@ fn get_u32s(buf: &mut &[u8], n: usize) -> DbResult<Vec<u32>> {
 /// Binary snapshot codec for the delta log ([`crate::deltalog`]): the
 /// packed lanes serialized almost verbatim — bulk fixed-width
 /// little-endian arrays behind varint counts — so a 100k-provider
-/// population decodes at memcpy speed. Refcounts are stored (and
+/// population decodes at memcpy speed. The per-occurrence arrays (id,
+/// unique row, threshold) share one count. Refcounts are stored (and
 /// cross-checked against the occurrence references on decode); slot
 /// hashes and the content-lookup index are *recomputed* on decode — the
 /// hash function is deterministic, so the rebuilt structures are
@@ -1678,14 +1708,10 @@ impl CompiledPopulation {
             buf.extend_from_slice(&id.0.to_le_bytes());
         }
         put_u32s(buf, &self.urow_of);
-        put_u32s(buf, &self.row_of);
-        put_varint(buf, self.thresholds.len() as u64);
         for &t in &self.thresholds {
             buf.extend_from_slice(&t.to_le_bytes());
         }
         put_varint(buf, self.epoch);
-        put_varint(buf, self.free_rows.len() as u64);
-        put_u32s(buf, &self.free_rows);
         let t = &self.table;
         put_varint(buf, t.refs.len() as u64);
         put_varint(buf, t.p_attr.len() as u64);
@@ -1712,7 +1738,12 @@ impl CompiledPopulation {
         put_u32s(buf, &t.free_slots);
     }
 
-    pub(crate) fn decode_snapshot(buf: &mut &[u8]) -> DbResult<CompiledPopulation> {
+    /// Decode a whole snapshot payload. Every structural invariant is
+    /// checked, so a payload that passes its checksum but was not written
+    /// by [`CompiledPopulation::encode_snapshot`] is `Corruption`, never a
+    /// population that panics later.
+    pub(crate) fn decode_snapshot(payload: &[u8]) -> DbResult<CompiledPopulation> {
+        let buf = &mut &payload[..];
         let attrs = get_symbols(buf)?;
         let purposes = get_symbols(buf)?;
         let n = get_varint(buf)? as usize;
@@ -1721,15 +1752,8 @@ impl CompiledPopulation {
             .map(|c| ProviderId(le_u64(c)))
             .collect();
         let urow_of = get_u32s(buf, n)?;
-        let row_of = get_u32s(buf, n)?;
-        let id_rows = get_varint(buf)? as usize;
-        let thresholds: Vec<u64> = take_items(buf, id_rows, 8)?
-            .chunks_exact(8)
-            .map(le_u64)
-            .collect();
+        let thresholds: Vec<u64> = take_items(buf, n, 8)?.chunks_exact(8).map(le_u64).collect();
         let epoch = get_varint(buf)?;
-        let n_free_rows = get_varint(buf)? as usize;
-        let free_rows = get_u32s(buf, n_free_rows)?;
         let slots = get_varint(buf)? as usize;
         let lane_len = get_varint(buf)? as usize;
         let ranges: Vec<(u32, u32)> = take_items(buf, slots, 8)?
@@ -1757,72 +1781,50 @@ impl CompiledPopulation {
             .collect();
         let n_free_slots = get_varint(buf)? as usize;
         let free_slots = get_u32s(buf, n_free_slots)?;
-
-        // Cheap structural sanity on the CRC-validated payload, so a codec
-        // bug surfaces as `Err`, never as a panic in the audit hot loop.
-        if ranges
-            .iter()
-            .chain(&free_pref)
-            .any(|&(s, e)| s > e || e as usize > lane_len)
-        {
-            return Err(snap_corrupt("inconsistent preference ranges"));
-        }
-        if row_of.iter().any(|&r| r as usize >= id_rows.max(1))
-            || free_rows.iter().any(|&r| r as usize >= id_rows.max(1))
-        {
-            return Err(snap_corrupt("inconsistent id-row references"));
-        }
-        let mut derived = vec![0u32; slots];
-        for &u in &urow_of {
-            let us = u as usize;
-            if us >= slots {
-                return Err(snap_corrupt("unique-row reference out of bounds"));
-            }
-            derived[us] += 1;
-        }
-        if derived != refs {
-            return Err(snap_corrupt("refcounts disagree with occurrences"));
-        }
-        if free_slots.len() != refs.iter().filter(|&&r| r == 0).count()
-            || free_slots.iter().any(|&u| {
-                let us = u as usize;
-                us >= slots || refs[us] != 0
-            })
-        {
-            return Err(snap_corrupt("slot freelist disagrees with refcounts"));
+        if !buf.is_empty() {
+            return Err(snap_corrupt("trailing bytes"));
         }
 
-        let mut table = RowTable {
-            stride,
-            p_attr,
-            p_purpose,
-            p_vis,
-            p_gran,
-            p_ret,
-            ranges,
-            refs,
-            hashes: vec![0; slots],
-            d_value,
-            d_vis,
-            d_gran,
-            d_ret,
-            free_slots,
-            free_pref,
-            lookup: HashIndex::default(),
-        };
-        table.rebuild_index();
-        Ok(CompiledPopulation {
+        let mut pop = CompiledPopulation {
             attrs,
             purposes,
             ids,
             urow_of,
-            row_of,
-            table,
             thresholds,
+            table: RowTable {
+                stride,
+                p_attr,
+                p_purpose,
+                p_vis,
+                p_gran,
+                p_ret,
+                ranges,
+                refs,
+                hashes: vec![0; slots],
+                d_value,
+                d_vis,
+                d_gran,
+                d_ret,
+                free_slots,
+                free_pref,
+                lookup: HashIndex::default(),
+            },
             epoch,
             index: OnceLock::new(),
-            free_rows,
-        })
+        };
+        // The same invariants `debug_validate` asserts, as typed errors,
+        // so a codec bug or a hand-made payload never reaches the kernel.
+        let (na, np) = pop.symbol_counts();
+        if let Some(what) = pop
+            .reference_error()
+            .or_else(|| pop.table.structure_error(na, np))
+        {
+            return Err(snap_corrupt(what));
+        }
+        if !pop.table.rebuild_index() {
+            return Err(snap_corrupt("duplicate unique rows"));
+        }
+        Ok(pop)
     }
 }
 
@@ -2095,8 +2097,9 @@ mod tests {
         );
     }
 
-    /// Removal + re-insert cycles reuse freed unique-row slots, lane
-    /// ranges, and id-rows instead of growing the table.
+    /// Removal + re-insert cycles reuse freed unique-row slots and lane
+    /// ranges instead of growing the table, and the per-occurrence
+    /// arrays stay at the population size.
     #[test]
     fn delta_freelists_recycle_rows() {
         let (engine, profiles) = worked_example();
@@ -2115,15 +2118,16 @@ mod tests {
             delta.apply_to_profiles(&mut mutated);
             pop.apply_delta(&delta).expect("unique ids");
             pop.debug_validate();
-            sizes.push((
-                pop.table.pref_lane_len(),
-                pop.table.slot_count(),
+            assert_eq!(
                 pop.thresholds.len(),
-            ));
+                pop.len(),
+                "one threshold per occurrence"
+            );
+            sizes.push((pop.table.pref_lane_len(), pop.table.slot_count()));
         }
         assert!(
             sizes.windows(2).all(|w| w[0] == w[1]),
-            "steady-state churn recycles slots, lanes, and id-rows: {sizes:?}"
+            "steady-state churn recycles slots and lanes: {sizes:?}"
         );
         let fresh = CompiledPopulation::from_profiles(&mutated);
         assert_eq!(engine.audit_compiled(&pop), engine.audit_compiled(&fresh));
@@ -2207,7 +2211,7 @@ mod tests {
     /// is set to each huge value in turn.
     #[test]
     fn snapshot_with_a_crafted_count_is_corruption_not_a_panic() {
-        let decode = |payload: &[u8]| CompiledPopulation::decode_snapshot(&mut &payload[..]);
+        let decode = CompiledPopulation::decode_snapshot;
         let mut payload = Vec::new();
         put_symbols(&mut payload, &SymbolTable::new());
         put_symbols(&mut payload, &SymbolTable::new());
@@ -2237,18 +2241,36 @@ mod tests {
 
     /// The snapshot codec round-trips the packed layout exactly, and the
     /// rebuilt lookup index keeps interning (delta application) working.
+    /// A duplicate-id population round-trips with every occurrence's
+    /// merged threshold.
     #[test]
     fn snapshot_roundtrip_preserves_packed_layout() {
         let (engine, profiles) = worked_example();
+        let mut repeated = profiles.clone();
+        let mut ted = profiles[1].clone();
+        ted.threshold = 7;
+        repeated.push(ted);
+        let dup = CompiledPopulation::from_profiles(&repeated);
+        let mut buf = Vec::new();
+        dup.encode_snapshot(&mut buf);
+        let decoded = CompiledPopulation::decode_snapshot(&buf).expect("decodes");
+        decoded.debug_validate();
+        assert_eq!(decoded.thresholds, [10, 7, 100, 7]);
+        assert_eq!(decoded.ids, dup.ids);
+        assert_eq!(decoded.urow_of, dup.urow_of);
+        assert_eq!(engine.audit_compiled(&decoded), engine.audit_compiled(&dup));
+        assert_eq!(
+            engine.audit_compiled(&decoded),
+            engine.run_reference(&repeated)
+        );
+
         let mut pop = CompiledPopulation::from_profiles(&profiles);
         // Punch a hole so freelists are non-trivial in the snapshot.
         let delta = PopulationDelta::new().remove(ProviderId(0));
         pop.apply_delta(&delta).expect("unique ids");
         let mut buf = Vec::new();
         pop.encode_snapshot(&mut buf);
-        let mut slice = buf.as_slice();
-        let mut decoded = CompiledPopulation::decode_snapshot(&mut slice).expect("decodes");
-        assert!(slice.is_empty(), "codec consumed the whole buffer");
+        let mut decoded = CompiledPopulation::decode_snapshot(&buf).expect("decodes");
         decoded.debug_validate();
         assert_eq!(decoded.epoch(), pop.epoch());
         assert_eq!(engine.audit_compiled(&decoded), engine.audit_compiled(&pop));
@@ -2264,6 +2286,276 @@ mod tests {
             decoded.unique_row_count(),
             pop.unique_row_count(),
             "decoded table interns identically to the original"
+        );
+    }
+
+    /// One field of a valid snapshot encoding: its byte span, and whether
+    /// it is a varint (a count, a length or the epoch).
+    #[derive(Clone, Copy)]
+    struct Field {
+        label: &'static str,
+        span: (usize, usize),
+        varint: bool,
+    }
+
+    /// Walks a valid encoding field by field, in `encode_snapshot` order.
+    struct FieldWalk<'a> {
+        rest: &'a [u8],
+        total: usize,
+        fields: Vec<Field>,
+    }
+
+    impl FieldWalk<'_> {
+        fn varint(&mut self, label: &'static str) -> usize {
+            let start = self.total - self.rest.len();
+            let v = get_varint(&mut self.rest).expect("valid encoding");
+            let span = (start, self.total - self.rest.len());
+            self.fields.push(Field {
+                label,
+                span,
+                varint: true,
+            });
+            v as usize
+        }
+
+        fn bytes(&mut self, label: &'static str, len: usize) {
+            let start = self.total - self.rest.len();
+            self.rest = &self.rest[len..];
+            let span = (start, start + len);
+            self.fields.push(Field {
+                label,
+                span,
+                varint: false,
+            });
+        }
+    }
+
+    fn snapshot_fields(payload: &[u8]) -> Vec<Field> {
+        let mut w = FieldWalk {
+            rest: payload,
+            total: payload.len(),
+            fields: Vec::new(),
+        };
+        let mut symbols = [0; 2];
+        for (k, count) in symbols.iter_mut().enumerate() {
+            *count = w.varint(["attrs", "purposes"][k]);
+            for _ in 0..*count {
+                let len = w.varint("name length");
+                w.bytes("name", len);
+            }
+        }
+        let n = w.varint("occurrences");
+        w.bytes("ids", n * 8);
+        w.bytes("unique rows", n * 4);
+        w.bytes("thresholds", n * 8);
+        w.varint("epoch");
+        let slots = w.varint("slots");
+        let lane_len = w.varint("lane length");
+        w.bytes("ranges", slots * 8);
+        w.bytes("refs", slots * 4);
+        for label in ["p_attr", "p_purpose", "p_vis", "p_gran", "p_ret"] {
+            w.bytes(label, lane_len * 4);
+        }
+        for label in ["d_value", "d_vis", "d_gran", "d_ret"] {
+            w.bytes(label, slots * symbols[0] * 4);
+        }
+        let holes = w.varint("free ranges");
+        w.bytes("free range list", holes * 8);
+        let free = w.varint("free slots");
+        w.bytes("free slot list", free * 4);
+        assert!(w.rest.is_empty(), "walked the whole encoding");
+        w.fields
+    }
+
+    /// Provider `id` drawn from `seed`: two attributes, two purposes, and
+    /// few enough distinct values that some providers share rows.
+    fn codec_profile(id: u64, seed: u64) -> ProviderProfile {
+        let mut x = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as u32
+        };
+        let mut p = ProviderProfile::new(ProviderId(id), u64::from(next(90)));
+        p.preferences.add(
+            "weight",
+            PrivacyTuple::from_point("pr", pt(next(6), next(6), next(6))),
+        );
+        if next(2) == 0 {
+            p.preferences.add(
+                "height",
+                PrivacyTuple::from_point("ads", pt(next(4), 2, next(4))),
+            );
+        }
+        let attr = ["weight", "height"][next(2) as usize];
+        p.sensitivities.insert(
+            attr.into(),
+            DatumSensitivity::new(1 + next(3), 1, 1 + next(2), 1),
+        );
+        p
+    }
+
+    /// Every mutant of a valid snapshot payload is `Corruption`, or an
+    /// `Ok` population that passes `debug_validate` and audits without a
+    /// panic, and, when its ids are unique, still does after taking a
+    /// delta, as a recovered population does. The checksum is bypassed, as
+    /// if recomputed over the mutant. Two seed-pinned bases (seed 27): a
+    /// duplicate-id population, and one after churn that left dead slots
+    /// and free preference ranges, with two rows one word apart. The
+    /// mutants: each varint field set to 0, 1, `u64::MAX` and every 2^k;
+    /// every truncation; extensions (always `Corruption`); each field
+    /// spliced in from the other base; each byte set to 0x00 and 0xFF;
+    /// each 4-byte word of the arrays set to 0..=8 and `u32::MAX`.
+    #[test]
+    fn snapshot_codec_mutants_are_corruption_or_valid() {
+        const SEED: u64 = 27;
+        let mut repeated: Vec<ProviderProfile> = (0..6).map(|i| codec_profile(i, SEED)).collect();
+        for (j, id) in [1u64, 4, 1, 0].into_iter().enumerate() {
+            repeated.push(codec_profile(id, SEED + 1 + j as u64));
+        }
+        let dup = CompiledPopulation::from_profiles(&repeated);
+        assert!(dup.duplicate_id().is_some());
+
+        // Two rows one word apart, so a word mutant can make them equal.
+        let near = |id: u64, r: u32| {
+            let mut p = ProviderProfile::new(ProviderId(id), 5);
+            p.preferences
+                .add("weight", PrivacyTuple::from_point("pr", pt(1, 2, r)));
+            p
+        };
+        let mut churned = CompiledPopulation::from_profiles(
+            &(0..8)
+                .map(|i| codec_profile(i, SEED))
+                .chain([near(20, 3), near(21, 4)])
+                .collect::<Vec<_>>(),
+        );
+        let delta = PopulationDelta::new()
+            .remove(ProviderId(2))
+            .remove(ProviderId(5))
+            .upsert(codec_profile(9, SEED + 9))
+            .set_attribute_prefs(
+                ProviderId(3),
+                "height",
+                vec![PrivacyTuple::from_point("ads", pt(5, 5, 5))],
+            )
+            .set_threshold(ProviderId(4), 99)
+            .remove(ProviderId(6));
+        churned.apply_delta(&delta).expect("unique ids");
+        assert!(
+            !churned.table.free_slots.is_empty() && !churned.table.free_pref.is_empty(),
+            "churn left freelists to encode"
+        );
+
+        let policy = HousePolicy::builder("codec")
+            .tuple("weight", PrivacyTuple::from_point("pr", pt(3, 3, 3)))
+            .tuple("height", PrivacyTuple::from_point("ads", pt(2, 2, 2)))
+            .build();
+        let mut weights = AttributeSensitivities::new();
+        weights.set("weight", 3);
+        weights.set("height", 2);
+        let engine = AuditEngine::new(policy, ["weight", "height"], weights);
+        let policies: Vec<HousePolicy> = (0..3).map(|k| engine.policy.widened_uniform(k)).collect();
+        // Fresh content for the freelists and holes, and a removal.
+        let churn = (100..103).fold(PopulationDelta::new().remove(ProviderId(0)), |d, id| {
+            d.upsert(codec_profile(id, SEED + id))
+        });
+
+        let encode = |pop: &CompiledPopulation| {
+            let mut buf = Vec::new();
+            pop.encode_snapshot(&mut buf);
+            buf
+        };
+        let bases = [encode(&dup), encode(&churned)];
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        let mut check =
+            |payload: &[u8], what: &dyn Fn() -> String| match CompiledPopulation::decode_snapshot(
+                payload,
+            ) {
+                Err(DbError::Corruption(_)) => refused += 1,
+                Err(e) => panic!("{}: not Corruption: {e}", what()),
+                Ok(pop) => {
+                    accepted += 1;
+                    let audited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut pop = pop;
+                        pop.debug_validate();
+                        engine.audit_compiled(&pop);
+                        engine.audit_many_policies(&pop, &policies);
+                        if pop.apply_delta(&churn).is_ok() {
+                            pop.debug_validate();
+                            engine.audit_compiled(&pop);
+                        }
+                    }));
+                    assert!(audited.is_ok(), "{}: decoded a broken population", what());
+                }
+            };
+
+        let mut values = vec![0u64, 1, u64::MAX];
+        values.extend((0..64).map(|k| 1u64 << k));
+        for (b, base) in bases.iter().enumerate() {
+            let other = &bases[1 - b];
+            let fields = snapshot_fields(base);
+            let other_fields = snapshot_fields(other);
+            check(base, &|| format!("base {b} unmutated"));
+            for f in fields.iter().filter(|f| f.varint) {
+                for &v in &values {
+                    let mut m = base[..f.span.0].to_vec();
+                    put_varint(&mut m, v);
+                    m.extend_from_slice(&base[f.span.1..]);
+                    check(&m, &|| {
+                        format!("base {b}: {} at {} = {v}", f.label, f.span.0)
+                    });
+                }
+            }
+            for len in 0..base.len() {
+                check(&base[..len], &|| format!("base {b} truncated to {len}"));
+            }
+            for tail in [&[0u8][..], &[0x80], &[0xFF; 9], base] {
+                let m = [&base[..], tail].concat();
+                assert!(
+                    matches!(
+                        CompiledPopulation::decode_snapshot(&m),
+                        Err(DbError::Corruption(_))
+                    ),
+                    "base {b} extended by {} bytes",
+                    tail.len()
+                );
+            }
+            for f in &fields {
+                for g in other_fields.iter().filter(|g| g.label == f.label) {
+                    let m = [
+                        &base[..f.span.0],
+                        &other[g.span.0..g.span.1],
+                        &base[f.span.1..],
+                    ]
+                    .concat();
+                    check(&m, &|| {
+                        format!("base {b}: {} spliced from the other base", f.label)
+                    });
+                }
+            }
+            for at in 0..base.len() {
+                for byte in [0x00, 0xFF] {
+                    let mut m = base.clone();
+                    m[at] = byte;
+                    check(&m, &|| format!("base {b}: byte {at} = {byte:#04x}"));
+                }
+            }
+            for f in fields.iter().filter(|f| !f.varint && f.label != "name") {
+                for at in (f.span.0..f.span.1).step_by(4) {
+                    for word in (0..=8).chain([u32::MAX]) {
+                        let mut m = base.clone();
+                        m[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                        check(&m, &|| {
+                            format!("base {b}: {} word at {at} = {word}", f.label)
+                        });
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 1000 && refused > 1000,
+            "{accepted} accepted, {refused} refused"
         );
     }
 }

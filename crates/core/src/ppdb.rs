@@ -93,8 +93,8 @@ pub struct Ppdb {
     config: PpdbConfig,
     deltas: DeltaQueue,
     /// Bumped by model edits that do *not* flow through the delta stream
-    /// ([`Ppdb::set_policy`], [`Ppdb::set_attribute_weight`]); part of
-    /// the cache keys below.
+    /// ([`Ppdb::set_policy`], [`Ppdb::set_attribute_weight`]) and by
+    /// every raw [`Ppdb::db_mut`] borrow; part of the cache keys below.
     model_epoch: u64,
     /// The [`Ppdb::query_violations`] snapshot, cached behind
     /// `(model_epoch, delta seq)` — two back-to-back queries with no
@@ -380,8 +380,10 @@ impl Ppdb {
     }
 
     /// The underlying database (e.g. for ad-hoc SQL over the data or the
-    /// privacy metadata).
+    /// privacy metadata). Nothing here can tell what a caller writes
+    /// through it, so it invalidates cached audit state like a model edit.
     pub fn db_mut(&mut self) -> &mut Database {
+        self.model_epoch += 1;
         &mut self.db
     }
 
@@ -1648,6 +1650,43 @@ mod tests {
         assert!(!ppdb.certify_alpha(0.5, "check-1").unwrap());
         assert!(ppdb.certify_alpha(1.0, "check-2").unwrap());
         assert_eq!(ppdb.audit_history().unwrap().len(), 2);
+    }
+
+    /// Raw writes through `db_mut` move no delta seq, so both query caches
+    /// must still see them: here provider 0 stops violating.
+    #[test]
+    fn raw_writes_through_db_mut_invalidate_both_query_caches() {
+        let mut ppdb = fresh();
+        ppdb.set_policy(
+            &HousePolicy::builder("people")
+                .tuple("weight", PrivacyTuple::from_point("pr", pt(5, 5, 5)))
+                .build(),
+        )
+        .unwrap();
+        for id in 0..4 {
+            ppdb.register_provider(&sample_profile(id, 50), data_row(id))
+                .unwrap();
+        }
+        let sql = "SELECT provider FROM _qpv_violations";
+        assert_eq!(ppdb.query_violations(sql).unwrap().rows.len(), 4);
+        assert_eq!(ppdb.query_live(sql).unwrap().rows.len(), 4);
+
+        let db = ppdb.db_mut();
+        db.execute("DELETE FROM _qpv_prefs WHERE provider = 0")
+            .unwrap();
+        db.execute("INSERT INTO _qpv_prefs VALUES (0, 'weight', 'pr', 9, 9, 9)")
+            .unwrap();
+
+        let witnesses: usize = ppdb
+            .audit()
+            .unwrap()
+            .providers
+            .iter()
+            .map(|p| p.witnesses.len())
+            .sum();
+        assert_eq!(witnesses, 3);
+        assert_eq!(ppdb.query_violations(sql).unwrap().rows.len(), 3);
+        assert_eq!(ppdb.query_live(sql).unwrap().rows.len(), 3);
     }
 
     #[test]

@@ -213,10 +213,6 @@ impl AuditBridge for SelectiveAuditor {
         }
         Ok(out)
     }
-
-    fn stats(&self) -> Option<ViolationStats> {
-        Some(SelectiveAuditor::stats(self))
-    }
 }
 
 #[cfg(test)]

@@ -554,11 +554,12 @@ fn out_of_order_population(n: usize, shared: usize, seed: u64) -> Vec<ProviderPr
 
 /// The kernel counts defaults block by block over thresholds grouped by
 /// unique row, lent in place when the occurrences are stored in slot
-/// order each on its own id-row, or else from a table of every plan's
-/// score per unique row. Every such layout gives the reference's counts:
-/// a clustered population spanning several occurrence chunks, all-unique
-/// rows in slot order, shared rows out of slot order, and repeated ids
-/// whose later occurrences keep slot order but share an earlier id-row.
+/// order, or else from a table of every plan's score per unique row.
+/// Every such layout gives the reference's counts: a clustered population
+/// spanning several occurrence chunks, all-unique rows in slot order,
+/// shared rows out of slot order, and repeated ids whose later occurrences
+/// keep slot order, so the lent thresholds must carry each id's merged
+/// (last-wins) threshold on every occurrence.
 #[test]
 fn fused_defaults_match_reference_on_every_occurrence_layout() {
     let policies = heterogeneous_policies(4);

@@ -177,9 +177,9 @@ pub trait AuditBridge {
     /// Same order-stability contract as [`AuditBridge::violations_for`]:
     /// the result must equal [`AuditBridge::violations_all`] restricted
     /// to the bounds, and every emitted row's provider must satisfy
-    /// `lo..hi`. An index-backed bridge (one whose [`AuditBridge::stats`]
-    /// report `indexed: true`) returns exactly the rows witnessed on
-    /// `attribute` when one is given. The default implementation filters
+    /// `lo..hi`. An index-backed bridge (one whose registered
+    /// [`ViolationStats`] report `indexed: true`) returns exactly the rows
+    /// witnessed on `attribute` when one is given. The default implementation filters
     /// the full sweep by the bounds and ignores `attribute`, returning a
     /// superset of its rows; that stays correct because the planner
     /// always re-applies the full predicate as a filter on top.
@@ -194,13 +194,6 @@ pub trait AuditBridge {
         let mut rows = self.violations_all(policy)?;
         rows.retain(|r| provider_in_bounds(&lo, &hi, r.provider));
         Ok(rows)
-    }
-
-    /// Planner statistics for the model behind this bridge, when the
-    /// implementation tracks them. `None` (the default) leaves the
-    /// planner on its static heuristics.
-    fn stats(&self) -> Option<ViolationStats> {
-        None
     }
 }
 

@@ -550,11 +550,6 @@ impl Database {
         self.violation_stats = stats;
     }
 
-    /// The currently registered violation-model statistics, if any.
-    pub fn violation_stats(&self) -> Option<&ViolationStats> {
-        self.violation_stats.as_ref()
-    }
-
     /// Execute an already-bound plan (used by the privacy layer, which
     /// builds plans programmatically).
     pub fn run_plan(&mut self, plan: &Plan) -> DbResult<ResultSet> {

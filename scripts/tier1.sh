@@ -18,9 +18,10 @@
 # fails) and runs every workspace crate's tests in debug mode.
 #
 # The default gate also re-runs, in release mode, the row-decoder
-# properties and the reldb value-order and predicate properties (exact
-# Int/Float order, LIKE against a reference matcher), next to the
-# compiled-plan, population and delta equivalence suites.
+# properties, the population snapshot codec's mutation property and the
+# reldb value-order and predicate properties (exact Int/Float order, LIKE
+# against a reference matcher), next to the compiled-plan, population and
+# delta equivalence suites.
 #
 # The end-to-end benchmark (BENCHMARK.json, crates/bench/src/bin/benchmark)
 # is the repository's one timing harness and its own package: the gate
@@ -134,6 +135,15 @@ echo "== row decoding (release) =="
 # encodings (column count 0, 1, u64::MAX and 2^k, truncation, extension,
 # spliced fields), garbage, flipped bytes, and every varint edge.
 cargo test -q --release -p qpv-reldb encoding
+
+echo "== population snapshot codec (release) =="
+# The delta log's population snapshot decoder must turn every mutant of a
+# valid payload (counts and lengths set to 0, 1, u64::MAX and 2^k, every
+# truncation, extension, fields spliced from another snapshot, byte and
+# word overwrites) into `Corruption` or a population that validates,
+# audits and takes deltas, under the optimizer that builds recovery, where
+# arithmetic wraps instead of trapping.
+cargo test -q --release -p qpv-core --lib pop::tests::snapshot
 
 echo "== value order and predicates (release) =="
 # The total order B+tree keys and ORDER BY rely on (exact Int/Float
