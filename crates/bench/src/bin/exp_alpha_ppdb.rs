@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run -p qpv-bench --bin exp_alpha_ppdb`
 
-use qpv_bench::{check, write_result};
+use qpv_bench::{check, exit_on_diff, write_result};
 use qpv_core::whatif::WhatIf;
 use qpv_core::{census_probability, estimate_probability};
 use qpv_synth::{Scenario, Segment};
@@ -111,7 +111,8 @@ fn main() {
         match whatif.max_compliant_widening(&scenario.baseline_policy, alpha, 12) {
             Some((steps, o)) => println!(
                 "  α = {alpha:>4}: widen ≤ +{steps} (P(W) = {:.3}, N_future = {})",
-                o.p_violation, o.remaining
+                o.p_violation(),
+                o.remaining()
             ),
             None => println!("  α = {alpha:>4}: baseline already exceeds α"),
         }
@@ -141,4 +142,5 @@ fn main() {
 
     let path = write_result("exp_alpha_ppdb", &rows);
     println!("\nresult JSON: {}", path.display());
+    exit_on_diff();
 }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run -p qpv-bench --bin exp_fig1`
 
-use qpv_bench::{check, write_result};
+use qpv_bench::{check, exit_on_diff, write_result};
 use qpv_taxonomy::geometry::{figure1_grid, BoxRelation};
 use qpv_taxonomy::{Dim, PrivacyPoint};
 use serde::Serialize;
@@ -108,4 +108,5 @@ fn main() {
         },
     );
     println!("\nresult JSON: {}", path.display());
+    exit_on_diff();
 }

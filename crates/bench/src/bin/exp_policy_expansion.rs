@@ -22,7 +22,7 @@
 //!
 //! Run with: `cargo run -p qpv-bench --bin exp_policy_expansion`
 
-use qpv_bench::{check, write_result};
+use qpv_bench::{check, exit_on_diff, write_result};
 use qpv_core::ProviderProfile;
 use qpv_economics::expansion::render_table;
 use qpv_economics::{ExpansionSweep, UtilityModel};
@@ -92,4 +92,5 @@ fn main() {
 
     let path = write_result("exp_policy_expansion", &rows);
     println!("result JSON: {}", path.display());
+    exit_on_diff();
 }

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run -p qpv-bench --bin exp_table1`
 
-use qpv_bench::{check, write_result};
+use qpv_bench::{check, exit_on_diff, write_result};
 use qpv_core::report;
 use qpv_core::{Ppdb, PpdbConfig};
 use qpv_reldb::Database;
@@ -72,5 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let path = write_result("exp_table1", &audit);
     println!("\nresult JSON: {}", path.display());
+    exit_on_diff();
     Ok(())
 }

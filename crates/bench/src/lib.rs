@@ -14,6 +14,7 @@
 //! | `exp_alpha_ppdb` | E4 — Definitions 2/3/5 at population scale |
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where experiment binaries drop machine-readable results
 /// (`target/experiments/`). Created on demand.
@@ -31,12 +32,32 @@ pub fn write_result(name: &str, value: &impl serde::Serialize) -> PathBuf {
     path
 }
 
+/// `[DIFF]` lines printed so far by [`check`].
+static DIFFS: AtomicUsize = AtomicUsize::new(0);
+
 /// A paper-vs-measured comparison line for EXPERIMENTS.md-style output.
+/// A mismatch prints `[DIFF]` and is counted for [`exit_on_diff`].
 pub fn check(label: &str, expected: impl std::fmt::Display, actual: impl std::fmt::Display) {
     let expected = expected.to_string();
     let actual = actual.to_string();
-    let status = if expected == actual { "OK " } else { "DIFF" };
+    let status = if expected == actual {
+        "OK "
+    } else {
+        DIFFS.fetch_add(1, Ordering::Relaxed);
+        "DIFF"
+    };
     println!("[{status}] {label:<42} paper: {expected:<12} measured: {actual}");
+}
+
+/// End the process with status 1 if any [`check`] printed `[DIFF]`, so a
+/// paper claim that stops holding fails the run. Experiment binaries call
+/// it last, once every line and the result JSON are out.
+pub fn exit_on_diff() {
+    let diffs = DIFFS.load(Ordering::Relaxed);
+    if diffs > 0 {
+        eprintln!("{diffs} paper-claim check(s) differ");
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

@@ -92,18 +92,14 @@ pub struct Ppdb {
     db: Database,
     config: PpdbConfig,
     deltas: DeltaQueue,
-    /// Bumped by model edits that do *not* flow through the delta stream
-    /// ([`Ppdb::set_policy`], [`Ppdb::set_attribute_weight`]) and by
-    /// every raw [`Ppdb::db_mut`] borrow; part of the cache keys below.
-    model_epoch: u64,
-    /// The [`Ppdb::query_violations`] snapshot, cached behind
-    /// `(model_epoch, delta seq)` — two back-to-back queries with no
-    /// intervening writes compile the population exactly once.
+    /// The [`Ppdb::query_violations`] snapshot, cached behind the store's
+    /// commit clock ([`Database::end_lsn`]) — two back-to-back queries
+    /// with no intervening commit compile the population exactly once.
     snapshot: Option<CachedSnapshot>,
     /// The [`Ppdb::query_live`] index: built once, then kept current by
     /// replaying the seq-tagged delta tail (exactly-once via the
     /// high-water mark; never acks, so it coexists with other
-    /// consumers).
+    /// consumers) for as long as this `Ppdb` accounts for every commit.
     live: Option<LiveHandle>,
     /// Snapshot compiles performed (regression guard: cache hits must
     /// not rebuild).
@@ -112,21 +108,24 @@ pub struct Ppdb {
     live_builds: u64,
 }
 
-/// A cached [`SelectiveAuditor`] snapshot keyed by model epoch and the
-/// delta seq observed at build time.
+/// A cached [`SelectiveAuditor`] snapshot, valid while the store's
+/// commit clock still reads what it read at build time.
 struct CachedSnapshot {
     auditor: SelectiveAuditor,
     stats: ViolationStats,
-    model_epoch: u64,
-    /// [`DeltaQueue::next_seq`] at build time: any later write bumps it.
-    seq: u64,
+    /// [`Database::end_lsn`] at build time: any later commit moves it.
+    lsn: u64,
 }
 
 /// The live index plus its subscription state.
 struct LiveHandle {
     index: LiveViolationIndex,
     stats: ViolationStats,
-    model_epoch: u64,
+    /// [`Database::end_lsn`] through which every commit is accounted for:
+    /// its delta was pushed, or it left the population as it was (a
+    /// rolled-back write, an audit-log entry). Any other commit leaves
+    /// this behind the store's clock, and the next refresh rebuilds.
+    lsn: u64,
     /// Every delta op with seq `< applied_seq` is reflected in `index`.
     /// If the queue's `first_seq` ever exceeds this, another consumer
     /// drained ops this index never saw — rebuild from the store.
@@ -351,7 +350,6 @@ impl Ppdb {
             db,
             config,
             deltas: DeltaQueue::new(),
-            model_epoch: 0,
             snapshot: None,
             live: None,
             snapshot_builds: 0,
@@ -380,10 +378,10 @@ impl Ppdb {
     }
 
     /// The underlying database (e.g. for ad-hoc SQL over the data or the
-    /// privacy metadata). Nothing here can tell what a caller writes
-    /// through it, so it invalidates cached audit state like a model edit.
+    /// privacy metadata). Reads through it keep the cached audit state;
+    /// a write commits, moves the store's commit clock, and so makes the
+    /// next query rebuild from the store.
     pub fn db_mut(&mut self) -> &mut Database {
-        self.model_epoch += 1;
         &mut self.db
     }
 
@@ -405,9 +403,9 @@ impl Ppdb {
     }
 
     /// Replace the stored house policy. Invalidates cached audit state
-    /// (the policy does not flow through the delta stream).
+    /// (the policy does not flow through the delta stream, so its commits
+    /// are not accounted for).
     pub fn set_policy(&mut self, policy: &HousePolicy) -> DbResult<()> {
-        self.model_epoch += 1;
         self.db
             .execute(&format!("DELETE FROM {T_POLICY}"))
             .map(|_| ())?;
@@ -438,9 +436,9 @@ impl Ppdb {
     }
 
     /// Set the social weight `Σ^a` of an attribute. Invalidates cached
-    /// audit state (weights do not flow through the delta stream).
+    /// audit state (weights do not flow through the delta stream, so its
+    /// commits are not accounted for).
     pub fn set_attribute_weight(&mut self, attribute: &str, weight: u32) -> DbResult<()> {
-        self.model_epoch += 1;
         // The name is a SQL string literal here: double its quotes so a
         // name like `o'brien` neither breaks the parse nor widens the
         // predicate to other attributes' rows.
@@ -681,13 +679,15 @@ impl Ppdb {
     /// it. A write that fails rolls back and pushes nothing, so the delta
     /// stream never gets ahead of the store and seqs stay dense. Building
     /// the op after the commit also keeps its allocations (a whole
-    /// profile, for an upsert) out of the transaction's.
+    /// profile, for an upsert) out of the transaction's. Either way the
+    /// commit is accounted for (its delta is pushed, or it rolled back).
     fn write_then_push<F: FnOnce() -> DeltaOp>(
         &mut self,
         write: impl FnOnce(&mut Ppdb) -> DbResult<F>,
     ) -> DbResult<()> {
+        let before = self.db.end_lsn();
         self.db.begin()?;
-        match write(self) {
+        let result = match write(self) {
             Ok(make_op) => {
                 self.db.commit()?;
                 self.deltas.push(make_op());
@@ -697,6 +697,18 @@ impl Ppdb {
                 self.db.rollback()?;
                 Err(e)
             }
+        };
+        self.account_commits_since(before);
+        result
+    }
+
+    /// Mark the commits since `before` as this `Ppdb`'s own, leaving the
+    /// population as the delta stream says, so the live index may keep
+    /// replaying instead of rebuilding. Only a handle current at `before`
+    /// moves: once a commit went unaccounted, it stays behind.
+    fn account_commits_since(&mut self, before: u64) {
+        if let Some(h) = self.live.as_mut().filter(|h| h.lsn == before) {
+            h.lsn = self.db.end_lsn();
         }
     }
 
@@ -961,6 +973,8 @@ impl Ppdb {
             p_violation: report.p_violation(),
             p_default: report.p_default(),
         };
+        // The audit log is outside the population: accounted for.
+        let before = self.db.end_lsn();
         self.db.insert(
             T_AUDIT_LOG,
             Row::from_values([
@@ -974,6 +988,7 @@ impl Ppdb {
                 Value::Float(entry.p_default),
             ]),
         )?;
+        self.account_commits_since(before);
         Ok((report, entry))
     }
 
@@ -1004,16 +1019,16 @@ impl Ppdb {
     }
 
     /// Ensure the cached [`SelectiveAuditor`] snapshot reflects the
-    /// current model and store: reuse it when nothing changed since it
-    /// was built (keyed by model epoch + delta seq), rebuild otherwise
+    /// current model and store: reuse it when nothing committed since it
+    /// was built (keyed by the store's commit clock), rebuild otherwise
     /// from the stored policy and a fresh compile of the population. The
     /// snapshot is owned, so later writes never reach into it.
     /// Returns the database alongside the refreshed snapshot, so callers
     /// can query through both.
     fn refresh_snapshot(&mut self) -> DbResult<(&mut Database, &CachedSnapshot)> {
-        let seq = self.deltas.next_seq();
+        let lsn = self.db.end_lsn();
         let snapshot = match self.snapshot.take() {
-            Some(s) if s.model_epoch == self.model_epoch && s.seq == seq => s,
+            Some(s) if s.lsn == lsn => s,
             _ => {
                 let auditor =
                     SelectiveAuditor::new(self.audit_engine()?, self.compiled_population()?);
@@ -1021,8 +1036,7 @@ impl Ppdb {
                 CachedSnapshot {
                     stats: auditor.stats(),
                     auditor,
-                    model_epoch: self.model_epoch,
-                    seq,
+                    lsn,
                 }
             }
         };
@@ -1031,21 +1045,23 @@ impl Ppdb {
 
     /// Ensure the live index reflects every write so far: replay the
     /// unseen delta tail when the subscription is intact (`O(changed)`),
-    /// cold-build from the store when there is no index yet, the model
-    /// changed, or another consumer drained ops this index never saw.
+    /// cold-build from the store when there is no index yet, a commit
+    /// went unaccounted (a model edit, a raw write through
+    /// [`Ppdb::db_mut`]), or another consumer drained ops this index
+    /// never saw.
     /// Returns the database alongside the refreshed handle.
     fn refresh_live(&mut self) -> DbResult<(&mut Database, &LiveHandle)> {
         // Seq counters first, never a blanket `peek`: peek clones the
         // whole backlog, which is sized by whatever the *slowest other*
         // consumer hasn't acked — an un-drained queue would make every
         // query O(write history) instead of O(changed since last query).
-        let next_seq = self.deltas.next_seq();
+        let (next_seq, lsn) = (self.deltas.next_seq(), self.db.end_lsn());
         let maintained = match self.live.take() {
-            Some(h) if h.model_epoch == self.model_epoch && h.applied_seq == next_seq => {
+            Some(h) if h.lsn == lsn && h.applied_seq == next_seq => {
                 // Nothing pushed since the last refresh: O(1).
                 Some(h)
             }
-            Some(mut h) if h.model_epoch == self.model_epoch && h.applied_seq < next_seq => {
+            Some(mut h) if h.lsn == lsn && h.applied_seq < next_seq => {
                 // Clone only the unseen tail. `tail_seq == applied` iff
                 // the subscription is intact — anything else means another
                 // consumer drained ops this index never applied, and only
@@ -1070,7 +1086,7 @@ impl Ppdb {
                 LiveHandle {
                     stats: index.stats(),
                     index,
-                    model_epoch: self.model_epoch,
+                    lsn,
                     // The store the population was compiled from already
                     // reflects every pushed op (txn commits before push).
                     applied_seq: next_seq,
@@ -1083,8 +1099,8 @@ impl Ppdb {
     /// Run a `SELECT` that may use the audit extensions (`VIOLATES(...)`,
     /// `_qpv_violations`) against the current stored state, through the
     /// snapshot path. The [`SelectiveAuditor`] snapshot is cached behind
-    /// the delta seq: back-to-back queries with no intervening writes
-    /// compile the population once, and any write invalidates it. The
+    /// the store's commit clock: back-to-back queries with no intervening
+    /// commit compile the population once, and any commit invalidates it. The
     /// snapshot's statistics are registered with the planner, so wide
     /// provider ranges sweep immediately instead of paying the old
     /// `population/2` index walk first.

@@ -8,46 +8,19 @@
 //! changing the stored policy, and search for the widest policy that keeps a
 //! compliance target.
 //!
-//! Scenario sweeps are where [`crate::pop::CompiledPopulation`] pays off:
-//! the population is compiled once at construction, and a batch of
+//! [`WhatIf`] is the one policy-pricing engine: §9's expansion sweep
+//! (`qpv_economics::ExpansionSweep`) prices its widenings through it too.
+//! The population is compiled once at construction, and a batch of
 //! candidate policies is priced in one counts-only pass over the packed
 //! preference lanes — filled once per unique row, swept once per policy,
-//! with no profile re-indexing and no witness allocation.
-
-use serde::{Deserialize, Serialize};
+//! with no profile re-indexing and no witness allocation. Every price is a
+//! [`PolicyOutcome`]; callers keep their own labels.
 
 use qpv_policy::HousePolicy;
 
 use crate::audit::AuditEngine;
 use crate::pop::{CompiledPopulation, DeltaError, PolicyOutcome, PopulationDelta};
 use crate::profile::ProviderProfile;
-
-/// The summary of one evaluated scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioOutcome {
-    /// Caller-supplied scenario label.
-    pub label: String,
-    /// Equation 16's `Violations`.
-    pub total_violations: u128,
-    /// `P(W)`.
-    pub p_violation: f64,
-    /// `P(Default)`.
-    pub p_default: f64,
-    /// Providers that would remain (`N_future`).
-    pub remaining: usize,
-}
-
-impl ScenarioOutcome {
-    fn from_counts(label: String, counts: &PolicyOutcome) -> ScenarioOutcome {
-        ScenarioOutcome {
-            label,
-            total_violations: counts.total_violations,
-            p_violation: counts.p_violation(),
-            p_default: counts.p_default(),
-            remaining: counts.remaining(),
-        }
-    }
-}
 
 /// Evaluates candidate policies against a fixed population, compiled once.
 #[derive(Debug)]
@@ -60,19 +33,14 @@ impl<'a> WhatIf<'a> {
     /// Bind an engine (for its attributes and weights) and a population,
     /// compiling the population into flat storage once up front.
     pub fn new(engine: &'a AuditEngine, profiles: &[ProviderProfile]) -> WhatIf<'a> {
-        WhatIf::from_population(engine, CompiledPopulation::from_profiles(profiles))
-    }
-
-    /// [`WhatIf::new`], reusing an already-compiled population (e.g. one
-    /// scanned straight out of a `Ppdb`).
-    pub fn from_population(engine: &'a AuditEngine, pop: CompiledPopulation) -> WhatIf<'a> {
+        let pop = CompiledPopulation::from_profiles(profiles);
         WhatIf { engine, pop }
     }
 
-    /// [`WhatIf::from_population`], starting from a base population plus a
-    /// delta — clone-and-apply instead of recompiling from profiles, so
-    /// pricing a scenario against a slightly mutated population costs
-    /// `O(N + changed)` (the clone) rather than a full rebuild.
+    /// Price scenarios against a base population plus a delta:
+    /// clone-and-apply instead of recompiling from profiles, so pricing
+    /// against a slightly mutated population costs `O(N + changed)` (the
+    /// clone) rather than a full rebuild, and the base stays untouched.
     pub fn with_delta(
         engine: &'a AuditEngine,
         base: &CompiledPopulation,
@@ -80,26 +48,19 @@ impl<'a> WhatIf<'a> {
     ) -> Result<WhatIf<'a>, DeltaError> {
         let mut pop = base.clone();
         pop.apply_delta(delta)?;
-        Ok(WhatIf::from_population(engine, pop))
+        Ok(WhatIf { engine, pop })
     }
 
     /// Evaluate one candidate policy: a single counts-only pass.
-    pub fn evaluate(&self, label: impl Into<String>, policy: &HousePolicy) -> ScenarioOutcome {
-        let counts = self.engine.counts_with_policy(&self.pop, policy);
-        ScenarioOutcome::from_counts(label.into(), &counts)
+    pub fn evaluate(&self, policy: &HousePolicy) -> PolicyOutcome {
+        self.engine.counts_with_policy(&self.pop, policy)
     }
 
-    /// Evaluate a batch of labelled candidates, in order — one compiled
-    /// population, one fused pass for all K candidates
+    /// Evaluate a batch of candidates, in order — one compiled population,
+    /// one fused pass for all K candidates
     /// ([`AuditEngine::audit_many_policies`]).
-    pub fn evaluate_all(&self, scenarios: &[(String, HousePolicy)]) -> Vec<ScenarioOutcome> {
-        let policies: Vec<HousePolicy> = scenarios.iter().map(|(_, p)| p.clone()).collect();
-        self.engine
-            .audit_many_policies(&self.pop, &policies)
-            .iter()
-            .zip(scenarios)
-            .map(|(counts, (label, _))| ScenarioOutcome::from_counts(label.clone(), counts))
-            .collect()
+    pub fn evaluate_all(&self, policies: &[HousePolicy]) -> Vec<PolicyOutcome> {
+        self.engine.audit_many_policies(&self.pop, policies)
     }
 
     /// The largest uniform widening (in raw steps applied to every tuple on
@@ -115,16 +76,14 @@ impl<'a> WhatIf<'a> {
         base: &HousePolicy,
         alpha: f64,
         max_steps: u32,
-    ) -> Option<(u32, ScenarioOutcome)> {
+    ) -> Option<(u32, PolicyOutcome)> {
         let mut best = None;
         for steps in 0..=max_steps {
-            let candidate = base.widened_uniform(steps);
-            let outcome = self.evaluate(format!("widen+{steps}"), &candidate);
-            if outcome.p_violation <= alpha {
-                best = Some((steps, outcome));
-            } else {
+            let outcome = self.evaluate(&base.widened_uniform(steps));
+            if !outcome.is_alpha_ppdb(alpha) {
                 break;
             }
+            best = Some((steps, outcome));
         }
         best
     }
@@ -170,9 +129,9 @@ mod tests {
     fn base_policy_violates_no_one() {
         let (engine, profiles) = setup();
         let whatif = WhatIf::new(&engine, &profiles);
-        let outcome = whatif.evaluate("base", &engine.policy);
-        assert_eq!(outcome.p_violation, 0.0);
-        assert_eq!(outcome.remaining, 10);
+        let outcome = whatif.evaluate(&engine.policy);
+        assert_eq!(outcome.p_violation(), 0.0);
+        assert_eq!(outcome.remaining(), 10);
     }
 
     #[test]
@@ -182,12 +141,11 @@ mod tests {
         let mut last = 0u128;
         let mut last_p = 0.0;
         for steps in 0..8 {
-            let outcome =
-                whatif.evaluate(format!("w{steps}"), &engine.policy.widened_uniform(steps));
+            let outcome = whatif.evaluate(&engine.policy.widened_uniform(steps));
             assert!(outcome.total_violations >= last);
-            assert!(outcome.p_violation >= last_p);
+            assert!(outcome.p_violation() >= last_p);
             last = outcome.total_violations;
-            last_p = outcome.p_violation;
+            last_p = outcome.p_violation();
         }
         assert!(last > 0);
     }
@@ -201,11 +159,11 @@ mod tests {
         let (steps, outcome) = whatif
             .max_compliant_widening(&engine.policy, 0.35, 20)
             .expect("base is compliant");
-        assert_eq!(steps, 3, "P(W)={}", outcome.p_violation);
-        assert!(outcome.p_violation <= 0.35);
+        assert_eq!(steps, 3, "P(W)={}", outcome.p_violation());
+        assert!(outcome.p_violation() <= 0.35);
         // One more step must break the bound.
-        let next = whatif.evaluate("next", &engine.policy.widened_uniform(steps + 1));
-        assert!(next.p_violation > 0.35);
+        let next = whatif.evaluate(&engine.policy.widened_uniform(steps + 1));
+        assert!(next.p_violation() > 0.35);
     }
 
     #[test]
@@ -224,12 +182,12 @@ mod tests {
         let whatif = WhatIf::new(&engine, &profiles);
         for steps in [0u32, 3, 7] {
             let policy = engine.policy.widened_uniform(steps);
-            let outcome = whatif.evaluate("x", &policy);
+            let outcome = whatif.evaluate(&policy);
             let report = engine.run_with_policy(&profiles, &policy);
             assert_eq!(outcome.total_violations, report.total_violations);
-            assert_eq!(outcome.p_violation, report.p_violation());
-            assert_eq!(outcome.p_default, report.p_default());
-            assert_eq!(outcome.remaining, report.remaining());
+            assert_eq!(outcome.p_violation(), report.p_violation());
+            assert_eq!(outcome.p_default(), report.p_default());
+            assert_eq!(outcome.remaining(), report.remaining());
         }
     }
 
@@ -237,8 +195,6 @@ mod tests {
     /// one built from the mutated profiles — and the base stays pristine.
     #[test]
     fn with_delta_matches_recompiled_population() {
-        use crate::pop::PopulationDelta;
-
         let (engine, mut profiles) = setup();
         let base = CompiledPopulation::from_profiles(&profiles);
         let base_epoch = base.epoch();
@@ -257,28 +213,9 @@ mod tests {
         let fresh = WhatIf::new(&engine, &profiles);
         for steps in [0u32, 3, 7] {
             let policy = engine.policy.widened_uniform(steps);
-            let a = whatif.evaluate("d", &policy);
-            let b = fresh.evaluate("d", &policy);
-            assert_eq!(a.total_violations, b.total_violations);
-            assert_eq!(a.p_violation, b.p_violation);
-            assert_eq!(a.p_default, b.p_default);
-            assert_eq!(a.remaining, b.remaining);
+            assert_eq!(whatif.evaluate(&policy), fresh.evaluate(&policy));
         }
         assert_eq!(base.epoch(), base_epoch, "base must not be mutated");
         assert_eq!(base.len(), 10);
-    }
-
-    #[test]
-    fn evaluate_all_preserves_order_and_labels() {
-        let (engine, profiles) = setup();
-        let whatif = WhatIf::new(&engine, &profiles);
-        let scenarios = vec![
-            ("narrow".to_string(), engine.policy.clone()),
-            ("wide".to_string(), engine.policy.widened_uniform(5)),
-        ];
-        let outcomes = whatif.evaluate_all(&scenarios);
-        assert_eq!(outcomes[0].label, "narrow");
-        assert_eq!(outcomes[1].label, "wide");
-        assert!(outcomes[1].total_violations > outcomes[0].total_violations);
     }
 }

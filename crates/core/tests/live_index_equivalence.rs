@@ -25,8 +25,9 @@
 //!   index (including across a snapshot rotation).
 //! * **Snapshot/live caching regression** — two back-to-back
 //!   [`Ppdb::query_violations`] calls compile the population exactly
-//!   once, and the live path never rebuilds on writes (maintenance, not
-//!   recompilation).
+//!   once, the live path never rebuilds on writes (maintenance, not
+//!   recompilation), and neither cache rebuilds on reads through
+//!   [`Ppdb::db_mut`] or across an automatic checkpoint.
 
 use qpv_core::deltalog::DeltaLog;
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
@@ -509,18 +510,13 @@ fn recovery_at_every_crash_point_matches_reference() {
 
 // ---- snapshot / live caching regression --------------------------------
 
-fn seeded_ppdb(n: u64) -> Ppdb {
+fn seeded_ppdb(db: Database, n: u64) -> Ppdb {
     let schema = SchemaBuilder::new()
         .column("provider_id", DataType::Int)
         .nullable_column("weight", DataType::Int)
         .build()
         .unwrap();
-    let mut ppdb = Ppdb::create(
-        Database::in_memory(),
-        PpdbConfig::new("people", "provider_id"),
-        schema,
-    )
-    .unwrap();
+    let mut ppdb = Ppdb::create(db, PpdbConfig::new("people", "provider_id"), schema).unwrap();
     let policy = HousePolicy::builder("house")
         .tuple("weight", PrivacyTuple::from_point("pr", pt(7, 4, 7)))
         .build();
@@ -550,7 +546,7 @@ fn seeded_ppdb(n: u64) -> Ppdb {
 /// it; policy edits (which bypass the delta stream) invalidate it too.
 #[test]
 fn back_to_back_queries_compile_the_snapshot_once() {
-    let mut ppdb = seeded_ppdb(30);
+    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
     let q = "SELECT * FROM _qpv_violations";
     let first = ppdb.query_violations(q).unwrap();
     let second = ppdb.query_violations(q).unwrap();
@@ -564,7 +560,7 @@ fn back_to_back_queries_compile_the_snapshot_once() {
     ppdb.query_violations(q).unwrap();
     assert_eq!(ppdb.snapshot_builds(), 2);
 
-    // Policy edits don't flow through deltas; the epoch key catches them.
+    // Policy edits don't flow through deltas; the commit clock catches them.
     let policy = HousePolicy::builder("house")
         .tuple("weight", PrivacyTuple::from_point("pr", pt(9, 9, 9)))
         .build();
@@ -598,7 +594,7 @@ fn sorted_tuples(rs: &qpv_reldb::exec::ResultSet) -> Vec<(i64, String, String, i
 /// order — an explicit ORDER BY pins it below.)
 #[test]
 fn live_path_maintains_instead_of_rebuilding() {
-    let mut ppdb = seeded_ppdb(30);
+    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
     let q = "SELECT * FROM _qpv_violations";
     let live = ppdb.query_live(q).unwrap();
     // The planner routes through the maintained index — `explain` prices
@@ -628,4 +624,70 @@ fn live_path_maintains_instead_of_rebuilding() {
         "writes must be maintained, not rebuilt"
     );
     assert!(ppdb.live_index().unwrap().deltas_applied() > 0);
+}
+
+/// Reads through [`Ppdb::db_mut`] commit nothing, so they keep both
+/// caches; the audit-log insert of [`Ppdb::record_audit`] commits but is
+/// accounted for, so the live index survives it too.
+#[test]
+fn read_only_db_mut_borrows_keep_both_query_caches() {
+    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
+    let q = "SELECT * FROM _qpv_violations";
+    for _ in 0..3 {
+        ppdb.query_live(q).unwrap();
+        let count = ppdb
+            .db_mut()
+            .query("SELECT COUNT(*) FROM _qpv_prefs")
+            .unwrap();
+        assert_eq!(count.rows[0].values[0].as_int(), Some(30));
+    }
+    assert_eq!(ppdb.live_builds(), 1, "reads must not rebuild the index");
+    for _ in 0..3 {
+        ppdb.query_violations(q).unwrap();
+        ppdb.db_mut().scan("_qpv_prefs").unwrap();
+    }
+    assert_eq!(ppdb.snapshot_builds(), 1, "reads must not recompile");
+
+    ppdb.record_audit("checkpoint").unwrap();
+    ppdb.query_live(q).unwrap();
+    assert_eq!(ppdb.live_builds(), 1, "the audit log is accounted for");
+}
+
+/// Delta writes that cross an automatic checkpoint stay accounted for:
+/// the checkpoint keeps the store's commit clock (it never moves back, or
+/// a stale cache could match a later commit), so the live index keeps
+/// replaying the delta tail instead of rebuilding, and still agrees with
+/// a fresh snapshot.
+#[test]
+fn delta_writes_across_an_automatic_checkpoint_keep_the_live_index() {
+    let dir = temp_dir("checkpoint");
+    let mut ppdb = seeded_ppdb(Database::open(&dir).unwrap(), 30);
+    let q = "SELECT * FROM _qpv_violations ORDER BY provider";
+    ppdb.query_live(q).unwrap();
+    let generation = ppdb.db_mut().generation();
+    // Each op rewrites 200 preference rows, so the log reaches the
+    // checkpoint bound within a few dozen ops.
+    let tuples: Vec<PrivacyTuple> = (0..200)
+        .map(|k| PrivacyTuple::from_point("pr", pt(1 + k % 9, 4, 7)))
+        .collect();
+    let (mut writes, mut lsn) = (0u64, ppdb.db_mut().end_lsn());
+    while ppdb.db_mut().generation() == generation {
+        assert!(
+            writes < 1_000,
+            "no automatic checkpoint after {writes} writes"
+        );
+        ppdb.set_preferences(ProviderId(writes % 30), "weight", tuples.clone())
+            .unwrap();
+        ppdb.query_live(q).unwrap();
+        assert!(ppdb.db_mut().end_lsn() > lsn, "the commit clock moved back");
+        lsn = ppdb.db_mut().end_lsn();
+        writes += 1;
+    }
+    ppdb.set_threshold(ProviderId(3), 9).unwrap();
+    let live = ppdb.query_live(q).unwrap();
+    let snap = ppdb.query_violations(q).unwrap();
+    assert_eq!(live.rows, snap.rows);
+    assert_eq!(ppdb.live_builds(), 1, "a checkpoint must not rebuild");
+    drop(ppdb);
+    let _ = std::fs::remove_dir_all(&dir);
 }

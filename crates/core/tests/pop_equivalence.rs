@@ -446,9 +446,11 @@ proptest! {
 }
 
 /// One plan of the call saturates (its points near `u32::MAX` against
-/// large datum products), so it takes the fallback sweep, while the
-/// others in the same call stay on the factored sweep — and every
-/// outcome still equals its reference.
+/// large datum products), so it takes the fallback — the factored sweep
+/// on saturating ops — while the others in the same call stay on the
+/// exact factored sweep, and every outcome still equals its reference.
+/// The fallback equals `conf`'s chain because saturating ops over
+/// non-negative values give `min(exact, u64::MAX)` in any order.
 #[test]
 fn fused_call_mixes_fallback_and_exact_plans() {
     let big = u32::MAX - 3;
@@ -496,32 +498,20 @@ fn fused_call_mixes_fallback_and_exact_plans() {
 #[test]
 fn whatif_over_a_heterogeneous_set_equals_reference() {
     use qpv_core::whatif::WhatIf;
-    let scenarios: Vec<(String, HousePolicy)> = heterogeneous_policies(5)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (format!("s{i}"), p))
-        .collect();
+    let policies = heterogeneous_policies(5);
     for (shape, profiles) in fused_populations(180, 913) {
         for lattice_mode in [false, true] {
             let ctx = format!("{shape} lattice={lattice_mode}");
             let eng = fused_engine(&policy(0), &weights(), lattice_mode);
-            let outcomes = WhatIf::new(&eng, &profiles).evaluate_all(&scenarios);
-            assert_eq!(outcomes.len(), scenarios.len(), "{ctx}");
-            for (outcome, (label, hp)) in outcomes.iter().zip(&scenarios) {
-                let reference = fused_engine(hp, &weights(), lattice_mode).run_reference(&profiles);
-                assert_eq!(&outcome.label, label, "{ctx}");
-                assert_eq!(
-                    outcome.total_violations, reference.total_violations,
-                    "{ctx} {label}"
-                );
-                assert_eq!(
-                    outcome.p_violation,
-                    reference.p_violation(),
-                    "{ctx} {label}"
-                );
-                assert_eq!(outcome.p_default, reference.p_default(), "{ctx} {label}");
-                assert_eq!(outcome.remaining, reference.remaining(), "{ctx} {label}");
-            }
+            let outcomes = WhatIf::new(&eng, &profiles).evaluate_all(&policies);
+            assert_outcomes_match_reference(
+                &profiles,
+                &policies,
+                &weights(),
+                lattice_mode,
+                &outcomes,
+                &ctx,
+            );
         }
     }
 }
@@ -688,9 +678,10 @@ fn skewed_report_is_byte_identical() {
 /// Saturating magnitudes: policy points, attribute weights, and datum
 /// sensitivities near `u32::MAX` push the Eq. 14 severity terms past
 /// `u64::MAX`, so the packed sweep's saturation precheck must reject the
-/// factored fast path and the exact fallback must replay the reference's
-/// `saturating_mul`/`saturating_add` chain — flat and lattice, full
-/// audits and counts.
+/// exact factored sweep for the fallback, the same factored sweep on
+/// saturating ops. It equals the reference's `conf` chain because
+/// saturating ops over non-negative values give `min(exact, u64::MAX)`
+/// in any order — flat and lattice, full audits and counts.
 #[test]
 fn saturating_magnitudes_force_fallback_and_match_reference() {
     let big = u32::MAX - 3;

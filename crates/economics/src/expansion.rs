@@ -12,9 +12,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use qpv_core::{
-    AuditEngine, CompiledPopulation, DeltaError, PolicyOutcome, PopulationDelta, ProviderProfile,
-};
+use qpv_core::whatif::WhatIf;
+use qpv_core::{AuditEngine, PolicyOutcome, ProviderProfile};
 use qpv_policy::HousePolicy;
 
 use crate::utility::UtilityModel;
@@ -48,16 +47,12 @@ pub struct ExpansionRow {
     pub justified: bool,
 }
 
-/// Sweep runner.
-///
-/// The population is compiled once into flat structure-of-arrays form at
-/// construction ([`CompiledPopulation`]); a K-step sweep after that is one
-/// counts-only pass that fills each unique row's preference lanes once and
-/// sweeps all K policies over them, instead of K full audits.
+/// Sweep runner: §9's Eq. 25–31 arithmetic over the [`PolicyOutcome`]s a
+/// [`WhatIf`] prices. A K-step sweep is one fused counts-only pass over
+/// the what-if's compiled population.
 #[derive(Debug)]
 pub struct ExpansionSweep<'a> {
-    engine: &'a AuditEngine,
-    pop: CompiledPopulation,
+    whatif: WhatIf<'a>,
     utility: UtilityModel,
     /// Extra utility per provider unlocked per widening step (linear offer
     /// curve `T(s) = t_per_step · s` — the simplest §9-consistent choice;
@@ -73,61 +68,39 @@ impl<'a> ExpansionSweep<'a> {
         utility: UtilityModel,
         t_per_step: f64,
     ) -> ExpansionSweep<'a> {
-        ExpansionSweep::from_population(
-            engine,
-            CompiledPopulation::from_profiles(profiles),
-            utility,
-            t_per_step,
-        )
+        ExpansionSweep::from_whatif(WhatIf::new(engine, profiles), utility, t_per_step)
     }
 
-    /// [`ExpansionSweep::new`], reusing an already-compiled population.
-    pub fn from_population(
-        engine: &'a AuditEngine,
-        pop: CompiledPopulation,
+    /// A sweep priced by an existing what-if — e.g. one built by
+    /// [`WhatIf::with_delta`] to price an expansion against base + delta
+    /// (Eq. 31's marginal question under churn).
+    pub fn from_whatif(
+        whatif: WhatIf<'a>,
         utility: UtilityModel,
         t_per_step: f64,
     ) -> ExpansionSweep<'a> {
         ExpansionSweep {
-            engine,
-            pop,
+            whatif,
             utility,
             t_per_step,
         }
     }
 
-    /// [`ExpansionSweep::from_population`], pricing an expansion against a
-    /// base population plus a [`PopulationDelta`] (Eq. 31's marginal
-    /// question under churn): clone-and-apply instead of recompiling from
-    /// profiles, leaving the base untouched for other sweeps.
-    pub fn with_delta(
-        engine: &'a AuditEngine,
-        base: &CompiledPopulation,
-        delta: &PopulationDelta,
-        utility: UtilityModel,
-        t_per_step: f64,
-    ) -> Result<ExpansionSweep<'a>, DeltaError> {
-        let mut pop = base.clone();
-        pop.apply_delta(delta)?;
-        Ok(ExpansionSweep::from_population(
-            engine, pop, utility, t_per_step,
-        ))
-    }
-
-    /// Tabulate one evaluated step from its audit counts.
-    fn row(&self, step: u32, label: &str, counts: &PolicyOutcome) -> ExpansionRow {
-        let n_current = self.pop.len();
-        let n_future = counts.remaining();
+    /// Tabulate one priced step (Eqs. 26–31), with `N_current` the priced
+    /// population.
+    fn row(&self, step: u32, outcome: &PolicyOutcome) -> ExpansionRow {
+        let n_current = outcome.population;
+        let n_future = outcome.remaining();
         let t_offered = self.t_per_step * step as f64;
         let utility_future = self.utility.utility_future(n_future, t_offered);
         let utility_current = self.utility.utility_current(n_current);
         ExpansionRow {
             step,
-            label: label.to_string(),
-            total_violations: counts.total_violations,
-            p_violation: counts.p_violation(),
-            p_default: counts.p_default(),
-            defaults: n_current - n_future,
+            label: format!("widen+{step}"),
+            total_violations: outcome.total_violations,
+            p_violation: outcome.p_violation(),
+            p_default: outcome.p_default(),
+            defaults: outcome.defaulted,
             n_future,
             t_min: self.utility.break_even_extra(n_current, n_future),
             t_offered,
@@ -137,34 +110,13 @@ impl<'a> ExpansionSweep<'a> {
         }
     }
 
-    /// Evaluate one candidate policy at a given step.
-    pub fn evaluate(&self, step: u32, label: &str, policy: &HousePolicy) -> ExpansionRow {
-        let counts = self.engine.counts_with_policy(&self.pop, policy);
-        self.row(step, label, &counts)
-    }
-
     /// Run a uniform-widening sweep of `max_steps` steps: one fused
     /// multi-policy pass over the compiled population (Eq. 31's sweep).
     pub fn run_uniform(&self, base: &HousePolicy, max_steps: u32) -> Vec<ExpansionRow> {
         let policies: Vec<HousePolicy> = (0..=max_steps).map(|s| base.widened_uniform(s)).collect();
-        self.engine
-            .audit_many_policies(&self.pop, &policies)
-            .iter()
-            .enumerate()
-            .map(|(s, counts)| self.row(s as u32, &format!("widen+{s}"), counts))
-            .collect()
-    }
-
-    /// Run over an explicit labelled sweep (e.g. from
-    /// `qpv_synth::workload::PolicySweep`), batched the same way.
-    pub fn run_labelled(&self, steps: &[(String, HousePolicy)]) -> Vec<ExpansionRow> {
-        let policies: Vec<HousePolicy> = steps.iter().map(|(_, p)| p.clone()).collect();
-        self.engine
-            .audit_many_policies(&self.pop, &policies)
-            .iter()
-            .zip(steps)
-            .enumerate()
-            .map(|(i, (counts, (label, _)))| self.row(i as u32, label, counts))
+        (0..)
+            .zip(&self.whatif.evaluate_all(&policies))
+            .map(|(step, outcome)| self.row(step, outcome))
             .collect()
     }
 
@@ -216,9 +168,9 @@ pub fn render_table(rows: &[ExpansionRow]) -> String {
 mod tests {
     use super::*;
     use qpv_core::sensitivity::AttributeSensitivities;
-    use qpv_core::DatumSensitivity;
+    use qpv_core::{CompiledPopulation, DatumSensitivity, PopulationDelta};
     use qpv_policy::{ProviderId, ProviderPreferences};
-    use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
+    use qpv_taxonomy::{PrivacyPoint, PrivacyTuple, PurposeLattice};
 
     fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
         PrivacyPoint::from_raw(v, g, r)
@@ -331,7 +283,8 @@ mod tests {
             .set_threshold(ProviderId(8), 5);
 
         let u = UtilityModel::new(10.0);
-        let sweep = ExpansionSweep::with_delta(&engine, &base, &delta, u, 3.0).unwrap();
+        let whatif = WhatIf::with_delta(&engine, &base, &delta).unwrap();
+        let sweep = ExpansionSweep::from_whatif(whatif, u, 3.0);
         delta.apply_to_profiles(&mut profiles);
         let fresh = ExpansionSweep::new(&engine, &profiles, u, 3.0);
 
@@ -341,17 +294,107 @@ mod tests {
         assert_eq!(base.len(), 10, "base must not be mutated");
     }
 
+    /// billing ⊑ pr ⊑ ops.
+    fn lattice() -> PurposeLattice {
+        let mut l = PurposeLattice::new();
+        l.add_edge("billing", "pr").unwrap();
+        l.add_edge("pr", "ops").unwrap();
+        l
+    }
+
+    /// A varied two-attribute population over three lattice-related
+    /// purposes, where every fifth profile repeats an earlier id: every
+    /// tenth verbatim, the others restated with a new threshold and
+    /// sensitivity.
+    fn mixed_population(n: u32) -> Vec<ProviderProfile> {
+        let purposes = ["billing", "pr", "ops"];
+        let mut profiles: Vec<ProviderProfile> = Vec::new();
+        for i in 0..n {
+            if i % 5 == 4 {
+                let mut repeat = profiles[(i as usize * 7) % profiles.len()].clone();
+                if i % 10 != 9 {
+                    repeat.threshold = u64::from(i % 3);
+                    repeat
+                        .sensitivities
+                        .insert("y".into(), DatumSensitivity::new(2, 1, 3, 1));
+                }
+                profiles.push(repeat);
+                continue;
+            }
+            let id = ProviderId(u64::from(i));
+            let mut p = ProviderProfile::new(id, u64::from(i % 4) * 4);
+            let mut prefs = ProviderPreferences::new(id);
+            // Headroom over the base policy that the widening eats into.
+            let (hx, hy) = (i % 7, (i / 3) % 5);
+            prefs.add(
+                "x",
+                PrivacyTuple::from_point("pr", pt(2 + hx, 2 + hx, 30 + hx)),
+            );
+            prefs.add(
+                "y",
+                PrivacyTuple::from_point("billing", pt(3 + hy, 2 + hy, 35 + hy)),
+            );
+            // A wider grant under a related purpose: covers the policy's
+            // cell only where the lattice says so.
+            let purpose = purposes[i as usize % 3];
+            prefs.add("x", PrivacyTuple::from_point(purpose, pt(9, 9, 90)));
+            p.preferences = prefs;
+            p.sensitivities.insert(
+                "x".into(),
+                DatumSensitivity::new(1 + i % 3, 1, 2, 1 + i % 2),
+            );
+            profiles.push(p);
+        }
+        profiles
+    }
+
+    /// Every row of the fused sweep is Eqs. 25–31 applied to the string
+    /// oracle's audit of that step's widened policy, on flat and lattice
+    /// engines, over a population with repeated ids.
     #[test]
-    fn labelled_runs_preserve_labels() {
-        let (engine, profiles) = setup(5);
-        let sweep = ExpansionSweep::new(&engine, &profiles, UtilityModel::new(1.0), 1.0);
-        let steps = vec![
-            ("base".to_string(), engine.policy.clone()),
-            ("wide".to_string(), engine.policy.widened_uniform(3)),
-        ];
-        let rows = sweep.run_labelled(&steps);
-        assert_eq!(rows[0].label, "base");
-        assert_eq!(rows[1].label, "wide");
+    fn run_uniform_equals_eq_25_31_over_run_reference() {
+        let policy = HousePolicy::builder("h")
+            .tuple("x", PrivacyTuple::from_point("pr", pt(2, 2, 30)))
+            .tuple("y", PrivacyTuple::from_point("billing", pt(3, 2, 35)))
+            .build();
+        let mut weights = AttributeSensitivities::new();
+        weights.set("x", 3);
+        weights.set("y", 2);
+        let profiles = mixed_population(120);
+        let u = UtilityModel::new(10.0);
+        let mut totals = Vec::new();
+        for lattice_mode in [false, true] {
+            let flat = AuditEngine::new(policy.clone(), ["x", "y"], weights.clone());
+            let engine = if lattice_mode {
+                flat.with_lattice(lattice())
+            } else {
+                flat
+            };
+            let rows = ExpansionSweep::new(&engine, &profiles, u, 2.0).run_uniform(&policy, 6);
+            assert_eq!(rows.len(), 7);
+            for row in &rows {
+                let ctx = format!("lattice={lattice_mode} step {}", row.step);
+                let mut widened = engine.clone();
+                widened.policy = policy.widened_uniform(row.step);
+                let reference = widened.run_reference(&profiles);
+                let (n, remaining) = (reference.population(), reference.remaining());
+                assert_eq!(n, profiles.len(), "{ctx}");
+                assert_eq!(row.total_violations, reference.total_violations, "{ctx}");
+                assert_eq!(row.defaults, n - remaining, "{ctx}");
+                assert_eq!(row.n_future, remaining, "{ctx}");
+                assert_eq!(row.p_violation, reference.p_violation(), "{ctx}");
+                assert_eq!(row.p_default, reference.p_default(), "{ctx}");
+                assert_eq!(row.t_min, u.break_even_extra(n, remaining), "{ctx}");
+            }
+            // Not vacuous: the sweep runs from no defaults to most.
+            assert_eq!(rows[0].defaults, 0, "lattice={lattice_mode}");
+            assert!(
+                rows[6].defaults > rows[1].defaults,
+                "lattice={lattice_mode}"
+            );
+            totals.push(rows[6].total_violations);
+        }
+        assert_ne!(totals[0], totals[1], "the lattice changes what is priced");
     }
 
     #[test]

@@ -218,6 +218,15 @@ impl Database {
         self.generation
     }
 
+    /// The store's commit clock: the WAL's last synced LSN. It moves once
+    /// per synced write (a commit, an autocommit statement, a rollback, a
+    /// DDL change), never on a read, and a checkpoint keeps it
+    /// ([`Wal::inherit_lsn`]). Equal values mean no write landed in
+    /// between, so callers can key caches of committed state on it.
+    pub fn end_lsn(&self) -> u64 {
+        self.wal.end_lsn()
+    }
+
     /// Apply the WAL's committed transactions on top of the snapshot state.
     fn recover(&mut self) -> DbResult<()> {
         let mut records = Vec::new();

@@ -187,9 +187,9 @@ impl FaultPlan {
 }
 
 /// SplitMix64: the standard 64-bit mixing function. Used to derive torn
-/// prefix lengths deterministically from `(seed, op_index)`, and full-jitter
-/// backoff durations from `(attempt, salt)` — every random-looking choice in
-/// the fault stack flows through this one mixer so runs stay replayable.
+/// prefix lengths deterministically from `(seed, op_index)` — every
+/// random-looking choice in the fault stack flows through this one mixer
+/// so runs stay replayable.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -385,36 +385,12 @@ impl RetryPolicy {
         }
     }
 
-    /// The backoff *ceiling* before retry attempt `attempt` (0-based).
+    /// The sleep before retry attempt `attempt` (0-based).
     pub fn backoff(&self, attempt: u32) -> Duration {
         self.base_backoff
             .checked_mul(1u32 << attempt.min(16))
             .unwrap_or(Duration::from_secs(1))
     }
-
-    /// Full-jitter backoff: a deterministic pseudo-uniform duration in
-    /// `[0, backoff(attempt)]`, derived from `salt` via [`splitmix64`].
-    /// Full jitter breaks the lockstep that plain exponential backoff
-    /// produces when several threads observe the same transient fault at
-    /// the same moment and then all retry in phase.
-    pub fn jittered_backoff(&self, attempt: u32, salt: u64) -> Duration {
-        let cap = self.backoff(attempt).as_nanos() as u64;
-        if cap == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(splitmix64(salt ^ ((attempt as u64) << 48)) % (cap + 1))
-    }
-}
-
-/// Process-wide salt source for retry jitter: each retry loop draws a fresh
-/// salt, so two threads that hit the same fault at the same op index still
-/// sleep decorrelated durations. An atomic counter (not a clock) keeps the
-/// whole fault stack clock-free.
-static JITTER_SALT: AtomicU64 = AtomicU64::new(0x9e37_79b9);
-
-/// A fresh, process-unique jitter salt.
-fn jitter_salt() -> u64 {
-    JITTER_SALT.fetch_add(0x6a09_e667_f3bc_c909, Ordering::Relaxed)
 }
 
 impl Default for RetryPolicy {
@@ -424,15 +400,16 @@ impl Default for RetryPolicy {
 }
 
 /// Run `op` until it succeeds, fails permanently, or exhausts
-/// `policy.max_retries` retries of transient faults, sleeping a full-jitter
-/// backoff between attempts.
+/// `policy.max_retries` retries of transient faults, sleeping the
+/// exponential [`RetryPolicy::backoff`] between attempts. The stack runs on
+/// one thread, so there is no lockstep of concurrent retries to jitter
+/// apart.
 pub fn retry_transient<T>(policy: RetryPolicy, mut op: impl FnMut() -> DbResult<T>) -> DbResult<T> {
-    let salt = jitter_salt();
     let mut attempt = 0;
     loop {
         match op() {
             Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                std::thread::sleep(policy.jittered_backoff(attempt, salt));
+                std::thread::sleep(policy.backoff(attempt));
                 attempt += 1;
             }
             other => return other,
@@ -583,26 +560,5 @@ mod tests {
         });
         assert!(matches!(result, Err(DbError::Corruption(_))));
         assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn jittered_backoff_is_bounded_and_salt_sensitive() {
-        let policy = RetryPolicy::standard();
-        for attempt in 0..4 {
-            let cap = policy.backoff(attempt);
-            for salt in [0u64, 1, 99, 0xdead_beef] {
-                let d = policy.jittered_backoff(attempt, salt);
-                assert!(d <= cap, "attempt {attempt} salt {salt}: {d:?} > {cap:?}");
-                // Deterministic: same inputs, same duration.
-                assert_eq!(d, policy.jittered_backoff(attempt, salt));
-            }
-        }
-        // Different salts decorrelate (not all equal for a non-zero cap).
-        let ds: Vec<_> = (0..16u64)
-            .map(|s| policy.jittered_backoff(3, splitmix64(s)))
-            .collect();
-        assert!(ds.iter().any(|d| *d != ds[0]), "salts must decorrelate");
-        // Zero-backoff policies never sleep.
-        assert_eq!(RetryPolicy::none().jittered_backoff(5, 42), Duration::ZERO);
     }
 }

@@ -100,31 +100,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = AuditEngine::new(v1.clone(), ["age", "location", "interests"], weights);
     let whatif = WhatIf::new(&engine, &population);
 
-    let before = whatif.evaluate("v1", &v1);
-    let after = whatif.evaluate("v2", &v2);
+    let before = whatif.evaluate(&v1);
+    let after = whatif.evaluate(&v2);
     println!(
         "            {:>14} {:>8} {:>10} {:>9}",
         "Violations", "P(W)", "P(Default)", "N_future"
     );
-    for o in [&before, &after] {
+    for (label, o) in [("v1", &before), ("v2", &after)] {
         println!(
             "{:<10} {:>14} {:>8.3} {:>10.3} {:>9}",
-            o.label, o.total_violations, o.p_violation, o.p_default, o.remaining
+            label,
+            o.total_violations,
+            o.p_violation(),
+            o.p_default(),
+            o.remaining()
         );
     }
     println!(
         "\nΔViolations = +{}, ΔP(W) = +{:.3}, providers lost = {}",
         after.total_violations - before.total_violations,
-        after.p_violation - before.p_violation,
-        before.remaining - after.remaining,
+        after.p_violation() - before.p_violation(),
+        before.remaining() - after.remaining(),
     );
-    assert_eq!(before.p_violation, 0.0, "v1 is the consented baseline");
+    assert_eq!(before.p_violation(), 0.0, "v1 is the consented baseline");
     assert!(
-        after.p_violation > 0.9,
+        after.p_violation() > 0.9,
         "the ads purposes violate nearly everyone"
     );
     assert!(
-        after.p_default > 0.0 && after.p_default < 1.0,
+        after.p_default() > 0.0 && after.p_default() < 1.0,
         "defaults split the population"
     );
     Ok(())

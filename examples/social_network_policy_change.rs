@@ -30,10 +30,14 @@ fn main() {
     );
     let sweep = PolicySweep::uniform(&scenario.baseline_policy, 6);
     for (label, policy) in &sweep.steps {
-        let o = whatif.evaluate(label.clone(), policy);
+        let o = whatif.evaluate(policy);
         println!(
             "{:<12} {:>12} {:>8.3} {:>10.3} {:>10}",
-            o.label, o.total_violations, o.p_violation, o.p_default, o.remaining
+            label,
+            o.total_violations,
+            o.p_violation(),
+            o.p_default(),
+            o.remaining()
         );
     }
 
@@ -50,10 +54,14 @@ fn main() {
         4,
     );
     for (label, policy) in &creep.steps {
-        let o = whatif.evaluate(label.clone(), policy);
+        let o = whatif.evaluate(policy);
         println!(
             "{:<12} {:>12} {:>8.3} {:>10.3} {:>10}",
-            o.label, o.total_violations, o.p_violation, o.p_default, o.remaining
+            label,
+            o.total_violations,
+            o.p_violation(),
+            o.p_default(),
+            o.remaining()
         );
     }
 
@@ -64,7 +72,7 @@ fn main() {
         match whatif.max_compliant_widening(&scenario.baseline_policy, alpha, 20) {
             Some((steps, outcome)) => println!(
                 "  α = {alpha}: widest compliant widening = +{steps} (P(W) = {:.3})",
-                outcome.p_violation
+                outcome.p_violation()
             ),
             None => println!("  α = {alpha}: baseline already non-compliant"),
         }

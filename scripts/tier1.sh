@@ -17,6 +17,11 @@
 # builds the docs with warnings as errors (a broken intra-doc link
 # fails) and runs every workspace crate's tests in debug mode.
 #
+# The paper-claim step runs the four experiment binaries (E1 Table 1,
+# E2 Figure 1, E3 §9 Eqs. 25-31, E4 Defs. 2/3/5) in release: each prints
+# its paper-vs-measured `[OK ]`/`[DIFF]` lines and exits non-zero if any
+# line reads `[DIFF]`, so a paper claim that stops holding fails the gate.
+#
 # The default gate also re-runs, in release mode, the row-decoder
 # properties, the population snapshot codec's mutation property and the
 # reldb value-order and predicate properties (exact Int/Float order, LIKE
@@ -109,6 +114,11 @@ cargo build --release
 
 echo "== tests =="
 cargo test -q
+
+echo "== paper claims E1-E4 (release) =="
+for exp in exp_table1 exp_fig1 exp_policy_expansion exp_alpha_ppdb; do
+    cargo run -q --release -p qpv-bench --bin "$exp"
+done
 
 echo "== workspace tests (every crate's unit and integration tests) =="
 # `cargo test -q` above runs only the root package; the crates' own suites

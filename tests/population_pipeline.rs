@@ -60,7 +60,7 @@ fn incremental_and_whatif_agree_across_a_sweep() {
     let pop = CompiledPopulation::from_profiles(&scenario.population.profiles);
     for step in [0u32, 2, 5, 1, 4] {
         let policy = scenario.baseline_policy.widened_uniform(step);
-        let outcome = whatif.evaluate(format!("s{step}"), &policy);
+        let outcome = whatif.evaluate(&policy);
         // A policy edit rebuilds the maintained index under the new policy.
         let mut edited = engine.clone();
         edited.policy = policy;
@@ -76,9 +76,9 @@ fn incremental_and_whatif_agree_across_a_sweep() {
             reference.total_violations,
             "step {step}"
         );
-        assert_eq!(index.p_violation(), outcome.p_violation, "step {step}");
+        assert_eq!(index.p_violation(), outcome.p_violation(), "step {step}");
         assert_eq!(index.p_violation(), reference.p_violation(), "step {step}");
-        assert_eq!(index.p_default(), outcome.p_default, "step {step}");
+        assert_eq!(index.p_default(), outcome.p_default(), "step {step}");
         assert_eq!(index.p_default(), reference.p_default(), "step {step}");
     }
 }
