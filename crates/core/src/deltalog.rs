@@ -952,6 +952,226 @@ mod tests {
         assert!(decode_delta(&bad).is_err());
     }
 
+    /// One field of a valid delta encoding: its byte span, and whether it
+    /// is a varint (a count, a length, an id or a number).
+    struct Field {
+        label: &'static str,
+        span: (usize, usize),
+        varint: bool,
+    }
+
+    /// Walks a valid encoding field by field, in `put_delta` order.
+    struct FieldWalk<'a> {
+        rest: &'a [u8],
+        total: usize,
+        fields: Vec<Field>,
+    }
+
+    impl FieldWalk<'_> {
+        fn at(&self) -> usize {
+            self.total - self.rest.len()
+        }
+
+        fn varint(&mut self, label: &'static str) -> u64 {
+            let start = self.at();
+            let v = get_varint(&mut self.rest).expect("valid encoding");
+            let span = (start, self.at());
+            self.fields.push(Field {
+                label,
+                span,
+                varint: true,
+            });
+            v
+        }
+
+        fn bytes(&mut self, label: &'static str, len: usize) -> u8 {
+            let start = self.at();
+            let first = self.rest[0];
+            self.rest = &self.rest[len..];
+            self.fields.push(Field {
+                label,
+                span: (start, start + len),
+                varint: false,
+            });
+            first
+        }
+
+        fn string(&mut self, label: &'static str) {
+            let len = self.varint("string length") as usize;
+            if len > 0 {
+                self.bytes(label, len);
+            }
+        }
+
+        fn numbers(&mut self, label: &'static str, n: usize) {
+            for _ in 0..n {
+                self.varint(label);
+            }
+        }
+
+        fn tuple(&mut self) {
+            self.string("purpose");
+            self.numbers("point", 3);
+        }
+    }
+
+    fn delta_fields(payload: &[u8]) -> Vec<Field> {
+        let mut w = FieldWalk {
+            rest: payload,
+            total: payload.len(),
+            fields: Vec::new(),
+        };
+        for _ in 0..w.varint("ops") {
+            match w.bytes("tag", 1) {
+                OP_UPSERT => {
+                    w.numbers("id", 1);
+                    w.numbers("threshold", 1);
+                    for _ in 0..w.varint("tuples") {
+                        w.string("attribute");
+                        w.tuple();
+                    }
+                    for _ in 0..w.varint("sensitivities") {
+                        w.string("attribute");
+                        w.numbers("sensitivity", 4);
+                    }
+                }
+                OP_REMOVE => w.numbers("id", 1),
+                OP_SET_PREFS => {
+                    w.numbers("id", 1);
+                    w.string("attribute");
+                    for _ in 0..w.varint("tuples") {
+                        w.tuple();
+                    }
+                }
+                OP_SET_SENSITIVITY => {
+                    w.numbers("id", 1);
+                    w.string("attribute");
+                    w.numbers("sensitivity", 4);
+                }
+                OP_SET_THRESHOLD => {
+                    w.numbers("id", 1);
+                    w.numbers("threshold", 1);
+                }
+                tag => panic!("unknown tag {tag} in a valid encoding"),
+            }
+        }
+        assert!(w.rest.is_empty(), "walked the whole encoding");
+        w.fields
+    }
+
+    /// Total decoding: every mutant of a valid delta payload decodes to a
+    /// delta or to `Corruption`, and never panics (the recovery path
+    /// replays whatever passes the frame checksum, so the payload itself
+    /// is untrusted). A decoded delta must also apply to a population
+    /// that then validates and audits. Two seed-free bases cover all five
+    /// op kinds, empty and multi-tuple lists, a zero threshold and
+    /// non-ASCII names. Mutants: each varint field (counts, lengths, ids,
+    /// numbers) set to 0, 1, `u64::MAX` and every 2^k; every truncation;
+    /// extensions (always `Corruption`); each field spliced in from the
+    /// other base; each byte set to 0x00 and 0xFF.
+    #[test]
+    fn delta_codec_mutants_are_corruption_or_valid() {
+        let mut wide = profile(3, 0);
+        wide.preferences
+            .add("größe", PrivacyTuple::from_point("ads", pt(u32::MAX, 0, 7)));
+        wide.sensitivities
+            .insert("age".into(), DatumSensitivity::new(0, 9, 8, 7));
+        let other = PopulationDelta::new()
+            .set_threshold(ProviderId(2), u64::MAX)
+            .set_attribute_prefs(ProviderId(1), "age", Vec::new())
+            .upsert(wide)
+            .set_sensitivity(ProviderId(9), "weight", DatumSensitivity::new(1, 2, 3, 4))
+            .set_attribute_prefs(
+                ProviderId(3),
+                "weight",
+                vec![
+                    PrivacyTuple::from_point("pr", pt(1, 1, 1)),
+                    PrivacyTuple::from_point("ads", pt(6, 5, 4)),
+                ],
+            )
+            .remove(ProviderId(u64::MAX))
+            .upsert(ProviderProfile::new(ProviderId(0), 3));
+        let bases: Vec<Vec<u8>> = [sample_delta(), other]
+            .iter()
+            .map(|d| {
+                let mut buf = Vec::new();
+                put_delta(&mut buf, d);
+                buf
+            })
+            .collect();
+
+        let initial: Vec<ProviderProfile> = (0..4).map(|i| profile(i, 10 + i)).collect();
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        let mut check = |payload: &[u8], what: &dyn Fn() -> String| match decode_delta(payload) {
+            Err(DbError::Corruption(_)) => refused += 1,
+            Err(e) => panic!("{}: not Corruption: {e}", what()),
+            Ok(delta) => {
+                accepted += 1;
+                let applied = std::panic::catch_unwind(|| {
+                    let mut pop = CompiledPopulation::from_profiles(&initial);
+                    pop.apply_delta(&delta).expect("unique ids");
+                    pop.debug_validate();
+                    report(&pop);
+                });
+                assert!(applied.is_ok(), "{}: decoded a delta that breaks", what());
+            }
+        };
+
+        let mut values = vec![0u64, 1, u64::MAX];
+        values.extend((0..64).map(|k| 1u64 << k));
+        for (b, base) in bases.iter().enumerate() {
+            let other = &bases[1 - b];
+            let fields = delta_fields(base);
+            let other_fields = delta_fields(other);
+            check(base, &|| format!("base {b} unmutated"));
+            for f in fields.iter().filter(|f| f.varint) {
+                for &v in &values {
+                    let mut m = base[..f.span.0].to_vec();
+                    put_varint(&mut m, v);
+                    m.extend_from_slice(&base[f.span.1..]);
+                    check(&m, &|| {
+                        format!("base {b}: {} at {} = {v}", f.label, f.span.0)
+                    });
+                }
+            }
+            for len in 0..base.len() {
+                check(&base[..len], &|| format!("base {b} truncated to {len}"));
+            }
+            for tail in [&[0u8][..], &[0x80], &[0xFF; 9], base] {
+                let m = [&base[..], tail].concat();
+                assert!(
+                    matches!(decode_delta(&m), Err(DbError::Corruption(_))),
+                    "base {b} extended by {} bytes",
+                    tail.len()
+                );
+            }
+            for f in &fields {
+                for g in other_fields.iter().filter(|g| g.label == f.label) {
+                    let m = [
+                        &base[..f.span.0],
+                        &other[g.span.0..g.span.1],
+                        &base[f.span.1..],
+                    ]
+                    .concat();
+                    check(&m, &|| {
+                        format!("base {b}: {} spliced from the other base", f.label)
+                    });
+                }
+            }
+            for at in 0..base.len() {
+                for byte in [0x00, 0xFF] {
+                    let mut m = base.clone();
+                    m[at] = byte;
+                    check(&m, &|| format!("base {b}: byte {at} = {byte:#04x}"));
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && refused > 500,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
+
     #[test]
     fn append_sync_recover_replays_the_oracle() {
         let dir = temp_dir("roundtrip");

@@ -37,14 +37,14 @@
 //!   policies at once as counts
 //!   ([`audit::AuditEngine::audit_many_policies`], with scratch memory
 //!   bounded independently of the number of policies) or records one
-//!   plan's scores and witnesses — what [`audit::AuditEngine::run`], the
-//!   live index and the SQL bridge read.
+//!   plan's scores and witnesses — what [`audit::AuditEngine::run`] and
+//!   the live index read.
 //!   [`audit::AuditEngine::run_reference`] keeps the direct string path
 //!   as the property-tested oracle.
 //! * [`liveindex`] — the one maintained audit state: the violation set,
 //!   per-provider scores and default flags, and the Eq. 16 / Definition
-//!   2–5 aggregates, kept current off the delta stream. SQL queries and
-//!   the [`deltalog::Monitor`] both read it.
+//!   2–5 aggregates, kept current off the delta stream. Both SQL query
+//!   paths and the [`deltalog::Monitor`] read it.
 //! * [`whatif`] — §10's "what-if scenarios that modify a house's privacy
 //!   policies", evaluated without touching the stored policy.
 //! * [`report`] — plain-text rendering of audit results.
@@ -61,7 +61,6 @@ pub mod ppdb;
 pub mod probability;
 pub mod profile;
 pub mod report;
-pub mod selective;
 pub mod sensitivity;
 pub mod severity;
 pub mod violation;
@@ -80,7 +79,6 @@ pub use pop::{
 pub use ppdb::{AuditLogEntry, DeltaQueue, Ppdb, PpdbConfig};
 pub use probability::{census_fraction, census_probability, estimate_probability};
 pub use profile::ProviderProfile;
-pub use selective::SelectiveAuditor;
 pub use sensitivity::{AttributeSensitivities, DatumSensitivity, SensitivityModel};
 pub use severity::{conf, total_violations, violation_score};
 pub use violation::{is_violated, witnesses, ViolationWitness};

@@ -10,9 +10,9 @@
 //! Four structures are kept in lockstep with the population:
 //!
 //! * `rows[i]` — occurrence `i`'s witness rows, exactly what the full
-//!   sweep would emit for it (empty = not in violation). Emission goes
-//!   through the same helper as [`crate::SelectiveAuditor`], so
-//!   byte-identity across access paths holds by construction;
+//!   sweep would emit for it (empty = not in violation). Every access
+//!   path (sweep, candidate walk, range, posting, point probe) copies
+//!   these rows, so byte-identity across paths holds by construction;
 //! * `scores[i]` / `defaults[i]` — occurrence `i`'s `Violation_i`
 //!   (Eq. 15) and `default_i` (Definition 4), with the population-wide
 //!   counts and the exact `u128` `Violations` total (Eq. 16) adjusted on
@@ -30,8 +30,9 @@
 //! (`crate::packed`); removals mirror the population's `swap_remove` on
 //! every parallel structure. The kernel is re-prepared after any delta
 //! that interns a symbol — its lanes would not route it.
-//! The same index serves SQL ([`AuditBridge`]) and the §10 monitor
-//! ([`crate::Monitor`]), flat or lattice, whichever the engine compiles.
+//! The same index serves both SQL paths ([`AuditBridge`]: `Ppdb::query_live`
+//! and `Ppdb::query_violations`) and the §10 monitor ([`crate::Monitor`]),
+//! flat or lattice, whichever the engine compiles.
 //!
 //! Crash recovery composes with [`crate::deltalog`]: a fresh index over
 //! the population [`crate::deltalog::DeltaLog::recover`] returns (durable
@@ -41,25 +42,26 @@
 use std::collections::HashMap;
 
 use qpv_reldb::audit_bridge::{provider_in_bounds, AuditBridge, ViolationRow, ViolationStats};
-use qpv_reldb::error::DbResult;
+use qpv_reldb::error::{DbError, DbResult};
 use std::ops::Bound;
 
 use crate::audit::AuditEngine;
 use crate::default_model::defaults;
 use crate::packed::{Buffers, Kernel, RowAudit};
 use crate::pop::{CompiledPopulation, DeltaError, DeltaEvent, PolicyOutcome, PopulationDelta};
-use crate::selective::{check_policy, id_stats, occurrences_of, push_witness_rows};
 
 /// An incrementally-maintained materialization of the violation set.
 ///
 /// Build once with [`LiveViolationIndex::new`] (full audit pass), then
 /// keep current with [`LiveViolationIndex::apply_delta`]. Implements
-/// [`AuditBridge`], so it plugs into the SQL layer anywhere a
-/// [`crate::SelectiveAuditor`] does — with
-/// [`AuditBridge::violations_indexed`] answered from the maintained
-/// postings, and its [`LiveViolationIndex::stats`] report
-/// `indexed: true`: registered with the planner (as `Ppdb::query_live`
-/// does), that is what makes it choose `LiveIndexScan`.
+/// [`AuditBridge`] from the materialized rows: every bridge call copies
+/// rows the index already holds and scores nothing.
+/// [`AuditBridge::violations_indexed`] reads the maintained postings, and
+/// [`LiveViolationIndex::stats`] reports `indexed: true`: registered with
+/// the planner as is (`Ppdb::query_live`), that makes it choose
+/// `LiveIndexScan`; registered with `indexed: false`
+/// (`Ppdb::query_violations`), the planner picks `ViolationScan` and the
+/// executor calls [`AuditBridge::violations_for`] / `violations_all`.
 pub struct LiveViolationIndex {
     engine: AuditEngine,
     /// The house plan's kernel, re-prepared when a delta interns a symbol.
@@ -137,10 +139,22 @@ impl LiveViolationIndex {
     }
 
     /// Occurrence `i`'s witness rows and `default_i` from its unique
-    /// row's kernel output.
+    /// row's kernel output: one row per witness, each carrying the
+    /// occurrence's total `Violation_i` as its severity. THE row emission
+    /// for every `_qpv_violations` access path.
     fn occurrence_state(&self, i: usize, audit: &RowAudit) -> (Vec<ViolationRow>, bool) {
-        let mut rows = Vec::new();
-        push_witness_rows(self.pop.id(i).0 as i64, audit, &mut rows);
+        let provider = self.pop.id(i).0 as i64;
+        let severity = i64::try_from(audit.score).unwrap_or(i64::MAX);
+        let rows = audit
+            .witnesses
+            .iter()
+            .map(|w| ViolationRow {
+                provider,
+                attribute: w.attribute.as_str().to_string(),
+                purpose: w.purpose.name().to_string(),
+                severity,
+            })
+            .collect();
         (rows, defaults(audit.score, self.pop.threshold_of(i)))
     }
 
@@ -301,11 +315,18 @@ impl LiveViolationIndex {
         self.deltas_applied
     }
 
-    /// Planner statistics: maintained violation count, `indexed: true`.
-    /// `O(n)` for the distinct-id scan — callers cache the result per
-    /// delta batch (see `Ppdb`), queries never pay it.
+    /// Planner statistics from the sorted provider-id index,
+    /// `indexed: true`. `O(n)` for the distinct-id scan — callers cache
+    /// the result per delta batch (see `Ppdb`), queries never pay it.
     pub fn stats(&self) -> ViolationStats {
-        id_stats(&self.by_id, Some(self.violated), true)
+        let by_id = &self.by_id;
+        ViolationStats {
+            population: by_id.len(),
+            distinct_providers: by_id.chunk_by(|a, b| a.0 == b.0).count(),
+            min_provider: by_id.first().map_or(0, |&(id, _)| id),
+            max_provider: by_id.last().map_or(0, |&(id, _)| id),
+            indexed: true,
+        }
     }
 
     /// Emit the materialized rows of `occs` in ascending occurrence
@@ -406,6 +427,30 @@ impl AuditBridge for LiveViolationIndex {
     }
 }
 
+/// Reject policy names other than `engine`'s house policy. The index
+/// carries one compiled plan; auditing a different policy is a different
+/// index, not a different argument.
+fn check_policy(engine: &AuditEngine, policy: Option<&str>) -> DbResult<()> {
+    match policy {
+        None => Ok(()),
+        Some(name) if name == engine.policy.name => Ok(()),
+        Some(name) => Err(DbError::Eval(format!(
+            "unknown policy {name:?} (this audit holds {:?})",
+            engine.policy.name
+        ))),
+    }
+}
+
+/// Occurrences whose provider id is `id`, ascending, from a sorted
+/// `(provider id, occurrence)` index.
+fn occurrences_of(by_id: &[(i64, u32)], id: i64) -> impl Iterator<Item = usize> + '_ {
+    let start = by_id.partition_point(|&(pid, _)| pid < id);
+    by_id[start..]
+        .iter()
+        .take_while(move |&&(pid, _)| pid == id)
+        .map(|&(_, occ)| occ as usize)
+}
+
 /// Distinct witness attributes of one occurrence's rows, first-seen order
 /// (row counts per occurrence are tiny — linear scans beat allocation).
 fn distinct_attrs(rows: &[ViolationRow]) -> Vec<&str> {
@@ -467,7 +512,6 @@ fn by_id_remove(by_id: &mut Vec<(i64, u32)>, id: i64, occ: usize) {
 mod tests {
     use super::*;
     use crate::profile::ProviderProfile;
-    use crate::selective::SelectiveAuditor;
     use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
     use qpv_policy::{HousePolicy, ProviderId};
     use qpv_taxonomy::{PrivacyPoint, PrivacyTuple};
@@ -494,21 +538,124 @@ mod tests {
         p
     }
 
+    fn profiles(n: u64) -> Vec<ProviderProfile> {
+        (0..n).map(|i| profile(i, i % 3 == 0)).collect()
+    }
+
     fn population(n: u64) -> CompiledPopulation {
-        let profiles: Vec<ProviderProfile> = (0..n).map(|i| profile(i, i % 3 == 0)).collect();
-        CompiledPopulation::from_profiles(&profiles)
+        CompiledPopulation::from_profiles(&profiles(n))
+    }
+
+    /// `_qpv_violations` rows derived from [`AuditEngine::run_reference`]
+    /// over plain profiles, in profile order: an oracle that shares
+    /// neither the kernel nor the index's row emission.
+    fn reference_rows(profiles: &[ProviderProfile]) -> Vec<ViolationRow> {
+        let report = engine().run_reference(profiles);
+        let mut rows = Vec::new();
+        for audit in report.providers.iter().filter(|a| a.violated) {
+            let severity = i64::try_from(audit.score).unwrap_or(i64::MAX);
+            for w in &audit.witnesses {
+                rows.push(ViolationRow {
+                    provider: audit.provider.0 as i64,
+                    attribute: w.attribute.as_str().to_string(),
+                    purpose: w.purpose.name().to_string(),
+                    severity,
+                });
+            }
+        }
+        rows
     }
 
     #[test]
-    fn cold_build_matches_selective_sweep() {
+    fn cold_build_matches_reference_rows() {
         let index = LiveViolationIndex::new(engine(), population(50));
-        let auditor = SelectiveAuditor::new(engine(), population(50));
         assert_eq!(
             index.violations_all(None).unwrap(),
-            auditor.violations_all(None).unwrap()
+            reference_rows(&profiles(50))
         );
         assert!(index.outcome().violated > 0);
         assert_eq!(index.row_count(), index.violations_all(None).unwrap().len());
+    }
+
+    /// `population(50)` plus a provider with a unique row, then two
+    /// removals: the unique row's slot dies, and a swap-remove moves the
+    /// last occurrence, so occurrences no longer follow slot order.
+    fn clustered_with_dead_slot() -> CompiledPopulation {
+        let mut pop = population(50);
+        let mut odd = ProviderProfile::new(ProviderId(50), 0);
+        odd.preferences
+            .add("weight", PrivacyTuple::from_point("pr", pt(2, 2, 2)));
+        odd.sensitivities
+            .insert("weight".into(), DatumSensitivity::new(9, 9, 9, 9));
+        let delta = PopulationDelta::new()
+            .upsert(odd)
+            .remove(ProviderId(50))
+            .remove(ProviderId(12));
+        pop.apply_delta(&delta).unwrap();
+        assert!(
+            pop.unique_row_count() < pop.table().slot_count(),
+            "a dead slot"
+        );
+        assert!(pop.dedup_ratio() > 1.0, "shared rows");
+        pop
+    }
+
+    #[test]
+    fn candidate_restriction_is_byte_identical_to_full_sweep() {
+        for pop in [population(50), clustered_with_dead_slot()] {
+            let index = LiveViolationIndex::new(engine(), pop);
+            let all = index.violations_all(None).unwrap();
+            assert!(!all.is_empty());
+            // Every-other-provider candidate set, deliberately unsorted and
+            // with repeats and absentees.
+            let mut candidates: Vec<i64> = (0..50).rev().filter(|i| i % 2 == 0).collect();
+            candidates.push(4);
+            candidates.push(9999);
+            let selected = index.violations_for(&candidates, None).unwrap();
+            let expected: Vec<ViolationRow> = all
+                .iter()
+                .filter(|r| r.provider % 2 == 0)
+                .cloned()
+                .collect();
+            assert_eq!(selected, expected);
+            // Full candidate set reproduces the sweep exactly.
+            let everyone: Vec<i64> = (0..50).collect();
+            assert_eq!(index.violations_for(&everyone, None).unwrap(), all);
+        }
+    }
+
+    #[test]
+    fn violates_probes_and_policy_names() {
+        let index = LiveViolationIndex::new(engine(), population(10));
+        assert!(index.violates(0, None, None).unwrap());
+        assert!(!index.violates(1, None, None).unwrap());
+        assert!(!index.violates(-5, None, None).unwrap(), "absent id");
+        assert!(!index.violates(10, None, None).unwrap(), "absent id");
+        // Attribute restriction: witnesses are on `weight`, not `age`.
+        assert!(index.violates(0, None, Some("weight")).unwrap());
+        assert!(!index.violates(0, None, Some("age")).unwrap());
+        // Policy names: the index's house policy or nothing.
+        assert!(index.violates(0, Some("house"), None).unwrap());
+        let err = index.violates(0, Some("other"), None).unwrap_err();
+        assert!(matches!(err, DbError::Eval(_)), "{err}");
+    }
+
+    #[test]
+    fn population_order_survives_duplicate_occurrences() {
+        // Same id registered twice: the sweep emits both occurrences, and
+        // so must the candidate path.
+        let mut profiles = Vec::new();
+        for _ in 0..2 {
+            let mut p = ProviderProfile::new(ProviderId(7), 0);
+            p.preferences
+                .add("weight", PrivacyTuple::from_point("pr", pt(1, 1, 1)));
+            profiles.push(p);
+        }
+        let index = LiveViolationIndex::new(engine(), CompiledPopulation::from_profiles(&profiles));
+        let all = index.violations_all(None).unwrap();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all, reference_rows(&profiles));
+        assert_eq!(index.violations_for(&[7, 7], None).unwrap(), all);
     }
 
     /// A policy exposing both `age` and `weight`: every third provider is
@@ -626,7 +773,6 @@ mod tests {
         assert_eq!(stats.distinct_providers, 30);
         assert_eq!(stats.min_provider, 0);
         assert_eq!(stats.max_provider, 29);
-        assert_eq!(stats.violations, Some(index.outcome().violated));
     }
 
     #[test]
@@ -635,15 +781,15 @@ mod tests {
         // one first, a strict one second. The strict one violates.
         let profiles = vec![profile(7, false), profile(7, true)];
         let live = LiveViolationIndex::new(engine(), CompiledPopulation::from_profiles(&profiles));
-        let snapshot =
-            SelectiveAuditor::new(engine(), CompiledPopulation::from_profiles(&profiles));
-        for bridge in [&live as &dyn AuditBridge, &snapshot] {
-            assert_eq!(bridge.violations_all(None).unwrap().len(), 1);
-            assert!(bridge.violates(7, None, None).unwrap());
-            assert!(bridge.violates(7, None, Some("weight")).unwrap());
-            assert!(!bridge.violates(7, None, Some("age")).unwrap());
-            assert!(!bridge.violates(8, None, None).unwrap());
-        }
+        assert_eq!(
+            live.violations_all(None).unwrap(),
+            reference_rows(&profiles)
+        );
+        assert_eq!(live.violations_all(None).unwrap().len(), 1);
+        assert!(live.violates(7, None, None).unwrap());
+        assert!(live.violates(7, None, Some("weight")).unwrap());
+        assert!(!live.violates(7, None, Some("age")).unwrap());
+        assert!(!live.violates(8, None, None).unwrap());
     }
 
     #[test]

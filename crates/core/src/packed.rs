@@ -18,8 +18,8 @@
 //!     K = 1 call) and `AuditEngine::audit_many_policies` (Eq. 31's sweep);
 //!   - [`Kernel::audit_all`] / [`Kernel::audit_rows`] (K = 1) record each
 //!     visited unique row's score and, for rows whose violation mask is
-//!     nonzero, its witnesses — `AuditEngine::audit_compiled`,
-//!     [`crate::LiveViolationIndex`] and [`crate::SelectiveAuditor`].
+//!     nonzero, its witnesses — `AuditEngine::audit_compiled` and
+//!     [`crate::LiveViolationIndex`] (which both SQL paths read).
 //!
 //! Each unique row is scored once per plan; on segment-clustered
 //! populations the unique-row table is orders of magnitude smaller than

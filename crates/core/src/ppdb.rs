@@ -39,7 +39,6 @@ use crate::intern::ScanMap;
 use crate::liveindex::LiveViolationIndex;
 use crate::pop::{CompiledPopulation, DeltaOp, PopulationBuilder, PopulationDelta, PrefRow};
 use crate::profile::ProviderProfile;
-use crate::selective::SelectiveAuditor;
 use crate::sensitivity::{AttributeSensitivities, DatumSensitivity};
 
 /// How the data table maps to the model.
@@ -92,29 +91,14 @@ pub struct Ppdb {
     db: Database,
     config: PpdbConfig,
     deltas: DeltaQueue,
-    /// The [`Ppdb::query_violations`] snapshot, cached behind the store's
-    /// commit clock ([`Database::end_lsn`]) — two back-to-back queries
-    /// with no intervening commit compile the population exactly once.
-    snapshot: Option<CachedSnapshot>,
-    /// The [`Ppdb::query_live`] index: built once, then kept current by
+    /// The live index both SQL paths ([`Ppdb::query_live`],
+    /// [`Ppdb::query_violations`]) read: built once, then kept current by
     /// replaying the seq-tagged delta tail (exactly-once via the
     /// high-water mark; never acks, so it coexists with other
     /// consumers) for as long as this `Ppdb` accounts for every commit.
     live: Option<LiveHandle>,
-    /// Snapshot compiles performed (regression guard: cache hits must
-    /// not rebuild).
-    snapshot_builds: u64,
     /// Live-index cold builds performed (maintenance must not rebuild).
     live_builds: u64,
-}
-
-/// A cached [`SelectiveAuditor`] snapshot, valid while the store's
-/// commit clock still reads what it read at build time.
-struct CachedSnapshot {
-    auditor: SelectiveAuditor,
-    stats: ViolationStats,
-    /// [`Database::end_lsn`] at build time: any later commit moves it.
-    lsn: u64,
 }
 
 /// The live index plus its subscription state.
@@ -350,9 +334,7 @@ impl Ppdb {
             db,
             config,
             deltas: DeltaQueue::new(),
-            snapshot: None,
             live: None,
-            snapshot_builds: 0,
             live_builds: 0,
         }
     }
@@ -1018,31 +1000,6 @@ impl Ppdb {
         Ok(report.is_alpha_ppdb(alpha))
     }
 
-    /// Ensure the cached [`SelectiveAuditor`] snapshot reflects the
-    /// current model and store: reuse it when nothing committed since it
-    /// was built (keyed by the store's commit clock), rebuild otherwise
-    /// from the stored policy and a fresh compile of the population. The
-    /// snapshot is owned, so later writes never reach into it.
-    /// Returns the database alongside the refreshed snapshot, so callers
-    /// can query through both.
-    fn refresh_snapshot(&mut self) -> DbResult<(&mut Database, &CachedSnapshot)> {
-        let lsn = self.db.end_lsn();
-        let snapshot = match self.snapshot.take() {
-            Some(s) if s.lsn == lsn => s,
-            _ => {
-                let auditor =
-                    SelectiveAuditor::new(self.audit_engine()?, self.compiled_population()?);
-                self.snapshot_builds += 1;
-                CachedSnapshot {
-                    stats: auditor.stats(),
-                    auditor,
-                    lsn,
-                }
-            }
-        };
-        Ok((&mut self.db, self.snapshot.insert(snapshot)))
-    }
-
     /// Ensure the live index reflects every write so far: replay the
     /// unseen delta tail when the subscription is intact (`O(changed)`),
     /// cold-build from the store when there is no index yet, a commit
@@ -1097,21 +1054,25 @@ impl Ppdb {
     }
 
     /// Run a `SELECT` that may use the audit extensions (`VIOLATES(...)`,
-    /// `_qpv_violations`) against the current stored state, through the
-    /// snapshot path. The [`SelectiveAuditor`] snapshot is cached behind
-    /// the store's commit clock: back-to-back queries with no intervening
-    /// commit compile the population once, and any commit invalidates it. The
-    /// snapshot's statistics are registered with the planner, so wide
-    /// provider ranges sweep immediately instead of paying the old
-    /// `population/2` index walk first.
+    /// `_qpv_violations`) against the current stored state. It reads the
+    /// same maintained [`LiveViolationIndex`] as [`Ppdb::query_live`]
+    /// (refreshed the same way, so no second population is compiled) but
+    /// registers its statistics as not index-backed: the planner then
+    /// prices a bounded `_qpv_violations` scan as an index-selected
+    /// candidate walk or a sweep (`Plan::ViolationScan`) instead of a
+    /// `LiveIndexScan`, and the bridge answers either from the rows the
+    /// index already holds.
     pub fn query_violations(&mut self, sql: &str) -> DbResult<ResultSet> {
-        let (db, snapshot) = self.refresh_snapshot()?;
-        db.set_violation_stats(Some(snapshot.stats));
-        db.query_with(sql, &snapshot.auditor)
+        let (db, live) = self.refresh_live()?;
+        db.set_violation_stats(Some(ViolationStats {
+            indexed: false,
+            ..live.stats
+        }));
+        db.query_with(sql, &live.index)
     }
 
     /// Run a `SELECT` through the maintained [`LiveViolationIndex`]:
-    /// zero snapshot rebuilds on the query path — maintenance is
+    /// no population compile on the query path — maintenance is
     /// `O(changed)` per intervening write batch and queries are answered
     /// from the materialized postings (`Plan::LiveIndexScan`, chosen by
     /// the registered `indexed` statistics).
@@ -1127,10 +1088,12 @@ impl Ppdb {
         Ok(&self.refresh_live()?.1.index)
     }
 
-    /// How many times the snapshot path compiled a population
-    /// (cache-regression guard).
+    /// Always 0: [`Ppdb::query_violations`] reads the live index and
+    /// compiles no population of its own, so its builds are counted by
+    /// [`Ppdb::live_builds`]. Kept because the end-to-end benchmark's
+    /// `sql_analyst` workload reports it.
     pub fn snapshot_builds(&self) -> u64 {
-        self.snapshot_builds
+        0
     }
 
     /// How many times the live index was cold-built (maintenance must
@@ -1142,8 +1105,10 @@ impl Ppdb {
     /// [`qpv_reldb::db::Database::explain`] over this PPDB's database:
     /// the chosen access path for a query, without running it. Plans
     /// over `_qpv_violations` are priced with the statistics registered
-    /// by the most recent [`Ppdb::query_violations`] / [`Ppdb::query_live`]
-    /// call (no statistics → the executor's static heuristic).
+    /// by the most recent [`Ppdb::query_violations`] (not index-backed:
+    /// `ViolationScan`) or [`Ppdb::query_live`] (index-backed:
+    /// `LiveIndexScan`) call; no statistics → the executor's static
+    /// heuristic.
     pub fn explain(&mut self, sql: &str) -> DbResult<String> {
         self.db.explain(sql)
     }
@@ -1668,7 +1633,7 @@ mod tests {
         assert_eq!(ppdb.audit_history().unwrap().len(), 2);
     }
 
-    /// Raw writes through `db_mut` move no delta seq, so both query caches
+    /// Raw writes through `db_mut` move no delta seq, so both query paths
     /// must still see them: here provider 0 stops violating.
     #[test]
     fn raw_writes_through_db_mut_invalidate_both_query_caches() {

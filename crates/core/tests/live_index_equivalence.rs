@@ -23,11 +23,12 @@
 //!   [`LiveViolationIndex`] over it, and check byte-identity at the
 //!   crash point *and* after resuming maintenance on the recovered
 //!   index (including across a snapshot rotation).
-//! * **Snapshot/live caching regression** — two back-to-back
-//!   [`Ppdb::query_violations`] calls compile the population exactly
-//!   once, the live path never rebuilds on writes (maintenance, not
-//!   recompilation), and neither cache rebuilds on reads through
-//!   [`Ppdb::db_mut`] or across an automatic checkpoint.
+//! * **One population per `Ppdb`** — [`Ppdb::query_violations`] and
+//!   [`Ppdb::query_live`] read one live index, built once: writes are
+//!   maintained, not recompiled, and neither reads through
+//!   [`Ppdb::db_mut`], audit-log commits, rolled-back writes nor an
+//!   automatic checkpoint rebuild it; every answer equals the reference
+//!   audit of the stored profiles.
 
 use qpv_core::deltalog::DeltaLog;
 use qpv_core::sensitivity::{AttributeSensitivities, DatumSensitivity};
@@ -53,8 +54,9 @@ fn pt(v: u32, g: u32, r: u32) -> PrivacyPoint {
 
 /// The reference oracle: witness rows derived from
 /// [`AuditEngine::run_reference`] over plain profiles, in profile order
-/// — the same emission contract as the compiled paths
-/// (`push_witness_rows`), rebuilt here from first principles.
+/// — the same emission contract as the live index's rows (one row per
+/// witness, severity = the provider's total score), rebuilt here from
+/// first principles.
 fn reference_rows(engine: &AuditEngine, profiles: &[ProviderProfile]) -> Vec<ViolationRow> {
     let report = engine.run_reference(profiles);
     let mut rows = Vec::new();
@@ -508,7 +510,7 @@ fn recovery_at_every_crash_point_matches_reference() {
     }
 }
 
-// ---- snapshot / live caching regression --------------------------------
+// ---- one population per Ppdb -------------------------------------------
 
 fn seeded_ppdb(db: Database, n: u64) -> Ppdb {
     let schema = SchemaBuilder::new()
@@ -542,36 +544,10 @@ fn seeded_ppdb(db: Database, n: u64) -> Ppdb {
     ppdb
 }
 
-/// Back-to-back queries reuse one compiled snapshot; writes invalidate
-/// it; policy edits (which bypass the delta stream) invalidate it too.
-#[test]
-fn back_to_back_queries_compile_the_snapshot_once() {
-    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
-    let q = "SELECT * FROM _qpv_violations";
-    let first = ppdb.query_violations(q).unwrap();
-    let second = ppdb.query_violations(q).unwrap();
-    assert_eq!(first.rows, second.rows);
-    assert_eq!(ppdb.snapshot_builds(), 1, "cache hit must not recompile");
+type Tuple = (i64, String, String, i64);
 
-    // A model-changing write lands in the delta stream and invalidates.
-    ppdb.set_threshold(ProviderId(1), 99).unwrap();
-    ppdb.query_violations(q).unwrap();
-    assert_eq!(ppdb.snapshot_builds(), 2);
-    ppdb.query_violations(q).unwrap();
-    assert_eq!(ppdb.snapshot_builds(), 2);
-
-    // Policy edits don't flow through deltas; the commit clock catches them.
-    let policy = HousePolicy::builder("house")
-        .tuple("weight", PrivacyTuple::from_point("pr", pt(9, 9, 9)))
-        .build();
-    ppdb.set_policy(&policy).unwrap();
-    ppdb.query_violations(q).unwrap();
-    assert_eq!(ppdb.snapshot_builds(), 3);
-}
-
-fn sorted_tuples(rs: &qpv_reldb::exec::ResultSet) -> Vec<(i64, String, String, i64)> {
-    let mut out: Vec<(i64, String, String, i64)> = rs
-        .rows
+fn tuples(rs: &qpv_reldb::exec::ResultSet) -> Vec<Tuple> {
+    rs.rows
         .iter()
         .map(|r| {
             (
@@ -581,17 +557,80 @@ fn sorted_tuples(rs: &qpv_reldb::exec::ResultSet) -> Vec<(i64, String, String, i
                 r.values[3].as_int().unwrap(),
             )
         })
-        .collect();
+        .collect()
+}
+
+fn sorted_tuples(rs: &qpv_reldb::exec::ResultSet) -> Vec<Tuple> {
+    let mut out = tuples(rs);
     out.sort();
     out
 }
 
+/// [`reference_rows`] over the profiles the store holds now, under the
+/// stored policy, in profile order: an oracle that shares neither the
+/// live index nor the kernel with the query paths it checks.
+fn stored_reference(ppdb: &mut Ppdb) -> Vec<Tuple> {
+    let (engine, profiles) = (ppdb.audit_engine().unwrap(), ppdb.all_profiles().unwrap());
+    reference_rows(&engine, &profiles)
+        .into_iter()
+        .map(|r| (r.provider, r.attribute, r.purpose, r.severity))
+        .collect()
+}
+
+/// A query's answer against the stored reference: as a sorted set for
+/// SQL without `ORDER BY` (which promises no order), row for row for
+/// `ORDER BY provider` (one witness row per provider here).
+fn assert_answers_reference(ppdb: &mut Ppdb, rs: &qpv_reldb::exec::ResultSet, ordered: bool) {
+    let mut want = stored_reference(ppdb);
+    want.sort_by_key(|r| r.0);
+    if ordered {
+        assert_eq!(tuples(rs), want, "ordered answer");
+    } else {
+        want.sort();
+        assert_eq!(sorted_tuples(rs), want, "answer set");
+    }
+}
+
+/// Back-to-back queries build the live index once; writes are replayed
+/// into it, not rebuilt; policy edits (which bypass the delta stream)
+/// force exactly one rebuild.
+#[test]
+fn back_to_back_queries_compile_the_snapshot_once() {
+    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
+    let q = "SELECT * FROM _qpv_violations";
+    let first = ppdb.query_violations(q).unwrap();
+    let second = ppdb.query_violations(q).unwrap();
+    assert_answers_reference(&mut ppdb, &first, false);
+    assert_answers_reference(&mut ppdb, &second, false);
+    assert_eq!(ppdb.live_builds(), 1, "cache hit must not recompile");
+
+    // A model-changing write lands in the delta stream and is replayed.
+    ppdb.set_threshold(ProviderId(1), 99).unwrap();
+    let rs = ppdb.query_violations(q).unwrap();
+    assert_answers_reference(&mut ppdb, &rs, false);
+    assert_eq!(ppdb.live_builds(), 1);
+    ppdb.query_violations(q).unwrap();
+    assert_eq!(ppdb.live_builds(), 1);
+
+    // Policy edits don't flow through deltas; the commit clock catches them.
+    let policy = HousePolicy::builder("house")
+        .tuple("weight", PrivacyTuple::from_point("pr", pt(9, 9, 9)))
+        .build();
+    ppdb.set_policy(&policy).unwrap();
+    let rs = ppdb.query_violations(q).unwrap();
+    assert_answers_reference(&mut ppdb, &rs, false);
+    assert_eq!(ppdb.live_builds(), 2);
+    ppdb.query_violations(q).unwrap();
+    assert_eq!(ppdb.live_builds(), 2);
+    assert_eq!(ppdb.snapshot_builds(), 0);
+}
+
 /// The live path builds once and then *maintains*: writes between
-/// queries are absorbed as deltas, never as rebuilds, and results stay
-/// identical to the snapshot path. (Identical as row *sets*: removals
-/// reorder the maintained population via swap_remove while a fresh
-/// store compile keeps heap order, and SQL without ORDER BY promises no
-/// order — an explicit ORDER BY pins it below.)
+/// queries are absorbed as deltas, never as rebuilds, and both query
+/// paths answer the reference over the stored profiles. (As row *sets*
+/// without ORDER BY: removals reorder the maintained population via
+/// swap_remove while the store keeps heap order, and SQL without ORDER
+/// BY promises no order — an explicit ORDER BY pins it below.)
 #[test]
 fn live_path_maintains_instead_of_rebuilding() {
     let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
@@ -599,24 +638,33 @@ fn live_path_maintains_instead_of_rebuilding() {
     let live = ppdb.query_live(q).unwrap();
     // The planner routes through the maintained index — `explain` prices
     // with the most recently registered stats, so ask right after the
-    // live query (a snapshot query would re-register non-indexed stats).
+    // live query (`query_violations` registers non-indexed stats).
     let plan = ppdb.explain(q).unwrap();
     assert!(plan.contains("LiveIndexScan"), "{plan}");
+    assert_answers_reference(&mut ppdb, &live, false);
     let snap = ppdb.query_violations(q).unwrap();
-    assert_eq!(live.rows, snap.rows, "live and snapshot paths agree");
+    let plan = ppdb.explain(q).unwrap();
+    assert!(plan.contains("ViolationScan"), "{plan}");
+    assert_answers_reference(&mut ppdb, &snap, false);
     assert_eq!(ppdb.live_builds(), 1);
 
     let ordered = "SELECT * FROM _qpv_violations ORDER BY provider";
     for round in 0..3u64 {
         ppdb.set_threshold(ProviderId(round), 50).unwrap();
         ppdb.remove_provider(ProviderId(20 + round)).unwrap();
-        let live = ppdb.query_live(q).unwrap();
-        let snap = ppdb.query_violations(q).unwrap();
-        assert_eq!(sorted_tuples(&live), sorted_tuples(&snap), "round {round}");
-        // With an explicit order the paths agree row for row.
-        let live = ppdb.query_live(ordered).unwrap();
-        let snap = ppdb.query_violations(ordered).unwrap();
-        assert_eq!(live.rows, snap.rows, "round {round} ordered");
+        for rs in [
+            ppdb.query_live(q).unwrap(),
+            ppdb.query_violations(q).unwrap(),
+        ] {
+            assert_answers_reference(&mut ppdb, &rs, false);
+        }
+        // With an explicit order the answer matches row for row.
+        for rs in [
+            ppdb.query_live(ordered).unwrap(),
+            ppdb.query_violations(ordered).unwrap(),
+        ] {
+            assert_answers_reference(&mut ppdb, &rs, true);
+        }
     }
     assert_eq!(
         ppdb.live_builds(),
@@ -626,15 +674,17 @@ fn live_path_maintains_instead_of_rebuilding() {
     assert!(ppdb.live_index().unwrap().deltas_applied() > 0);
 }
 
-/// Reads through [`Ppdb::db_mut`] commit nothing, so they keep both
-/// caches; the audit-log insert of [`Ppdb::record_audit`] commits but is
-/// accounted for, so the live index survives it too.
+/// Reads through [`Ppdb::db_mut`] commit nothing, so they keep the live
+/// index both query paths read; the audit-log insert of
+/// [`Ppdb::record_audit`] commits but is accounted for, so the index
+/// survives it too.
 #[test]
 fn read_only_db_mut_borrows_keep_both_query_caches() {
     let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
     let q = "SELECT * FROM _qpv_violations";
     for _ in 0..3 {
-        ppdb.query_live(q).unwrap();
+        let rs = ppdb.query_live(q).unwrap();
+        assert_answers_reference(&mut ppdb, &rs, false);
         let count = ppdb
             .db_mut()
             .query("SELECT COUNT(*) FROM _qpv_prefs")
@@ -643,21 +693,93 @@ fn read_only_db_mut_borrows_keep_both_query_caches() {
     }
     assert_eq!(ppdb.live_builds(), 1, "reads must not rebuild the index");
     for _ in 0..3 {
-        ppdb.query_violations(q).unwrap();
+        let rs = ppdb.query_violations(q).unwrap();
+        assert_answers_reference(&mut ppdb, &rs, false);
         ppdb.db_mut().scan("_qpv_prefs").unwrap();
     }
-    assert_eq!(ppdb.snapshot_builds(), 1, "reads must not recompile");
+    assert_eq!(ppdb.live_builds(), 1, "reads must not recompile");
 
     ppdb.record_audit("checkpoint").unwrap();
     ppdb.query_live(q).unwrap();
     assert_eq!(ppdb.live_builds(), 1, "the audit log is accounted for");
 }
 
+/// One population per `Ppdb`: across both query paths and every commit
+/// that leaves the population as it was — an audit-log entry
+/// ([`Ppdb::record_audit`], [`Ppdb::certify_alpha`]) and a rolled-back
+/// write — and read-only [`Ppdb::db_mut`] queries, the `Ppdb` compiles
+/// one population in all, and every answer is the reference's.
+#[test]
+fn both_query_paths_share_one_population_across_neutral_commits() {
+    let mut ppdb = seeded_ppdb(Database::in_memory(), 30);
+    let builds = |ppdb: &Ppdb| ppdb.snapshot_builds() + ppdb.live_builds();
+    let q = "SELECT * FROM _qpv_violations";
+    let ordered = "SELECT * FROM _qpv_violations ORDER BY provider";
+    let ranged = "SELECT * FROM _qpv_violations WHERE provider >= 3 AND provider < 7";
+    let neutral_commits: [&dyn Fn(&mut Ppdb); 4] = [
+        &|ppdb| {
+            ppdb.record_audit("neutral").unwrap();
+        },
+        &|ppdb| {
+            ppdb.certify_alpha(0.5, "neutral").unwrap();
+        },
+        &|ppdb| {
+            // The right provider id but one column short: the data-row
+            // insert fails inside the transaction, which rolls back.
+            let mut p = ProviderProfile::new(ProviderId(100), 0);
+            p.preferences
+                .add("weight", PrivacyTuple::from_point("pr", pt(1, 1, 1)));
+            let short = Row::from_values([Value::Int(100)]);
+            assert!(ppdb.register_provider(&p, short).is_err());
+        },
+        &|ppdb| {
+            let rs = ppdb
+                .db_mut()
+                .query("SELECT COUNT(*) FROM _qpv_thresholds")
+                .unwrap();
+            assert_eq!(rs.rows[0].values[0].as_int(), Some(30));
+        },
+    ];
+    for round in 0..2 {
+        for (k, commit) in neutral_commits.iter().enumerate() {
+            for (first_live, sql) in [(true, q), (false, ordered)] {
+                let (a, b) = if first_live {
+                    (
+                        ppdb.query_live(sql).unwrap(),
+                        ppdb.query_violations(sql).unwrap(),
+                    )
+                } else {
+                    (
+                        ppdb.query_violations(sql).unwrap(),
+                        ppdb.query_live(sql).unwrap(),
+                    )
+                };
+                for rs in [a, b] {
+                    assert_answers_reference(&mut ppdb, &rs, sql == ordered);
+                }
+                assert_eq!(builds(&ppdb), 1, "round {round}, step {k}: {sql}");
+            }
+            let rs = ppdb.query_violations(ranged).unwrap();
+            let mut want = stored_reference(&mut ppdb);
+            want.retain(|r| (3..7).contains(&r.0));
+            want.sort();
+            assert_eq!(
+                sorted_tuples(&rs),
+                want,
+                "round {round}, step {k}: {ranged}"
+            );
+            commit(&mut ppdb);
+            assert_eq!(builds(&ppdb), 1, "round {round}, after step {k}");
+        }
+    }
+    assert_eq!(ppdb.provider_ids().unwrap().len(), 30, "nothing committed");
+}
+
 /// Delta writes that cross an automatic checkpoint stay accounted for:
 /// the checkpoint keeps the store's commit clock (it never moves back, or
 /// a stale cache could match a later commit), so the live index keeps
-/// replaying the delta tail instead of rebuilding, and still agrees with
-/// a fresh snapshot.
+/// replaying the delta tail instead of rebuilding, and both query paths
+/// still answer the reference over the stored profiles.
 #[test]
 fn delta_writes_across_an_automatic_checkpoint_keep_the_live_index() {
     let dir = temp_dir("checkpoint");
@@ -684,9 +806,12 @@ fn delta_writes_across_an_automatic_checkpoint_keep_the_live_index() {
         writes += 1;
     }
     ppdb.set_threshold(ProviderId(3), 9).unwrap();
-    let live = ppdb.query_live(q).unwrap();
-    let snap = ppdb.query_violations(q).unwrap();
-    assert_eq!(live.rows, snap.rows);
+    for rs in [
+        ppdb.query_live(q).unwrap(),
+        ppdb.query_violations(q).unwrap(),
+    ] {
+        assert_answers_reference(&mut ppdb, &rs, true);
+    }
     assert_eq!(ppdb.live_builds(), 1, "a checkpoint must not rebuild");
     drop(ppdb);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,11 +1,14 @@
-//! End-to-end selective audit queries: `Ppdb::query_violations` against
-//! the full [`Ppdb::audit`] report as oracle.
+//! End-to-end audit queries: `Ppdb::query_violations` and
+//! `Ppdb::query_live` against the full [`Ppdb::audit`] report and the
+//! reference audit of the stored profiles as oracles.
 //!
-//! The SQL path (binder → `ViolationScan` → secondary-index candidate
-//! selection → `SelectiveAuditor`) must produce exactly the witness rows
-//! the classic compile-and-sweep audit produces — bounded or not, and
-//! across writes that mutate the data table and its `_qpv_data_provider`
-//! index through the delta pipeline.
+//! Both SQL paths read the `Ppdb`'s one maintained live index; they
+//! differ in the plan the registered statistics select. The
+//! `query_violations` path (binder → `ViolationScan` → secondary-index
+//! candidate selection or sweep → the index's rows) must produce exactly
+//! the witness rows the classic compile-and-sweep audit produces —
+//! bounded or not, and across writes that mutate the data table and its
+//! `_qpv_data_provider` index through the delta pipeline.
 
 use qpv_core::sensitivity::DatumSensitivity;
 use qpv_core::{Ppdb, PpdbConfig, ProviderProfile};
@@ -172,7 +175,7 @@ fn violates_predicate_selects_violating_rows() {
         .query_violations("SELECT provider_id FROM people WHERE VIOLATES('people', 'age')")
         .unwrap();
     assert!(age.rows.is_empty());
-    // A policy name the snapshot does not hold is an error, not a miss.
+    // A policy name the audit does not hold is an error, not a miss.
     let err = ppdb
         .query_violations("SELECT provider_id FROM people WHERE VIOLATES('nope')")
         .unwrap_err();
@@ -180,8 +183,8 @@ fn violates_predicate_selects_violating_rows() {
 }
 
 /// Writes between queries move both the data table and its provider
-/// index through the transactional maintenance path; each
-/// `query_violations` call snapshots a fresh population, so results track
+/// index through the transactional maintenance path, and the live index
+/// replays them before each `query_violations` call, so results track
 /// the store exactly.
 #[test]
 fn index_and_results_stay_coherent_across_writes() {
@@ -285,9 +288,9 @@ fn reference_rows(ppdb: &mut Ppdb) -> Vec<(i64, String, String, i64)> {
 
 /// Attribute predicates pushed into the live index, or deliberately not:
 /// every form answers exactly the reference rows through both the live
-/// path (`LiveIndexScan`, exact attribute postings) and the snapshot path
-/// (`ViolationScan`, residual filter only), and `explain` shows where the
-/// restriction went.
+/// path (`LiveIndexScan`, exact attribute postings) and the
+/// `query_violations` path (`ViolationScan`, residual filter only), and
+/// `explain` shows where the restriction went.
 #[test]
 fn attr_pushdown_matches_the_reference_on_both_paths() {
     let mut ppdb = registry_with_duplicate_ids();
@@ -392,7 +395,8 @@ fn attr_pushdown_matches_the_reference_on_both_paths() {
     }
 }
 
-/// The planner's crossover on the snapshot path: a 10% provider range
+/// The planner's crossover on the `query_violations` path (statistics
+/// registered with `indexed: false`): a 10% provider range
 /// walks the index-selected candidates, the full id span prices as a
 /// sweep, and both answer exactly the reference rows.
 #[test]

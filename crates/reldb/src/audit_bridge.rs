@@ -6,7 +6,8 @@
 //! `VIOLATES(...)` predicates and scan the virtual `_qpv_violations`
 //! relation, so the dependency is inverted through this trait: the
 //! executor holds an optional `&dyn AuditBridge`, and the audit crate
-//! implements it (see `qpv_core`'s `SelectiveAuditor`).
+//! implements it (see `qpv_core`'s `LiveViolationIndex`, the maintained
+//! violation set both of `Ppdb`'s query paths read).
 //!
 //! The bridge's contract is *order stability*: [`AuditBridge::violations_for`]
 //! must emit rows in the same population order as
@@ -65,7 +66,7 @@ pub fn violations_schema() -> Schema {
 /// access path — candidate-walk vs full sweep vs live-index — *before*
 /// execution, so `EXPLAIN` shows the decision and a mispriced walk is
 /// never even started. All fields describe the population the bridge
-/// snapshot audits; deltas applied to a live index refresh them.
+/// audits; deltas applied to a live index refresh them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViolationStats {
     /// Occurrences in the population (the audit's `N`).
@@ -76,9 +77,6 @@ pub struct ViolationStats {
     pub min_provider: i64,
     /// Largest provider id (meaningless when `distinct_providers == 0`).
     pub max_provider: i64,
-    /// Providers currently in violation, when the source maintains the
-    /// count (a live index does; a cold snapshot reports `None`).
-    pub violations: Option<usize>,
     /// Whether the attached bridge answers
     /// [`AuditBridge::violations_indexed`] from maintained postings
     /// (`O(log n + answer)`) rather than by re-scoring candidates.
@@ -108,11 +106,15 @@ impl ViolationStats {
 
     /// Whether an estimated candidate count is small enough for the
     /// index-selected walk to beat the full sweep. Scoring a candidate
-    /// through the B+tree walk costs roughly 2.5× the sweep's
-    /// per-provider work (measured in EXPERIMENTS.md, P14), so the
-    /// crossover sits near 40% of the population — far below the
-    /// old fixed `population/2` cap, which let near-full ranges pay an
-    /// `O(N/2)` index walk *and then* sweep anyway.
+    /// through the B+tree walk cost roughly 2.5× the sweep's
+    /// per-provider work when each candidate was re-scored through the
+    /// kernel (measured in EXPERIMENTS.md, P14), so the crossover sits
+    /// near 40% of the population — far below the old fixed
+    /// `population/2` cap, which let near-full ranges pay an `O(N/2)`
+    /// index walk *and then* sweep anyway. Over a bridge whose rows are
+    /// already computed (the live index) the walk only copies rows, and
+    /// where the crossover then lies is unmeasured; the constant stays
+    /// because the end-to-end benchmark asserts the plan it picks.
     pub fn prefer_candidates(&self, estimated: usize) -> bool {
         estimated.saturating_mul(5) <= self.distinct_providers.saturating_mul(2)
     }
@@ -141,9 +143,10 @@ pub fn provider_in_bounds(lo: &Bound<i64>, hi: &Bound<i64>, id: i64) -> bool {
 
 /// What the executor needs from the audit model.
 ///
-/// Implementations audit against a fixed compiled population snapshot;
-/// `&self` methods may memoise internally (the executor may call
-/// [`AuditBridge::violates`] once per row of a scan).
+/// An implementation answers for one population as it stands while the
+/// query runs (the executor holds it by shared reference for the whole
+/// query); the executor may call [`AuditBridge::violates`] once per row
+/// of a scan, so a point probe should be cheap.
 pub trait AuditBridge {
     /// Population size `N` — the executor's cost model compares the
     /// candidate count against this to decide selective vs full sweep.

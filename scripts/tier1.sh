@@ -7,7 +7,7 @@
 #   scripts/tier1.sh --faults       # gate + release-mode fault-injection suite
 #                                   #   and every workspace test in release
 #   scripts/tier1.sh --monitor      # gate + delta-log/monitor crash suites
-#   scripts/tier1.sh --sql          # SQL / selective-audit stage only
+#   scripts/tier1.sh --sql          # SQL / audit-query stage only
 #                                   #   (shadow + crash-torture + Ppdb-level
 #                                   #   suites in release)
 #   scripts/tier1.sh --live-index   # live-index stage only (release
@@ -23,10 +23,10 @@
 # line reads `[DIFF]`, so a paper claim that stops holding fails the gate.
 #
 # The default gate also re-runs, in release mode, the row-decoder
-# properties, the population snapshot codec's mutation property and the
-# reldb value-order and predicate properties (exact Int/Float order, LIKE
-# against a reference matcher), next to the compiled-plan, population and
-# delta equivalence suites.
+# properties, the population snapshot and delta codecs' mutation
+# properties and the reldb value-order and predicate properties (exact
+# Int/Float order, LIKE against a reference matcher), next to the
+# compiled-plan, population and delta equivalence suites.
 #
 # The end-to-end benchmark (BENCHMARK.json, crates/bench/src/bin/benchmark)
 # is the repository's one timing harness and its own package: the gate
@@ -68,9 +68,10 @@ if [[ "${1:-}" == "--sql" ]]; then
     # (composite indexes, drop/recreate id monotonicity, the
     # `_qpv_violations` relation and `VIOLATES` against a rule-based
     # bridge oracle), the crash-torture matrix with its post-recovery
-    # index-coherence probes, and the Ppdb-level end-to-end suite
-    # (SQL results vs the `audit()` report across live writes), all
-    # under the release optimizer.
+    # index-coherence probes, and the Ppdb-level end-to-end suite (both
+    # query paths over the live index, `ViolationScan` and
+    # `LiveIndexScan`, vs the `audit()` report and the reference audit
+    # across live writes), all under the release optimizer.
     SQL_BUDGET="${QPV_SQL_BUDGET:-300}"
     echo "== sql: shadow-model properties (release, ${SQL_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$SQL_BUDGET" \
@@ -90,8 +91,9 @@ if [[ "${1:-}" == "--live-index" ]]; then
     # release-mode property suite pins the maintained index byte-identical
     # to a fresh compile + `run_reference` audit under random synthetic
     # churn, when maintained op by op from a Ppdb's write stream, and at
-    # every crash point of a delta-log recovery, plus the snapshot-cache
-    # regression test.
+    # every crash point of a delta-log recovery, plus the one-population
+    # tests: both SQL query paths read one index, built once across
+    # writes and population-neutral commits.
     LIVE_BUDGET="${QPV_LIVE_BUDGET:-300}"
     echo "== live-index: equivalence / handoff / recovery (release, ${LIVE_BUDGET}s budget) =="
     RUST_BACKTRACE=1 timeout "$LIVE_BUDGET" \
@@ -154,6 +156,14 @@ echo "== population snapshot codec (release) =="
 # audits and takes deltas, under the optimizer that builds recovery, where
 # arithmetic wraps instead of trapping.
 cargo test -q --release -p qpv-core --lib pop::tests::snapshot
+
+echo "== delta codec (release) =="
+# The delta log's payload decoder, the same way: every mutant of a valid
+# delta covering all five op kinds (each varint set to 0, 1, u64::MAX and
+# 2^k, every truncation, extension, fields spliced from another delta,
+# byte overwrites) decodes to `Corruption` or to a delta that applies to
+# a population which then validates and audits.
+cargo test -q --release -p qpv-core --lib deltalog::tests::delta_codec
 
 echo "== value order and predicates (release) =="
 # The total order B+tree keys and ORDER BY rely on (exact Int/Float
